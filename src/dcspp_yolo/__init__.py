@@ -3,11 +3,10 @@ stride-1 spatial-pyramid-pooling block, and a reorg passthrough head;
 pure numpy, CPU only, trainable from scratch at desk scale."""
 
 from .anchors import AnchorSet, iou_dist, kmeans_anchors
-from .detection import BBox, Detection, decode, detect_image, iou, nms
+from .detection import BBox, Detection, decode, decode_predictions, detect_image, iou, nms
 from .evaluation import average_precision, evaluate, match_detections
-from .loss import LossWeights, TruthBox, assign_targets, compute_loss, decode_predictions
+from .loss import LossWeights, TruthBox, assign_targets, compute_loss
 from .network import NetworkConfig, NetworkGraph, build_network
-from .tensor import Tensor
 from .training import TrainConfig, adam_step, augment, lr_at, synth_dataset, train
 
 __version__ = "0.1.0"
@@ -19,7 +18,6 @@ __all__ = [
     "LossWeights",
     "NetworkConfig",
     "NetworkGraph",
-    "Tensor",
     "TrainConfig",
     "TruthBox",
     "adam_step",

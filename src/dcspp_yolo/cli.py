@@ -30,7 +30,6 @@ from .network import (
     build_network,
     read_weight_header,
 )
-from .tensor import TensorError
 from .training import (
     TrainConfig,
     TrainingError,
@@ -48,7 +47,6 @@ _ERRORS = (
     LayerError,
     LossError,
     NetworkError,
-    TensorError,
     TrainingError,
     ppm.PPMError,
     OSError,

@@ -9,7 +9,6 @@ import numpy as np
 
 from .detection import BBox, Detection
 from .loss import TruthBox
-from .tensor import Tensor
 
 
 class LabelError(ValueError):
@@ -98,11 +97,11 @@ def _resize_nearest(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     return img[rows][:, cols]
 
 
-def image_to_tensor(img: np.ndarray, target: int) -> Tensor:
+def image_to_tensor(img: np.ndarray, target: int) -> np.ndarray:
     """Aspect-preserving resize onto a target x target gray canvas.
 
-    Output is (1, 3, target, target) float32 in [0, 1] with channel planes
-    R, G, B; padding bands hold exactly 0.5.
+    Output is a C-contiguous (1, 3, target, target) float32 array in
+    [0, 1] with channel planes R, G, B; padding bands hold exactly 0.5.
     """
     if target % 32 != 0:
         raise LabelError(f"target size must be a multiple of 32, got {target}")
@@ -113,7 +112,7 @@ def image_to_tensor(img: np.ndarray, target: int) -> Tensor:
     resized = _resize_nearest(img, p.new_h, p.new_w).astype(np.float32) / 255.0
     canvas = np.full((target, target, 3), 0.5, dtype=np.float32)
     canvas[p.pad_y:p.pad_y + p.new_h, p.pad_x:p.pad_x + p.new_w] = resized
-    return Tensor(canvas.transpose(2, 0, 1)[None])
+    return np.ascontiguousarray(canvas.transpose(2, 0, 1)[None])
 
 
 def unletterbox_box(box: BBox, orig_w: int, orig_h: int, target: int) -> BBox:

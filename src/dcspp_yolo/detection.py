@@ -1,5 +1,6 @@
-"""Inference post-processing: grid decode, confidence thresholding, and
-class-aware non-maximum suppression."""
+"""Grid decode of the raw output volume, shared by the loss and by
+inference, plus confidence thresholding and class-aware non-maximum
+suppression."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet
-from .tensor import Tensor
 
 
 class DetectionError(ValueError):
@@ -61,7 +61,7 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -70,8 +70,80 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass
+class PredGrid:
+    """Decoded predictions for one image, anchor-major arrays of (S, S, K).
+
+    x_off/y_off are sigmoid intra-cell offsets; w/h are decoded box dims
+    in grid units (anchor * exp(raw)); conf is the sigmoid objectness;
+    cls is (S, S, K, C) per-class sigmoid probabilities.
+    """
+
+    x_off: np.ndarray
+    y_off: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    conf: np.ndarray
+    cls: np.ndarray
+    anchor_dims: np.ndarray  # (K, 2) grid units
+
+    @property
+    def s(self) -> int:
+        return self.x_off.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.x_off.shape[2]
+
+    @property
+    def c(self) -> int:
+        return self.cls.shape[3]
+
+    def box(self, i: int, j: int, k: int) -> BBox:
+        """Predicted box in normalized image coordinates."""
+        s = self.s
+        cx = (j + self.x_off[i, j, k]) / s
+        cy = (i + self.y_off[i, j, k]) / s
+        w = self.w[i, j, k] / s
+        h = self.h[i, j, k] / s
+        return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
+def decode_predictions(raw: np.ndarray, anchors: AnchorSet) -> PredGrid:
+    """Split a raw (K*(5+C), S, S) or (1, K*(5+C), S, S) output volume
+    into a PredGrid.
+
+    Channel layout per anchor: tx, ty, tw, th, tc, then C class logits.
+    """
+    raw = np.asarray(raw)
+    if raw.ndim == 4:
+        if raw.shape[0] != 1:
+            raise DetectionError(f"decode expects a single image, got batch of {raw.shape[0]}")
+        raw = raw[0]
+    channels, s, s2 = raw.shape
+    if s != s2:
+        raise DetectionError(f"grid must be square, got {s}x{s2}")
+    k = anchors.k
+    if channels % k or channels // k < 6:
+        raise DetectionError(
+            f"channel count {channels} does not factor as K*(5+C) with K={k} and C >= 1"
+        )
+    c = channels // k - 5
+    vol = raw.astype(np.float64).reshape(k, 5 + c, s, s).transpose(2, 3, 0, 1)  # (S,S,K,5+C)
+    dims = anchors.as_array()
+    return PredGrid(
+        x_off=sigmoid(vol[..., 0]),
+        y_off=sigmoid(vol[..., 1]),
+        w=dims[None, None, :, 0] * np.exp(vol[..., 2]),
+        h=dims[None, None, :, 1] * np.exp(vol[..., 3]),
+        conf=sigmoid(vol[..., 4]),
+        cls=sigmoid(vol[..., 5:]),
+        anchor_dims=dims,
+    )
+
+
 def decode(
-    grid: Tensor | np.ndarray,
+    grid: np.ndarray,
     anchors: AnchorSet,
     img_w: float,
     img_h: float,
@@ -83,56 +155,33 @@ def decode(
     dims are anchor * exp(raw) scaled to pixels, and the score is the
     objectness sigmoid times the best per-class sigmoid. Boxes are
     clipped to the image; slots at or below conf_thres are dropped.
+    Slots are taken in (anchor, row, column) order, then stably sorted
+    by descending score.
     """
-    arr = grid.data if isinstance(grid, Tensor) else np.asarray(grid)
-    if arr.ndim == 4:
-        if arr.shape[0] != 1:
-            raise DetectionError(f"decode expects a single image, got batch of {arr.shape[0]}")
-        arr = arr[0]
-    channels, s, s2 = arr.shape
-    if s != s2:
-        raise DetectionError(f"grid must be square, got {s}x{s2}")
-    k = anchors.k
-    if channels % k or channels // k < 6:
-        raise DetectionError(
-            f"channel count {channels} does not factor as K*(5+C) with K={k} and C >= 1"
-        )
-    c = channels // k - 5
-    vol = arr.astype(np.float64).reshape(k, 5 + c, s, s)
-    dims = anchors.as_array()
-
-    cell_w = img_w / s
-    cell_h = img_h / s
-    dets: list[Detection] = []
-    for a in range(k):
-        sx = _sigmoid(vol[a, 0])
-        sy = _sigmoid(vol[a, 1])
-        bw = dims[a, 0] * np.exp(vol[a, 2]) * cell_w
-        bh = dims[a, 1] * np.exp(vol[a, 3]) * cell_h
-        conf = _sigmoid(vol[a, 4])
-        cls = _sigmoid(vol[a, 5:])
-        best_cls = cls.argmax(axis=0)
-        best_p = np.take_along_axis(cls, best_cls[None], axis=0)[0]
-        score = conf * best_p
-        for i in range(s):
-            for j in range(s):
-                if score[i, j] <= conf_thres:
-                    continue
-                bx = (j + sx[i, j]) * cell_w
-                by = (i + sy[i, j]) * cell_h
-                x0 = min(max(bx - bw[i, j] / 2, 0.0), img_w)
-                x1 = min(max(bx + bw[i, j] / 2, 0.0), img_w)
-                y0 = min(max(by - bh[i, j] / 2, 0.0), img_h)
-                y1 = min(max(by + bh[i, j] / 2, 0.0), img_h)
-                dets.append(
-                    Detection(
-                        box=BBox(x0, y0, x1, y1),
-                        class_id=int(best_cls[i, j]),
-                        score=float(score[i, j]),
-                    )
-                )
-    dets.sort(key=lambda d: -d.score)
-    return dets
+    p = decode_predictions(grid, anchors)
+    cell_w = img_w / p.s
+    cell_h = img_h / p.s
+    rows, cols, _ = np.indices(p.conf.shape)
+    bx = (cols + p.x_off) * cell_w
+    by = (rows + p.y_off) * cell_h
+    bw = p.w * cell_w
+    bh = p.h * cell_h
+    boxes = np.stack([
+        np.minimum(np.maximum(bx - bw / 2, 0.0), img_w),
+        np.minimum(np.maximum(by - bh / 2, 0.0), img_h),
+        np.minimum(np.maximum(bx + bw / 2, 0.0), img_w),
+        np.minimum(np.maximum(by + bh / 2, 0.0), img_h),
+    ], axis=-1)
+    # (S, S, K) -> (K, S, S): slots in (anchor, row, column) order
+    boxes = boxes.transpose(2, 0, 1, 3).reshape(-1, 4)
+    class_id = p.cls.argmax(axis=-1).transpose(2, 0, 1).ravel()
+    score = (p.conf * p.cls.max(axis=-1)).transpose(2, 0, 1).ravel()
+    keep = np.flatnonzero(~(score <= conf_thres))  # a NaN score is kept, not dropped
+    keep = keep[np.argsort(-score[keep], kind="stable")]
+    return [
+        Detection(box=BBox(*box), class_id=c, score=v)
+        for box, c, v in zip(boxes[keep].tolist(), class_id[keep].tolist(), score[keep].tolist())
+    ]
 
 
 def nms(dets: list[Detection], nms_thres: float) -> list[Detection]:
@@ -159,7 +208,7 @@ def nms(dets: list[Detection], nms_thres: float) -> list[Detection]:
 
 def detect_image(
     net,
-    image: Tensor,
+    image: np.ndarray,
     conf_thres: float = 0.25,
     nms_thres: float = 0.45,
 ) -> list[Detection]:

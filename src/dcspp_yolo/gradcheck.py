@@ -194,7 +194,7 @@ def check_network(seed: int = 0, samples: int = 20) -> float:
     weights /= weights.sum()
 
     def loss() -> float:
-        return float((net.forward(x, training=True).data * proj).sum())
+        return float((net.forward(x, training=True) * proj).sum())
 
     worst = 0.0
     for _ in range(samples):

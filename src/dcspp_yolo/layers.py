@@ -135,13 +135,14 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 
 def conv2d_backward(
-    grad_out: np.ndarray, cached_x: np.ndarray, p: ConvParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grad_out: np.ndarray, cached_x: np.ndarray, p: ConvParams, *, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients w.r.t. input, weights and bias.
 
     The input gradient is the correlation of the output gradient with the
     180-degree-rotated kernel, realized here by scattering the column
-    gradients back through the im2col geometry.
+    gradients back through the im2col geometry. With input_grad=False it
+    is not computed and None takes its place.
     """
     n, c, h, w = cached_x.shape
     k, s, pad = p.kernel, p.stride, p.pad
@@ -158,6 +159,8 @@ def conv2d_backward(
     go_flat = np.ascontiguousarray(go.transpose(1, 0, 2)).reshape(p.out_channels, -1)
     cols_flat = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(cols.shape[1], -1)
     grad_w = (go_flat @ cols_flat.T).reshape(p.weights.shape)
+    if not input_grad:
+        return None, grad_w, grad_b
 
     wm = p.weights.reshape(p.out_channels, -1)
     grad_cols = np.matmul(wm.T, go).reshape(n, c, k, k, oh, ow)

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet, shape_iou
-from .detection import BBox, iou
+# decode_predictions is re-exported: the loss is defined on its PredGrid
+from .detection import BBox, PredGrid, decode_predictions, iou
 
 
 class LossError(ValueError):
@@ -72,85 +73,6 @@ class TruthBox:
 
 
 @dataclass
-class PredGrid:
-    """Decoded predictions for one image, anchor-major arrays of (S, S, K).
-
-    x_off/y_off are sigmoid intra-cell offsets; w/h are decoded box dims
-    in grid units (anchor * exp(raw)); conf is the sigmoid objectness;
-    cls is (S, S, K, C) per-class sigmoid probabilities.
-    """
-
-    x_off: np.ndarray
-    y_off: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
-    conf: np.ndarray
-    cls: np.ndarray
-    anchor_dims: np.ndarray  # (K, 2) grid units
-
-    @property
-    def s(self) -> int:
-        return self.x_off.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.x_off.shape[2]
-
-    @property
-    def c(self) -> int:
-        return self.cls.shape[3]
-
-    def box(self, i: int, j: int, k: int) -> BBox:
-        """Predicted box in normalized image coordinates."""
-        s = self.s
-        cx = (j + self.x_off[i, j, k]) / s
-        cy = (i + self.y_off[i, j, k]) / s
-        w = self.w[i, j, k] / s
-        h = self.h[i, j, k] / s
-        return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def decode_predictions(raw: np.ndarray, anchors: AnchorSet) -> PredGrid:
-    """Split a raw (K*(5+C), S, S) output volume into a PredGrid.
-
-    Channel layout per anchor: tx, ty, tw, th, tc, then C class logits.
-    """
-    if raw.ndim == 4:
-        if raw.shape[0] != 1:
-            raise LossError(f"decode_predictions expects one image, got batch of {raw.shape[0]}")
-        raw = raw[0]
-    channels, s, s2 = raw.shape
-    if s != s2:
-        raise LossError(f"grid must be square, got {s}x{s2}")
-    k = anchors.k
-    if channels % k or channels // k < 6:
-        raise LossError(
-            f"channel count {channels} does not factor as K*(5+C) with K={k} and C >= 1"
-        )
-    c = channels // k - 5
-    vol = raw.astype(np.float64).reshape(k, 5 + c, s, s).transpose(2, 3, 0, 1)  # (S,S,K,5+C)
-    dims = anchors.as_array()
-    return PredGrid(
-        x_off=sigmoid(vol[..., 0]),
-        y_off=sigmoid(vol[..., 1]),
-        w=dims[None, None, :, 0] * np.exp(vol[..., 2]),
-        h=dims[None, None, :, 1] * np.exp(vol[..., 3]),
-        conf=sigmoid(vol[..., 4]),
-        cls=sigmoid(vol[..., 5:]),
-        anchor_dims=dims,
-    )
-
-
-@dataclass
 class Assignment:
     """Per-slot indicators plus the targets frozen at assignment time."""
 
@@ -186,6 +108,9 @@ def assign_targets(
     predicted box overlaps any truth above iou_thres are exempted from the
     no-object penalty; everything else is a no-object slot. The prior
     indicator covers all slots while fewer than n_prior images were seen.
+
+    When two truths claim the same (cell, anchor) slot, the later truth in
+    `truths` owns it and the earlier one is dropped.
     """
     _validate_truths(truths)
     s, k = preds.s, preds.k

@@ -2,20 +2,23 @@
 four-unit dense-connection block, the stride-1 pyramid-pooling block, the
 reorg passthrough, and the linear detection convolution.
 
-The graph is a flat list of nodes in topological order. Forward caches
+The graph is a flat list of nodes in topological order. Each node kind
+gives `forward(ins, training) -> (out, cache)`, `backward(grad, cache,
+param_grads) -> input grads` and `out_shape(in_shapes)`. Forward caches
 per-node activations when training; backward walks the list in reverse,
-summing gradients over fan-out before dispatching each node's local
-backward rule.
+summing gradients over fan-out before calling each node's backward.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .layers import (
     reorg_backward,
     reorg_forward,
 )
-from .tensor import Tensor
 
 WEIGHT_MAGIC = b"DCSY"
 WEIGHT_VERSION = 1
@@ -88,19 +90,126 @@ def scaled_channels(c: int, scale: Fraction) -> int:
     return max(8, int(math.ceil(v / 8)) * 8)
 
 
+Shape = tuple[int, int, int]  # (c, h, w)
+
+
 @dataclass
 class LayerNode:
+    """A graph node: its name, and the names of the nodes it reads."""
+
     name: str
-    kind: str                      # conv | maxpool | route | reorg | detection
     inputs: list[str]
-    conv: ConvParams | None = None
+    kind: ClassVar[str]
+
+
+@dataclass
+class ConvNode(LayerNode):
+    """conv -> bn -> leaky, or bn -> leaky -> conv when pre_activation.
+    The detection head is a conv with neither batch norm nor activation."""
+
+    conv: ConvParams
     bn: BNParams | None = None
     act: LeakyParams | None = None
-    pre_activation: bool = False   # bn -> leaky -> conv instead of conv -> bn -> leaky
-    pool_size: int = 0
-    pool_stride: int = 0
+    pre_activation: bool = False
+    kind: ClassVar[str] = "conv"
+
+    def out_shape(self, ins: list[Shape]) -> Shape:
+        _, h, w = ins[0]
+        c = self.conv
+        return (c.out_channels, *conv2d_out_hw(h, w, c.kernel, c.stride, c.pad))
+
+    def forward(self, ins: list[np.ndarray], training: bool):
+        x = ins[0]
+        if self.pre_activation:
+            bn_out, bn_cache = batchnorm_forward(x, self.bn, training)
+            conv_in = leaky_forward(bn_out, self.act)
+            y = conv2d_forward(conv_in, self.conv)
+            return y, {"bn": bn_cache, "act_in": bn_out, "conv_in": conv_in}
+        y = conv2d_forward(x, self.conv)
+        cache = {"conv_in": x}
+        if self.bn is not None:
+            y, cache["bn"] = batchnorm_forward(y, self.bn, training)
+        if self.act is not None:
+            cache["act_in"] = y
+            y = leaky_forward(y, self.act)
+        return y, cache
+
+    def _bn_backward(self, g: np.ndarray, cache, param_grads) -> np.ndarray:
+        g, ggamma, gbeta = batchnorm_backward(g, cache["bn"], self.bn)
+        param_grads[f"{self.name}.gamma"] = ggamma
+        param_grads[f"{self.name}.beta"] = gbeta
+        return g
+
+    def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray | None]:
+        if self.pre_activation:
+            g, gw, gb = conv2d_backward(gout, cache["conv_in"], self.conv)
+            g = leaky_backward(g, cache["act_in"], self.act)
+            g = self._bn_backward(g, cache, param_grads)
+        else:
+            g = gout
+            if self.act is not None:
+                g = leaky_backward(g, cache["act_in"], self.act)
+            if self.bn is not None:
+                g = self._bn_backward(g, cache, param_grads)
+            # nothing reads the gradient of the input image
+            g, gw, gb = conv2d_backward(g, cache["conv_in"], self.conv,
+                                        input_grad=self.inputs[0] != "data")
+        param_grads[f"{self.name}.weights"] = gw
+        param_grads[f"{self.name}.bias"] = gb
+        return [g]
+
+
+@dataclass
+class MaxPoolNode(LayerNode):
+    pool_size: int
+    pool_stride: int
     pool_pad: tuple[int, int] = (0, 0)
-    reorg_stride: int = 0
+    kind: ClassVar[str] = "maxpool"
+
+    def out_shape(self, ins: list[Shape]) -> Shape:
+        c, h, w = ins[0]
+        return (c, *maxpool_out_hw(h, w, self.pool_size, self.pool_stride, self.pool_pad))
+
+    def forward(self, ins: list[np.ndarray], training: bool):
+        return maxpool_forward(ins[0], self.pool_size, self.pool_stride, self.pool_pad)
+
+    def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray]:
+        return [maxpool_backward(gout, cache)]
+
+
+@dataclass
+class RouteNode(LayerNode):
+    """Channel concatenation of the inputs, in input order."""
+
+    kind: ClassVar[str] = "route"
+
+    def out_shape(self, ins: list[Shape]) -> Shape:
+        return (sum(s[0] for s in ins), ins[0][1], ins[0][2])
+
+    def forward(self, ins: list[np.ndarray], training: bool):
+        return np.concatenate(ins, axis=1), [a.shape[1] for a in ins]
+
+    def backward(self, gout: np.ndarray, sizes, param_grads) -> list[np.ndarray]:
+        return np.split(gout, np.cumsum(sizes)[:-1], axis=1)
+
+
+@dataclass
+class ReorgNode(LayerNode):
+    stride: int
+    kind: ClassVar[str] = "reorg"
+
+    def out_shape(self, ins: list[Shape]) -> Shape:
+        c, h, w = ins[0]
+        s = self.stride
+        if h % s or w % s:
+            raise NetworkError(f"{self.name}: {h}x{w} not divisible by reorg stride {s}")
+        return (c * s * s, h // s, w // s)
+
+    def forward(self, ins: list[np.ndarray], training: bool):
+        return reorg_forward(ins[0], self.stride), None
+
+    def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray]:
+        return [reorg_backward(gout, self.stride)]
 
 
 class Param(NamedTuple):
@@ -126,8 +235,7 @@ def _conv_node(
     bn: bool = True,
     act: bool = True,
     pre: bool = False,
-    kind: str = "conv",
-) -> LayerNode:
+) -> ConvNode:
     conv = ConvParams(
         weights=np.zeros((out_c, in_c, k, k), dtype=np.float32),
         bias=np.zeros(out_c, dtype=np.float32),
@@ -135,9 +243,8 @@ def _conv_node(
         pad=(k - 1) // 2,
     )
     bn_params = BNParams.identity(in_c if pre else out_c) if bn else None
-    return LayerNode(
+    return ConvNode(
         name=name,
-        kind=kind,
         inputs=[src],
         conv=conv,
         bn=bn_params,
@@ -166,10 +273,9 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
     prev_c = 3
 
     def conv(name: str, out: int, k: int, src: str | None = None, src_c: int | None = None,
-             *, bn: bool = True, act: bool = True, pre: bool = False, kind: str = "conv") -> int:
+             *, bn: bool = True, act: bool = True, pre: bool = False) -> int:
         nonlocal prev, prev_c
-        node = _conv_node(name, src or prev, src_c or prev_c, out, k, a,
-                          bn=bn, act=act, pre=pre, kind=kind)
+        node = _conv_node(name, src or prev, src_c or prev_c, out, k, a, bn=bn, act=act, pre=pre)
         nodes.append(node)
         if src is None:
             prev, prev_c = name, out
@@ -177,8 +283,7 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
 
     def pool(name: str) -> None:
         nonlocal prev
-        nodes.append(LayerNode(name=name, kind="maxpool", inputs=[prev],
-                               pool_size=2, pool_stride=2, pool_pad=(0, 0)))
+        nodes.append(MaxPoolNode(name=name, inputs=[prev], pool_size=2, pool_stride=2))
         prev = name
 
     # laminated conv-pool backbone, five 2x downsamples
@@ -214,12 +319,12 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
         else:
             src = f"dc_cat{u}"
             src_c = sum(dc_channels)
-            nodes.append(LayerNode(name=src, kind="route", inputs=list(dc_sources)))
+            nodes.append(RouteNode(name=src, inputs=list(dc_sources)))
         conv(f"dc{u}_3x3", wide, 3, src=src, src_c=src_c, pre=True)
         conv(f"dc{u}_1x1", inc, 1, src=f"dc{u}_3x3", src_c=wide, pre=True)
         dc_sources.append(f"dc{u}_1x1")
         dc_channels.append(inc)
-    nodes.append(LayerNode(name="dc_out", kind="route", inputs=list(dc_sources)))
+    nodes.append(RouteNode(name="dc_out", inputs=list(dc_sources)))
     prev, prev_c = "dc_out", sum(dc_channels)
 
     conv("conv22", sc(1024), 3)
@@ -231,10 +336,10 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
     spp_sources = ["conv23"]
     for tag, size in zip(("a", "b", "c"), _spp_window_sizes(fmap)):
         name = f"spp_{tag}"
-        nodes.append(LayerNode(name=name, kind="maxpool", inputs=["conv23"],
-                               pool_size=size, pool_stride=1, pool_pad=_stride1_pad(size)))
+        nodes.append(MaxPoolNode(name=name, inputs=["conv23"],
+                                 pool_size=size, pool_stride=1, pool_pad=_stride1_pad(size)))
         spp_sources.append(name)
-    nodes.append(LayerNode(name="spp_cat", kind="route", inputs=spp_sources))
+    nodes.append(RouteNode(name="spp_cat", inputs=spp_sources))
     prev, prev_c = "spp_cat", 4 * sc(512)
 
     conv("conv26", sc(512), 1)
@@ -242,12 +347,12 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
 
     # passthrough: squeeze conv13 with a 1x1, then space-to-depth /2
     conv("pass_conv", sc(64), 1, src="conv13", src_c=sc(512))
-    nodes.append(LayerNode(name="reorg", kind="reorg", inputs=["pass_conv"], reorg_stride=2))
-    nodes.append(LayerNode(name="head_cat", kind="route", inputs=["conv27", "reorg"]))
+    nodes.append(ReorgNode(name="reorg", inputs=["pass_conv"], stride=2))
+    nodes.append(RouteNode(name="head_cat", inputs=["conv27", "reorg"]))
     prev, prev_c = "head_cat", sc(1024) + 4 * sc(64)
 
     conv("conv30", sc(1024), 3)
-    conv("conv31", cfg.detect_channels, 1, bn=False, act=False, kind="detection")
+    conv("conv31", cfg.detect_channels, 1, bn=False, act=False)
 
     return NetworkGraph(cfg, nodes)
 
@@ -270,62 +375,35 @@ class NetworkGraph:
     def output_name(self) -> str:
         return self.nodes[-1].name
 
-    def conv_nodes(self) -> Iterator[LayerNode]:
-        return (n for n in self.nodes if n.conv is not None)
+    def conv_nodes(self) -> Iterator[ConvNode]:
+        return (n for n in self.nodes if isinstance(n, ConvNode))
 
     # -- execution ---------------------------------------------------------
 
-    def forward(self, x: Tensor | np.ndarray, training: bool = False) -> Tensor:
-        arr = x.data if isinstance(x, Tensor) else np.asarray(x)
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        """Run the graph on an (n, 3, s, s) batch and return the output
+        ndarray, (n, K*(5+C), s/32, s/32). With training=True, batch norm
+        uses batch statistics and the activations are kept for backward."""
+        x = np.asarray(x)
         s = self.cfg.input_size
-        if arr.ndim != 4 or arr.shape[1:] != (3, s, s):
-            raise NetworkError(f"input must be (n, 3, {s}, {s}), got {arr.shape}")
-        acts: dict[str, np.ndarray] = {"data": arr}
+        if x.ndim != 4 or x.shape[1:] != (3, s, s):
+            raise NetworkError(f"input must be (n, 3, {s}, {s}), got {x.shape}")
+        acts: dict[str, np.ndarray] = {"data": x}
         caches: dict[str, object] = {}
         for node in self.nodes:
-            ins = [acts[name] for name in node.inputs]
-            out, cache = self._node_forward(node, ins, training)
-            acts[node.name] = out
+            acts[node.name], cache = node.forward([acts[name] for name in node.inputs], training)
             if training:
                 caches[node.name] = cache
         self._cache = (acts, caches) if training else None
-        return Tensor(acts[self.output_name])
+        return np.ascontiguousarray(acts[self.output_name])
 
-    def _node_forward(self, node: LayerNode, ins: list[np.ndarray], training: bool):
-        if node.kind in ("conv", "detection"):
-            x = ins[0]
-            if node.pre_activation:
-                bn_out, bn_cache = batchnorm_forward(x, node.bn, training)
-                conv_in = leaky_forward(bn_out, node.act)
-                y = conv2d_forward(conv_in, node.conv)
-                return y, {"bn_in": x, "bn": bn_cache, "act_in": bn_out, "conv_in": conv_in}
-            y = conv2d_forward(x, node.conv)
-            cache = {"conv_in": x}
-            if node.bn is not None:
-                z = y
-                y, bn_cache = batchnorm_forward(z, node.bn, training)
-                cache["bn"] = bn_cache
-            if node.act is not None:
-                cache["act_in"] = y
-                y = leaky_forward(y, node.act)
-            return y, cache
-        if node.kind == "maxpool":
-            y, cache = maxpool_forward(ins[0], node.pool_size, node.pool_stride, node.pool_pad)
-            return y, cache
-        if node.kind == "route":
-            sizes = [a.shape[1] for a in ins]
-            return np.concatenate(ins, axis=1), sizes
-        if node.kind == "reorg":
-            return reorg_forward(ins[0], node.reorg_stride), None
-        raise NetworkError(f"unknown node kind {node.kind!r}")
-
-    def backward(self, grad_out: Tensor | np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Propagate an output gradient; returns parameter gradients keyed
         '<node>.weights', '<node>.bias', '<node>.gamma', '<node>.beta'."""
         if self._cache is None:
             raise NetworkError("backward requires a preceding forward(training=True)")
         acts, caches = self._cache
-        g = grad_out.data if isinstance(grad_out, Tensor) else np.asarray(grad_out)
+        g = np.asarray(grad_out)
         out = acts[self.output_name]
         if g.shape != out.shape:
             raise NetworkError(f"grad shape {g.shape} does not match output {out.shape}")
@@ -336,43 +414,15 @@ class NetworkGraph:
             gout = node_grads.pop(node.name, None)
             if gout is None:
                 continue
-            gins = self._node_backward(node, gout, caches[node.name], param_grads)
+            gins = node.backward(gout, caches[node.name], param_grads)
             for src, gi in zip(node.inputs, gins):
+                if gi is None:
+                    continue
                 if src in node_grads:
                     node_grads[src] = node_grads[src] + gi
                 else:
                     node_grads[src] = gi
         return param_grads
-
-    def _node_backward(self, node: LayerNode, gout, cache, param_grads) -> list[np.ndarray]:
-        if node.kind in ("conv", "detection"):
-            if node.pre_activation:
-                g, gw, gb = conv2d_backward(gout, cache["conv_in"], node.conv)
-                g = leaky_backward(g, cache["act_in"], node.act)
-                g, ggamma, gbeta = batchnorm_backward(g, cache["bn"], node.bn)
-                param_grads[f"{node.name}.gamma"] = ggamma
-                param_grads[f"{node.name}.beta"] = gbeta
-            else:
-                g = gout
-                if node.act is not None:
-                    g = leaky_backward(g, cache["act_in"], node.act)
-                if node.bn is not None:
-                    g, ggamma, gbeta = batchnorm_backward(g, cache["bn"], node.bn)
-                    param_grads[f"{node.name}.gamma"] = ggamma
-                    param_grads[f"{node.name}.beta"] = gbeta
-                g, gw, gb = conv2d_backward(g, cache["conv_in"], node.conv)
-            param_grads[f"{node.name}.weights"] = gw
-            param_grads[f"{node.name}.bias"] = gb
-            return [g]
-        if node.kind == "maxpool":
-            return [maxpool_backward(gout, cache)]
-        if node.kind == "route":
-            sizes = cache
-            offsets = np.cumsum(sizes)[:-1]
-            return list(np.split(gout, offsets, axis=1))
-        if node.kind == "reorg":
-            return [reorg_backward(gout, node.reorg_stride)]
-        raise NetworkError(f"unknown node kind {node.kind!r}")
 
     # -- parameters ---------------------------------------------------------
 
@@ -404,36 +454,12 @@ class NetworkGraph:
 
     # -- shape inference -----------------------------------------------------
 
-    def infer_shapes(self) -> list[tuple[str, tuple[int, int, int]]]:
+    def infer_shapes(self) -> list[tuple[str, Shape]]:
         """Per-node output (c, h, w) without running any data through."""
-        shapes: dict[str, tuple[int, int, int]] = {
-            "data": (3, self.cfg.input_size, self.cfg.input_size)
-        }
-        out: list[tuple[str, tuple[int, int, int]]] = []
+        shapes: dict[str, Shape] = {"data": (3, self.cfg.input_size, self.cfg.input_size)}
         for node in self.nodes:
-            ins = [shapes[name] for name in node.inputs]
-            if node.kind in ("conv", "detection"):
-                c, h, w = ins[0]
-                oh, ow = conv2d_out_hw(h, w, node.conv.kernel, node.conv.stride, node.conv.pad)
-                shape = (node.conv.out_channels, oh, ow)
-            elif node.kind == "maxpool":
-                c, h, w = ins[0]
-                oh, ow = maxpool_out_hw(h, w, node.pool_size, node.pool_stride, node.pool_pad)
-                shape = (c, oh, ow)
-            elif node.kind == "route":
-                c = sum(s[0] for s in ins)
-                shape = (c, ins[0][1], ins[0][2])
-            elif node.kind == "reorg":
-                c, h, w = ins[0]
-                s = node.reorg_stride
-                if h % s or w % s:
-                    raise NetworkError(f"{node.name}: {h}x{w} not divisible by reorg stride {s}")
-                shape = (c * s * s, h // s, w // s)
-            else:
-                raise NetworkError(f"unknown node kind {node.kind!r}")
-            shapes[node.name] = shape
-            out.append((node.name, shape))
-        return out
+            shapes[node.name] = node.out_shape([shapes[name] for name in node.inputs])
+        return [(node.name, shapes[node.name]) for node in self.nodes]
 
     # -- serialization --------------------------------------------------------
 
@@ -465,46 +491,47 @@ class NetworkGraph:
         Path(path).write_bytes(b"".join(chunks))
 
     def load_weights(self, path: str | Path) -> None:
-        blob = Path(path).read_bytes()
-        if len(blob) < _HEADER_SIZE:
-            raise NetworkError(f"{path}: truncated weight file ({len(blob)} bytes, header needs {_HEADER_SIZE})")
-        if blob[:4] != WEIGHT_MAGIC:
-            raise NetworkError(f"{path}: bad magic {blob[:4]!r}, expected {WEIGHT_MAGIC!r}")
-        version, in_size, c, k, num, den, n_layers = _HEADER_STRUCT.unpack_from(blob, 4)
-        if version != WEIGHT_VERSION:
-            raise NetworkError(f"{path}: unsupported weight format version {version}")
-        body = len(blob) - _HEADER_SIZE
-        if body % 4:
-            raise NetworkError(f"{path}: body of {body} bytes is not a whole number of floats")
-        found = body // 4
-        expected = self._serialized_float_count()
-        cfg = self.cfg
-        mismatches = []
-        if in_size != cfg.input_size:
-            mismatches.append(f"input_size {in_size} != {cfg.input_size}")
-        if c != cfg.num_classes:
-            mismatches.append(f"num_classes {c} != {cfg.num_classes}")
-        if k != cfg.num_anchors:
-            mismatches.append(f"num_anchors {k} != {cfg.num_anchors}")
-        if (num, den) != (cfg.channel_scale.numerator, cfg.channel_scale.denominator):
-            mismatches.append(f"channel_scale {num}/{den} != {cfg.channel_scale}")
-        if n_layers != sum(1 for _ in self.conv_nodes()):
-            mismatches.append(f"conv layer count {n_layers} != {sum(1 for _ in self.conv_nodes())}")
-        if mismatches or found != expected:
-            detail = "; ".join(mismatches) if mismatches else "same config header"
-            raise NetworkError(
-                f"{path}: weight file does not match this network ({detail}); "
-                f"expected {expected} parameters, file contains {found}"
-            )
-        offset = _HEADER_SIZE
-        for node in self.conv_nodes():
-            for arr in self._param_arrays(node):
-                nbytes = arr.size * 4
-                vals = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=offset)
-                arr[...] = vals.reshape(arr.shape)
-                offset += nbytes
-        if offset != len(blob):
-            raise NetworkError(f"{path}: {len(blob) - offset} trailing bytes after parameters")
+        """Read a weight file straight into the parameter arrays. The header
+        and the file size are checked before any array is touched."""
+        header = read_weight_header(path)
+        with open(path, "rb") as f:
+            body = os.fstat(f.fileno()).st_size - _HEADER_SIZE
+            if body % 4:
+                raise NetworkError(f"{path}: body of {body} bytes is not a whole number of floats")
+            found = body // 4
+            expected = self._serialized_float_count()
+            cfg = self.cfg
+            n_conv = sum(1 for _ in self.conv_nodes())
+            mismatches = []
+            if header.input_size != cfg.input_size:
+                mismatches.append(f"input_size {header.input_size} != {cfg.input_size}")
+            if header.num_classes != cfg.num_classes:
+                mismatches.append(f"num_classes {header.num_classes} != {cfg.num_classes}")
+            if header.num_anchors != cfg.num_anchors:
+                mismatches.append(f"num_anchors {header.num_anchors} != {cfg.num_anchors}")
+            if header.channel_scale != cfg.channel_scale:
+                mismatches.append(f"channel_scale {header.channel_scale} != {cfg.channel_scale}")
+            if header.conv_layers != n_conv:
+                mismatches.append(f"conv layer count {header.conv_layers} != {n_conv}")
+            if mismatches or found != expected:
+                detail = "; ".join(mismatches) if mismatches else "same config header"
+                raise NetworkError(
+                    f"{path}: weight file does not match this network ({detail}); "
+                    f"expected {expected} parameters, file contains {found}"
+                )
+            f.seek(_HEADER_SIZE)
+            for node in self.conv_nodes():
+                for arr in self._param_arrays(node):
+                    # the arrays are C-contiguous native float32; the file is little-endian
+                    got = f.readinto(arr)
+                    if got != arr.nbytes:
+                        raise NetworkError(f"{path}: short read, {got} of {arr.nbytes} bytes "
+                                           f"for {node.name}")
+                    if sys.byteorder == "big":
+                        arr.byteswap(inplace=True)
+            trailing = os.fstat(f.fileno()).st_size - f.tell()
+            if trailing:
+                raise NetworkError(f"{path}: {trailing} trailing bytes after parameters")
 
 
 class WeightHeader(NamedTuple):
@@ -521,12 +548,14 @@ def read_weight_header(path: str | Path) -> WeightHeader:
     with open(path, "rb") as f:
         blob = f.read(_HEADER_SIZE)
     if len(blob) < _HEADER_SIZE:
-        raise NetworkError(f"{path}: truncated weight file")
+        raise NetworkError(f"{path}: truncated weight file ({len(blob)} bytes, header needs {_HEADER_SIZE})")
     if blob[:4] != WEIGHT_MAGIC:
         raise NetworkError(f"{path}: bad magic {blob[:4]!r}, expected {WEIGHT_MAGIC!r}")
     version, in_size, c, k, num, den, n_layers = _HEADER_STRUCT.unpack_from(blob, 4)
     if version != WEIGHT_VERSION:
         raise NetworkError(f"{path}: unsupported weight format version {version}")
+    if den == 0:
+        raise NetworkError(f"{path}: channel scale {num}/{den} has a zero denominator")
     return WeightHeader(version, in_size, c, k, Fraction(num, den), n_layers)
 
 

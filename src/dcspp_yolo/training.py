@@ -11,7 +11,8 @@ import numpy as np
 
 from . import ppm
 from .data import image_to_tensor, read_label_file, write_class_names, write_label_file
-from .loss import LossParts, LossWeights, TruthBox, assign_targets, compute_loss, decode_predictions
+from .detection import decode_predictions
+from .loss import LossParts, LossWeights, TruthBox, assign_targets, compute_loss
 from .network import NetworkGraph, Param
 
 
@@ -401,7 +402,7 @@ def train(
     truth_lists = [read_label_file(lab) for _, lab in manifest.entries]
     static_inputs = None
     if not cfg.flip and not cfg.crop:
-        static_inputs = [image_to_tensor(im, size).data[0] for im in raw_images]
+        static_inputs = [image_to_tensor(im, size)[0] for im in raw_images]
 
     rows: list[LogRow] = []
     images_seen = 0
@@ -421,10 +422,10 @@ def train(
                 for i in batch:
                     im, ts = augment(raw_images[i], truth_lists[i], rng,
                                      flip=cfg.flip, crop=cfg.crop)
-                    xs.append(image_to_tensor(im, size).data[0])
+                    xs.append(image_to_tensor(im, size)[0])
                     batch_truths.append(ts)
             x = np.stack(xs)
-            raw = net.forward(x, training=True).data
+            raw = net.forward(x, training=True)
 
             bsz = len(batch)
             grad = np.zeros_like(raw)

@@ -16,6 +16,7 @@ from dcspp_yolo.detection import (
     format_detections,
     iou,
     nms,
+    sigmoid,
 )
 from dcspp_yolo.network import NetworkConfig, build_network
 
@@ -147,6 +148,71 @@ def test_decode_centers_stay_in_cell():
             assert i * cell <= cy <= (i + 1) * cell
 
 
+def per_cell_decode(grid, anchors, img_w, img_h, conf_thres):
+    """Scalar oracle: the per-anchor, per-cell loop that `decode` replaced,
+    with the same float64 arithmetic in the same order."""
+    arr = np.asarray(grid)[0]
+    channels, s, _ = arr.shape
+    k = anchors.k
+    c = channels // k - 5
+    vol = arr.astype(np.float64).reshape(k, 5 + c, s, s)
+    dims = anchors.as_array()
+    cell_w = img_w / s
+    cell_h = img_h / s
+    dets = []
+    for a in range(k):
+        sx = sigmoid(vol[a, 0])
+        sy = sigmoid(vol[a, 1])
+        bw = dims[a, 0] * np.exp(vol[a, 2]) * cell_w
+        bh = dims[a, 1] * np.exp(vol[a, 3]) * cell_h
+        conf = sigmoid(vol[a, 4])
+        cls = sigmoid(vol[a, 5:])
+        best_cls = cls.argmax(axis=0)
+        best_p = np.take_along_axis(cls, best_cls[None], axis=0)[0]
+        score = conf * best_p
+        for i in range(s):
+            for j in range(s):
+                if score[i, j] <= conf_thres:
+                    continue
+                bx = (j + sx[i, j]) * cell_w
+                by = (i + sy[i, j]) * cell_h
+                x0 = min(max(bx - bw[i, j] / 2, 0.0), img_w)
+                x1 = min(max(bx + bw[i, j] / 2, 0.0), img_w)
+                y0 = min(max(by - bh[i, j] / 2, 0.0), img_h)
+                y1 = min(max(by + bh[i, j] / 2, 0.0), img_h)
+                dets.append(Detection(box=BBox(x0, y0, x1, y1), class_id=int(best_cls[i, j]),
+                                      score=float(score[i, j])))
+    dets.sort(key=lambda d: -d.score)
+    return dets
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    s=st.integers(1, 7),
+    k=st.integers(1, 4),
+    c=st.integers(1, 5),
+    scale=st.sampled_from([0.0, 0.1, 1.0, 3.0, 10.0]),
+    values=st.sampled_from(["random", "constant", "few"]),
+    conf_thres=st.sampled_from([0.0, 0.005, 0.1, 0.25, 0.5]),
+)
+@settings(max_examples=200, deadline=None)
+def test_decode_equals_per_cell_oracle(seed, s, k, c, scale, values, conf_thres):
+    rng = np.random.default_rng(seed)
+    anchors = AnchorSet(dims=[tuple(d) for d in rng.uniform(0.3, 4.0, (k, 2))])
+    shape = (1, k * (5 + c), s, s)
+    if values == "constant":  # every slot ties on score
+        grid = np.full(shape, rng.standard_normal() * scale)
+    elif values == "few":  # many slots, but not all, tie on score
+        grid = rng.integers(-1, 2, shape) * scale
+    else:
+        grid = rng.standard_normal(shape) * scale
+    grid = grid.astype(np.float32)
+    img = 32.0 * s
+    got = decode(grid, anchors, img, img, conf_thres)
+    want = per_cell_decode(grid, anchors, img, img, conf_thres)
+    assert got == want
+
+
 def test_decode_scales_with_image_dims():
     rng = np.random.default_rng(6)
     grid = rng.standard_normal((1, 6, 4, 4))
@@ -243,8 +309,7 @@ def _tiny_detector():
 def test_detect_image_deterministic():
     net = _tiny_detector()
     rng = np.random.default_rng(9)
-    from dcspp_yolo.tensor import Tensor
-    x = Tensor(rng.uniform(0, 1, (1, 3, 96, 96)).astype(np.float32))
+    x = rng.uniform(0, 1, (1, 3, 96, 96)).astype(np.float32)
     a = detect_image(net, x, 0.01, 0.45)
     b = detect_image(net, x, 0.01, 0.45)
     assert a == b
@@ -252,8 +317,7 @@ def test_detect_image_deterministic():
 
 def test_detect_image_conf_one_empty():
     net = _tiny_detector()
-    from dcspp_yolo.tensor import Tensor
-    x = Tensor.full((1, 3, 96, 96), 0.5)
+    x = np.full((1, 3, 96, 96), 0.5, dtype=np.float32)
     assert detect_image(net, x, 1.0, 0.45) == []
 
 

@@ -114,12 +114,13 @@ def test_letterbox_square_matching_size_is_identity():
     img = rng.integers(0, 256, (96, 96, 3)).astype(np.uint8)
     t = image_to_tensor(img, 96)
     assert t.shape == (1, 3, 96, 96)
-    assert np.allclose(t.data[0].transpose(1, 2, 0), img.astype(np.float32) / 255.0)
+    assert t.dtype == np.float32 and t.flags.c_contiguous
+    assert np.allclose(t[0].transpose(1, 2, 0), img.astype(np.float32) / 255.0)
 
 
 def test_letterbox_wide_image_pads_quarters():
     img = np.full((48, 96, 3), 255, dtype=np.uint8)  # 2:1
-    t = image_to_tensor(img, 96).data[0]
+    t = image_to_tensor(img, 96)[0]
     assert np.all(t[:, :24, :] == 0.5)
     assert np.all(t[:, 72:, :] == 0.5)
     assert np.all(t[:, 24:72, :] == 1.0)
@@ -127,7 +128,7 @@ def test_letterbox_wide_image_pads_quarters():
 
 def test_letterbox_all_white_region_is_one():
     img = np.full((96, 96, 3), 255, dtype=np.uint8)
-    t = image_to_tensor(img, 96).data
+    t = image_to_tensor(img, 96)
     assert np.all(t == 1.0)
 
 

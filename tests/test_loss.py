@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dcspp_yolo.anchors import AnchorSet
+from dcspp_yolo.detection import DetectionError
 from dcspp_yolo.gradcheck import check_loss
 from dcspp_yolo.loss import (
     Assignment,
@@ -48,7 +49,7 @@ def test_decode_predictions_values():
 
 
 def test_decode_predictions_channel_mismatch():
-    with pytest.raises(LossError):
+    with pytest.raises(DetectionError):
         decode_predictions(np.zeros((9, 2, 2)), AnchorSet(dims=[(1, 1), (2, 2)]))
 
 
@@ -112,6 +113,18 @@ def test_truth_out_of_range_rejected_with_index():
            TruthBox(cx=1.4, cy=0.5, w=0.2, h=0.2, class_id=0)]
     with pytest.raises(LossError, match="truth 1"):
         assign_targets(bad, preds, ANCHORS2, LossWeights())
+
+
+def test_slot_collision_later_truth_owns_slot():
+    # both centres fall in cell (1, 1), and both best match anchor 0 (dims 1x1)
+    anchors = AnchorSet(dims=[(1.0, 1.0), (2.0, 2.0)])
+    preds = decode_predictions(_raw(3, 2, 2), anchors)
+    truths = [TruthBox(cx=0.45, cy=0.45, w=0.2, h=0.2, class_id=0),
+              TruthBox(cx=0.55, cy=0.55, w=0.2, h=0.2, class_id=1)]
+    asg = assign_targets(truths, preds, anchors, LossWeights())
+    assert asg.obj.sum() == 1
+    assert asg.obj[1, 1, 0]
+    assert asg.truth_idx[1, 1, 0] == 1
 
 
 def test_prior_indicator_follows_images_seen():

@@ -1,13 +1,16 @@
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dcspp_yolo import network
 from dcspp_yolo.gradcheck import check_network
 from dcspp_yolo.network import (
     NetworkConfig,
     NetworkError,
     REFERENCE_SHAPES_416,
+    RouteNode,
     build_network,
     he_uniform,
     read_weight_header,
@@ -77,11 +80,46 @@ def test_infer_shapes_match_real_forward():
     acts = {"data": x}
     for node in net.nodes:
         ins = [acts[n] for n in node.inputs]
-        y, _ = net._node_forward(node, ins, training=False)
+        y, _ = node.forward(ins, training=False)
         acts[node.name] = y
         out_shapes[node.name] = y.shape[1:]
     for name, shape in net.infer_shapes():
         assert out_shapes[name] == shape, name
+
+
+# -- route node ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sizes", [(512, 256, 512, 512, 512), (1024, 256), (3,)],
+                         ids=["dc_out", "head_cat", "single"])
+def test_route_concat_order(sizes):
+    parts = [np.full((1, c, 13, 13), float(i), dtype=np.float32) for i, c in enumerate(sizes)]
+    node = RouteNode(name="cat", inputs=[f"in{i}" for i in range(len(sizes))])
+    out, _ = node.forward(parts, training=False)
+    assert out.shape == (1, sum(sizes), 13, 13)
+    assert node.out_shape([p.shape[1:] for p in parts]) == out.shape[1:]
+    # blocks appear in input order, bit-identical
+    start = 0
+    for p in parts:
+        assert np.array_equal(out[:, start:start + p.shape[1]], p)
+        start += p.shape[1]
+
+
+def test_route_rejects_spatial_mismatch():
+    node = RouteNode(name="cat", inputs=["a", "b"])
+    with pytest.raises(ValueError):
+        node.forward([np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 3))], training=False)
+
+
+def test_route_backward_splits_in_input_order():
+    rng = np.random.default_rng(2)
+    parts = [rng.standard_normal((2, c, 5, 5)).astype(np.float32) for c in (3, 1, 4)]
+    node = RouteNode(name="cat", inputs=["a", "b", "c"])
+    out, cache = node.forward(parts, training=True)
+    back = node.backward(out, cache, {})
+    assert len(back) == len(parts)
+    for orig, rec in zip(parts, back):
+        assert np.array_equal(orig, rec)
 
 
 # -- forward / backward --------------------------------------------------------
@@ -91,13 +129,19 @@ def test_zero_image_gives_finite_output():
     net = tiny_net()
     out = net.forward(np.zeros((1, 3, 96, 96), dtype=np.float32))
     assert out.shape == (1, 16, 3, 3)
-    assert np.isfinite(out.data).all()
+    assert isinstance(out, np.ndarray) and out.flags.c_contiguous
+    assert np.isfinite(out).all()
 
 
 def test_forward_shape_mismatch():
     net = tiny_net()
     with pytest.raises(NetworkError):
         net.forward(np.zeros((1, 3, 64, 64), dtype=np.float32))
+
+
+def test_forward_rejects_wrong_rank():
+    with pytest.raises(NetworkError):
+        tiny_net().forward(np.zeros((3, 96, 96), dtype=np.float32))
 
 
 def test_backward_without_forward_raises():
@@ -117,7 +161,7 @@ def test_zero_output_grad_gives_zero_param_grads():
     net = tiny_net()
     rng = np.random.default_rng(3)
     out = net.forward(rng.standard_normal((1, 3, 96, 96)).astype(np.float32), training=True)
-    grads = net.backward(np.zeros_like(out.data))
+    grads = net.backward(np.zeros_like(out))
     assert all(np.all(g == 0) for g in grads.values())
 
 
@@ -157,6 +201,53 @@ def test_fanout_gradient_is_sum_of_branch_gradients():
     assert np.allclose(total, only_head + (total - only_head), atol=0)
     assert not np.allclose(total, only_head)  # the pass branch really contributes
     assert np.isfinite(only_pass).all()
+
+
+def test_layer_kernels_called_through_network_module(monkeypatch):
+    # per-layer tracing replaces these module names; a node that captured
+    # the functions at import time would bypass it
+    kernels = ["conv2d_forward", "conv2d_backward", "batchnorm_forward", "batchnorm_backward",
+               "leaky_forward", "leaky_backward", "maxpool_forward", "maxpool_backward",
+               "reorg_forward", "reorg_backward"]
+    calls = {name: [] for name in kernels}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append((args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in kernels:
+        monkeypatch.setattr(network, name, counting(name, getattr(network, name)))
+    net = tiny_net()
+    rng = np.random.default_rng(6)
+    out = net.forward(rng.standard_normal((2, 3, 96, 96)).astype(np.float32), training=True)
+    net.backward(rng.standard_normal(out.shape).astype(np.float32))
+    n_conv = sum(1 for _ in net.conv_nodes())
+    n_pool = sum(1 for n in net.nodes if n.kind == "maxpool")
+    assert len(calls["conv2d_forward"]) == len(calls["conv2d_backward"]) == n_conv
+    assert len(calls["maxpool_forward"]) == len(calls["maxpool_backward"]) == n_pool
+    for name in kernels:
+        assert calls[name], name
+    # conv1 is called positionally as (grad, x, params) and asks for no image gradient
+    conv1 = [c for c in calls["conv2d_backward"] if c[0][2] is net._by_name["conv1"].conv]
+    assert len(conv1) == 1 and len(conv1[0][0]) == 3
+    assert conv1[0][1] == {"input_grad": False}
+
+
+def test_skipping_image_gradient_keeps_conv1_grads_bit_identical(monkeypatch):
+    net = tiny_net()
+    rng = np.random.default_rng(7)
+    out = net.forward(rng.standard_normal((2, 3, 96, 96)).astype(np.float32), training=True)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    skipped = net.backward(g)
+    full_backward = network.conv2d_backward
+    monkeypatch.setattr(network, "conv2d_backward",
+                        lambda go, x, p, input_grad=True: full_backward(go, x, p))
+    full = net.backward(g)
+    for key in ("conv1.weights", "conv1.bias"):
+        assert skipped[key].dtype == full[key].dtype
+        assert skipped[key].tobytes() == full[key].tobytes(), key
 
 
 def test_whole_network_gradcheck():
@@ -225,7 +316,24 @@ def test_truncated_file_is_an_error(tmp_path):
     net.save_weights(path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
+    other = tiny_net(5)
+    before = [p.array.copy() for p in other.parameters()]
     with pytest.raises(NetworkError, match="parameters"):
+        other.load_weights(path)
+    for b, p in zip(before, other.parameters()):
+        assert np.array_equal(b, p.array), p.name
+
+
+def test_short_read_is_an_error(tmp_path, monkeypatch):
+    # the file shrinks after its size was checked
+    path = tmp_path / "w.weights"
+    tiny_net().save_weights(path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: os.stat_result(real_fstat(fd)[:6] + (full,) + real_fstat(fd)[7:]))
+    with pytest.raises(NetworkError, match="short read"):
         build_network(NetworkConfig(**TINY)).load_weights(path)
 
 
