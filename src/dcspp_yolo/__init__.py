@@ -3,7 +3,7 @@ stride-1 spatial-pyramid-pooling block, and a reorg passthrough head;
 pure numpy, CPU only, trainable from scratch at desk scale."""
 
 from .anchors import AnchorSet, iou_dist, kmeans_anchors
-from .detection import BBox, Detection, decode, decode_predictions, detect_image, iou, nms
+from .detection import BBox, Detection, decode, decode_predictions, detect_image, iou_matrix, nms
 from .evaluation import average_precision, evaluate, match_detections
 from .loss import LossWeights, TruthBox, assign_targets, compute_loss
 from .network import NetworkConfig, NetworkGraph, build_network
@@ -30,7 +30,7 @@ __all__ = [
     "decode_predictions",
     "detect_image",
     "evaluate",
-    "iou",
+    "iou_matrix",
     "iou_dist",
     "kmeans_anchors",
     "lr_at",

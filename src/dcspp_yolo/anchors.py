@@ -44,11 +44,11 @@ class AnchorSet:
         return np.asarray(self.dims, dtype=np.float64)
 
 
-def shape_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """IoU of two boxes sharing a center; only shapes matter."""
-    aw, ah = a
-    bw, bh = b
-    inter = min(aw, bw) * min(ah, bh)
+def shape_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of (N, 2) and (M, 2) (w, h) shapes compared co-centered."""
+    aw, ah = a[:, None, 0], a[:, None, 1]
+    bw, bh = b[None, :, 0], b[None, :, 1]
+    inter = np.minimum(aw, bw) * np.minimum(ah, bh)
     union = aw * ah + bw * bh - inter
     return inter / union
 
@@ -57,16 +57,13 @@ def iou_dist(box: tuple[float, float], centroid: tuple[float, float]) -> float:
     """1 - IoU of co-centered boxes; 0 iff the shapes are identical."""
     if box[0] <= 0 or box[1] <= 0 or centroid[0] <= 0 or centroid[1] <= 0:
         raise AnchorError(f"boxes must have positive dims, got {box} vs {centroid}")
-    return 1.0 - shape_iou(box, centroid)
+    pair = np.asarray([box, centroid], dtype=np.float64)
+    return float(1.0 - shape_iou_matrix(pair[:1], pair[1:])[0, 0])
 
 
 def _dist_matrix(boxes: np.ndarray, cents: np.ndarray) -> np.ndarray:
     """(N, K) matrix of 1 - IoU between boxes and centroids."""
-    bw, bh = boxes[:, None, 0], boxes[:, None, 1]
-    cw, ch = cents[None, :, 0], cents[None, :, 1]
-    inter = np.minimum(bw, cw) * np.minimum(bh, ch)
-    union = bw * bh + cw * ch - inter
-    return 1.0 - inter / union
+    return 1.0 - shape_iou_matrix(boxes, cents)
 
 
 def _plus_plus_init(boxes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,17 +185,21 @@ def load_anchors(path: str | Path) -> AnchorSet:
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if tok.startswith("mean_iou="):
-                    mean_iou = float(tok.split("=", 1)[1])
-                elif tok.startswith("seed="):
-                    seed = int(tok.split("=", 1)[1])
-            continue
-        parts = line.split()
-        if len(parts) != 2:
+        comment = line.startswith("#")
+        if not comment and len(line.split()) != 2:
             raise AnchorError(f"{path}:{lineno}: expected 'w h', got {line!r}")
-        dims.append((float(parts[0]), float(parts[1])))
+        try:
+            if comment:
+                for tok in line[1:].split():
+                    if tok.startswith("mean_iou="):
+                        mean_iou = float(tok.split("=", 1)[1])
+                    elif tok.startswith("seed="):
+                        seed = int(tok.split("=", 1)[1])
+            else:
+                w, h = line.split()
+                dims.append((float(w), float(h)))
+        except ValueError as exc:
+            raise AnchorError(f"{path}:{lineno}: malformed number: {exc}") from exc
     if not dims:
         raise AnchorError(f"{path}: no anchor rows found")
     return AnchorSet(dims=dims, seed=seed, mean_iou=mean_iou)

@@ -1,9 +1,11 @@
 """Grid decode of the raw output volume, shared by the loss and by
-inference, plus confidence thresholding and class-aware non-maximum
-suppression."""
+inference, plus confidence thresholding, class-aware non-maximum
+suppression and `iou_matrix`, the one corner-box IoU, which suppression,
+evaluation matching and training target assignment share."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,18 +30,6 @@ class BBox:
                 f"degenerate box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
             )
 
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -48,17 +38,26 @@ class Detection:
     score: float
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 by convention when the union is empty."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+def box_array(boxes: Iterable[BBox]) -> np.ndarray:
+    """(N, 4) float64 corners (x_min, y_min, x_max, y_max) of N boxes."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of (N, 4) and (M, 4) corner boxes; 0 where the boxes do
+    not overlap in x or in y or the union is empty (a NaN fails those tests)."""
+    a = np.asarray(a, dtype=np.float64)[:, None]
+    b = np.asarray(b, dtype=np.float64)[None]
+    with np.errstate(all="ignore"):
+        ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = ix * iy
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        union = area_a + area_b - inter
+        zero = (ix <= 0) | (iy <= 0) | (union <= 0)
+        return np.where(zero, 0.0, inter / union)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -98,15 +97,6 @@ class PredGrid:
     @property
     def c(self) -> int:
         return self.cls.shape[3]
-
-    def box(self, i: int, j: int, k: int) -> BBox:
-        """Predicted box in normalized image coordinates."""
-        s = self.s
-        cx = (j + self.x_off[i, j, k]) / s
-        cy = (i + self.y_off[i, j, k]) / s
-        w = self.w[i, j, k] / s
-        h = self.h[i, j, k] / s
-        return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
 def decode_predictions(raw: np.ndarray, anchors: AnchorSet) -> PredGrid:
@@ -197,11 +187,12 @@ def nms(dets: list[Detection], nms_thres: float) -> list[Detection]:
         by_class.setdefault(d.class_id, []).append(d)
     for cid in sorted(by_class):
         group = sorted(by_class[cid], key=lambda d: -d.score)
-        chosen: list[Detection] = []
-        for d in group:
-            if all(iou(d.box, kept_d.box) <= nms_thres for kept_d in chosen):
-                chosen.append(d)
-        kept.extend(chosen)
+        boxes = box_array(d.box for d in group)
+        chosen = np.zeros(len(group), dtype=bool)
+        # greedy in score order: row r is compared with the rows kept before it
+        for r, row in enumerate(iou_matrix(boxes, boxes)):
+            chosen[r] = (row[chosen] <= nms_thres).all()
+        kept.extend(d for d, c in zip(group, chosen) if c)
     kept.sort(key=lambda d: -d.score)
     return kept
 

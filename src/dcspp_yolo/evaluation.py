@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ppm
 from .data import image_to_tensor, read_label_file, truths_to_pixel_boxes, unletterbox_box
-from .detection import BBox, Detection, detect_image, iou
+from .detection import BBox, Detection, box_array, detect_image, iou_matrix
 
 
 class EvalError(ValueError):
@@ -38,23 +38,24 @@ def match_detections(
     truths: list[tuple[int, BBox]],
     iou_thres: float = 0.5,
 ) -> list[bool]:
-    """True/False flag per detection: matched an unclaimed same-class truth
-    with IoU >= iou_thres. Detections must arrive sorted by score desc."""
-    used = [False] * len(truths)
-    flags: list[bool] = []
-    for d in dets:
-        best_iou, best_t = 0.0, -1
-        for t_i, (cid, box) in enumerate(truths):
-            if used[t_i] or cid != d.class_id:
-                continue
-            v = iou(d.box, box)
-            if v > best_iou:
-                best_iou, best_t = v, t_i
-        if best_t >= 0 and best_iou >= iou_thres:
-            used[best_t] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+    """True/False flag per detection, which must arrive sorted by score
+    desc: each claims the unclaimed same-class truth of highest IoU (the
+    first on a tie) when that IoU is > 0 and >= iou_thres. Classes match
+    independently, so one call per image equals one call per class."""
+    flags = [False] * len(dets)
+    if not dets or not truths:
+        return flags
+    ious = iou_matrix(box_array(d.box for d in dets), box_array(b for _, b in truths))
+    same_class = (np.array([d.class_id for d in dets])[:, None]
+                  == np.array([cid for cid, _ in truths])[None, :])
+    ious = np.where(same_class & (ious >= iou_thres), ious, 0.0)  # a NaN IoU never matches
+    free = np.ones(len(truths), dtype=bool)
+    for r in np.flatnonzero(ious.any(axis=1)):
+        row = np.where(free, ious[r], 0.0)
+        t = int(row.argmax())
+        if row[t] > 0:
+            free[t] = False
+            flags[r] = True
     return flags
 
 
@@ -118,14 +119,9 @@ def evaluate(
             Detection(box=unletterbox_box(d.box, w, h, size), class_id=d.class_id, score=d.score)
             for d in dets
         ]
-        for cid in {d.class_id for d in dets}:
-            cls_dets = [d for d in dets if d.class_id == cid]
-            cls_truths = [(c, b) for c, b in truth_boxes if c == cid]
-            flags = match_detections(cls_dets, cls_truths, iou_thres)
-            bucket = pooled.setdefault(cid, [])
-            for d, f in zip(cls_dets, flags):
-                bucket.append((d.score, order, f))
-                order += 1
+        for d, f in zip(dets, match_detections(dets, truth_boxes, iou_thres)):
+            pooled.setdefault(d.class_id, []).append((d.score, order, f))
+            order += 1
 
     per_class: dict[int, ClassResult] = {}
     aps = []

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anchors import AnchorSet, shape_iou
+from .anchors import AnchorSet, shape_iou_matrix
 # decode_predictions is re-exported: the loss is defined on its PredGrid
-from .detection import BBox, PredGrid, decode_predictions, iou
+from .detection import BBox, PredGrid, box_array, decode_predictions, iou_matrix
 
 
 class LossError(ValueError):
@@ -103,11 +103,14 @@ def assign_targets(
     """Choose the responsible slot per truth and the no-object mask.
 
     Each truth is owned by the slot in its center cell whose anchor shape
-    has the highest co-centered IoU with it; that slot's confidence target
-    is the IoU of the current predicted box against the truth. Slots whose
-    predicted box overlaps any truth above iou_thres are exempted from the
-    no-object penalty; everything else is a no-object slot. The prior
-    indicator covers all slots while fewer than n_prior images were seen.
+    has the highest co-centered IoU with it (the first such anchor on a
+    tie); that slot's confidence target is the IoU of the current
+    predicted box against the truth. Slots whose predicted box overlaps
+    any truth above iou_thres are exempted from the no-object penalty;
+    everything else is a no-object slot. Both come from one
+    (S, S, K, T) IoU matrix of every predicted box against every truth.
+    The prior indicator covers all slots while fewer than n_prior images
+    were seen.
 
     When two truths claim the same (cell, anchor) slot, the later truth in
     `truths` owns it and the earlier one is dropped.
@@ -120,24 +123,26 @@ def assign_targets(
     conf_target = np.zeros((s, s, k), dtype=np.float64)
 
     if truths:
-        truth_boxes = [t.corners() for t in truths]
-        for i in range(s):
-            for j in range(s):
-                for a in range(k):
-                    pb = preds.box(i, j, a)
-                    best = max(iou(pb, tb) for tb in truth_boxes)
-                    if best > weights.iou_thres:
-                        noobj[i, j, a] = False
-        for t_i, t in enumerate(truths):
+        # predicted boxes in normalized image coordinates
+        rows, cols, _ = np.indices((s, s, k))
+        cx = (cols + preds.x_off) / s
+        cy = (rows + preds.y_off) / s
+        w = preds.w / s
+        h = preds.h / s
+        pred_boxes = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+        ious = iou_matrix(pred_boxes.reshape(-1, 4), box_array(t.corners() for t in truths))
+        ious = ious.reshape(s, s, k, len(truths))
+        noobj = ~(ious > weights.iou_thres).any(axis=-1)
+        shapes = np.array([(t.w * s, t.h * s) for t in truths])
+        best_anchor = shape_iou_matrix(shapes, anchors.as_array()).argmax(axis=1)
+        # one truth at a time, so that the later of two colliding truths wins
+        for t_i, (t, a) in enumerate(zip(truths, best_anchor.tolist())):
             j = min(int(t.cx * s), s - 1)
             i = min(int(t.cy * s), s - 1)
-            shape = (t.w * s, t.h * s)
-            ious = [shape_iou(shape, tuple(anchors.dims[a])) for a in range(k)]
-            a_best = int(np.argmax(ious))
-            obj[i, j, a_best] = True
-            noobj[i, j, a_best] = False
-            truth_idx[i, j, a_best] = t_i
-            conf_target[i, j, a_best] = iou(preds.box(i, j, a_best), truth_boxes[t_i])
+            obj[i, j, a] = True
+            noobj[i, j, a] = False
+            truth_idx[i, j, a] = t_i
+            conf_target[i, j, a] = ious[i, j, a, t_i]
 
     return Assignment(
         obj=obj,
@@ -226,32 +231,27 @@ def compute_loss(
     coord_part = 0.0
     cls_part = 0.0
     if truths:
-        own = np.argwhere(obj)
-        for i, j, a in own:
-            t = truths[assignment.truth_idx[i, j, a]]
-            gx = t.cx * s - j
-            gy = t.cy * s - i
-            gw = t.w * s
-            gh = t.h * s
-            vx, gx_grad = _sq_term_and_grad(gx - preds.x_off[i, j, a], preds.x_off[i, j, a])
-            vy, gy_grad = _sq_term_and_grad(gy - preds.y_off[i, j, a], preds.y_off[i, j, a])
-            rw = gw - preds.w[i, j, a]
-            rh = gh - preds.h[i, j, a]
-            coord_part += float(vx + vy + rw ** 2 + rh ** 2)
-            d_tx[i, j, a] += lam.coord * gx_grad
-            d_ty[i, j, a] += lam.coord * gy_grad
-            d_tw[i, j, a] += lam.coord * 2.0 * rw * (-preds.w[i, j, a])
-            d_th[i, j, a] += lam.coord * 2.0 * rh * (-preds.h[i, j, a])
+        own = np.nonzero(obj)
+        i, j, _ = own
+        t_idx = assignment.truth_idx[own]
+        t_cx, t_cy, t_w, t_h = np.array([(t.cx, t.cy, t.w, t.h) for t in truths])[t_idx].T
+        t_cls = np.array([t.class_id for t in truths])[t_idx]
+        x_off, y_off, w, h = preds.x_off[own], preds.y_off[own], preds.w[own], preds.h[own]
+        vx, gx_grad = _sq_term_and_grad(t_cx * s - j - x_off, x_off)
+        vy, gy_grad = _sq_term_and_grad(t_cy * s - i - y_off, y_off)
+        rw = t_w * s - w
+        rh = t_h * s - h
+        coord_part = lam.coord * float((vx + vy + rw ** 2 + rh ** 2).sum())
+        d_tx[own] += lam.coord * gx_grad
+        d_ty[own] += lam.coord * gy_grad
+        d_tw[own] += lam.coord * 2.0 * rw * (-w)
+        d_th[own] += lam.coord * 2.0 * rh * (-h)
 
-            p = preds.cls[i, j, a]
-            onehot = np.zeros(c)
-            onehot[t.class_id] = 1.0
-            cls_part += -float(
-                np.log(np.maximum(np.where(onehot > 0, p, 1.0 - p), 1e-15)).sum()
-            )
-            d_cls[i, j, a] += lam.cls * (p - onehot)
-    coord_part *= lam.coord
-    cls_part *= lam.cls
+        p = preds.cls[own]
+        onehot = np.eye(c)[t_cls]
+        log_p = np.log(np.maximum(np.where(onehot > 0, p, 1.0 - p), 1e-15))
+        cls_part = lam.cls * -float(log_p.sum(axis=1).sum())
+        d_cls[own] += lam.cls * (p - onehot)
 
     # prior pull on every slot during warm-up
     prior_part = 0.0

@@ -168,3 +168,15 @@ def test_load_anchors_rejects_garbage(tmp_path):
     path.write_text("# mean_iou=0.5 seed=0\n1.0 2.0 3.0\n")
     with pytest.raises(AnchorError):
         load_anchors(path)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("# mean_iou=0.5 seed=0\n1.0 abc\n", 2),
+    ("# mean_iou=oops seed=0\n1.0 2.0\n", 1),
+    ("1.0 2.0\n\n# seed=1.5\n", 3),
+])
+def test_load_anchors_malformed_number_reports_location(tmp_path, text, lineno):
+    path = tmp_path / "anchors.txt"
+    path.write_text(text)
+    with pytest.raises(AnchorError, match=rf"anchors\.txt:{lineno}: malformed number"):
+        load_anchors(path)

@@ -111,6 +111,26 @@ def test_eval_reports_map(pipeline, capsys):
     assert csv.read_text().startswith("class,truths,ap")
 
 
+@pytest.mark.parametrize("command", ["train", "detect", "eval"])
+@pytest.mark.parametrize("text", ["1.0 abc\n", "# mean_iou=oops\n1.0 2.0\n"])
+def test_malformed_anchor_file_reports_one_line_error(pipeline, tmp_path, capsys, command, text):
+    _, data, _, weights, _ = pipeline
+    bad = tmp_path / "anchors.txt"
+    bad.write_text(text)
+    args = {
+        "train": ["--manifest", str(data / "manifest.tsv"), "--classes", str(data / "classes.names"),
+                  "--out", str(tmp_path / "w.weights")],
+        "detect": ["--model", str(weights), "--image", str(data / "img_0000.ppm")],
+        "eval": ["--model", str(weights), "--manifest", str(data / "manifest.tsv"),
+                 "--classes", str(data / "classes.names")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--anchors", str(bad)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: malformed number")
+    assert err.count("\n") == 1
+
+
 def test_gradcheck_command_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

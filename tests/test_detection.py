@@ -11,10 +11,11 @@ from dcspp_yolo.detection import (
     BBox,
     Detection,
     DetectionError,
+    box_array,
     decode,
     detect_image,
     format_detections,
-    iou,
+    iou_matrix,
     nms,
     sigmoid,
 )
@@ -28,51 +29,112 @@ def _sig(x):
 # -- IoU ------------------------------------------------------------------------
 
 
+def iou(a: BBox, b: BBox) -> float:
+    """Scalar oracle: intersection over union of one pair of boxes; 0 by
+    convention when they do not overlap or the union is empty."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    union = area_a + area_b - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+def _iou_rows(a, b):
+    return iou_matrix(box_array(a), box_array(b)).tolist()
+
+
 def test_iou_identical_boxes():
-    b = BBox(1.0, 2.0, 4.0, 7.0)
-    assert iou(b, b) == 1.0
+    boxes = [BBox(1.0, 2.0, 4.0, 7.0), BBox(0.5, 0.5, 0.75, 3.0), BBox(10, 10, 11, 12)]
+    m = iou_matrix(box_array(boxes), box_array(boxes))
+    assert np.diag(m).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_iou_disjoint_boxes():
-    assert iou(BBox(0, 0, 1, 1), BBox(5, 5, 6, 6)) == 0.0
+    far = [BBox(5, 5, 6, 6), BBox(1, 0, 2, 1), BBox(0, 1, 1, 2)]  # apart, touching x, touching y
+    assert _iou_rows([BBox(0, 0, 1, 1)], far) == [[0.0, 0.0, 0.0]]
 
 
 def test_iou_hand_geometry():
-    # inter 2, union 6
-    assert iou(BBox(0, 0, 2, 2), BBox(1, 0, 3, 2)) == pytest.approx(1 / 3)
+    # inter 2 of union 6; identical; inter 1 of union 4
+    others = [BBox(1, 0, 3, 2), BBox(0, 0, 2, 2), BBox(0.5, 0.5, 1.5, 1.5)]
+    assert _iou_rows([BBox(0, 0, 2, 2)], others)[0] == pytest.approx([1 / 3, 1.0, 0.25])
+
+
+def test_iou_empty_sides_give_empty_matrix():
+    assert iou_matrix(box_array([]), box_array([BBox(0, 0, 1, 1)])).shape == (0, 1)
+    assert iou_matrix(box_array([BBox(0, 0, 1, 1)]), box_array([])).shape == (1, 0)
 
 
 def test_iou_pixel_count_oracle():
     # brute force on a fine lattice approximates the analytic ratio
     rng = np.random.default_rng(0)
+    pairs = []
     for _ in range(20):
         ax0, ay0 = rng.uniform(0, 5, 2)
         a = BBox(ax0, ay0, ax0 + rng.uniform(0.5, 4), ay0 + rng.uniform(0.5, 4))
         bx0, by0 = rng.uniform(0, 5, 2)
         b = BBox(bx0, by0, bx0 + rng.uniform(0.5, 4), by0 + rng.uniform(0.5, 4))
-        n = 400
-        xs = np.linspace(0, 10, n)
-        ys = np.linspace(0, 10, n)
-        gx, gy = np.meshgrid(xs, ys)
+        pairs.append((a, b))
+    m = iou_matrix(box_array(a for a, _ in pairs), box_array(b for _, b in pairs))
+    n = 400
+    gx, gy = np.meshgrid(np.linspace(0, 10, n), np.linspace(0, 10, n))
+    for idx, (a, b) in enumerate(pairs):
         in_a = (gx >= a.x_min) & (gx <= a.x_max) & (gy >= a.y_min) & (gy <= a.y_max)
         in_b = (gx >= b.x_min) & (gx <= b.x_max) & (gy >= b.y_min) & (gy <= b.y_max)
         union = (in_a | in_b).sum()
         if union == 0:
             continue
         approx = (in_a & in_b).sum() / union
-        assert iou(a, b) == pytest.approx(approx, abs=0.02)
+        assert m[idx, idx] == pytest.approx(approx, abs=0.02)
 
 
 def test_iou_zero_area_box():
-    assert iou(BBox(1, 1, 1, 1), BBox(0, 0, 5, 5)) == 0.0
+    flat = [BBox(1, 1, 1, 1), BBox(1, 0, 1, 5), BBox(0, 2, 5, 2)]
+    assert _iou_rows(flat, [BBox(0, 0, 5, 5)]) == [[0.0], [0.0], [0.0]]
+    # a zero-area box against itself has an empty union
+    assert np.diag(iou_matrix(box_array(flat), box_array(flat))).tolist() == [0.0, 0.0, 0.0]
 
 
-@given(st.lists(st.floats(0, 100), min_size=8, max_size=8))
+# coordinates drawn often from a few values, so boxes share edges and corners
+_coord = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 3.0, 10.0]),
+                   st.floats(-50, 150, allow_nan=False))
+
+
+@st.composite
+def boxes(draw):
+    x0, x1 = sorted((draw(_coord), draw(_coord)))
+    y0, y1 = sorted((draw(_coord), draw(_coord)))
+    return BBox(x0, y0, x1, y1)
+
+
+def _relatives(b):
+    """The box itself, one nested in it, one touching its right edge and a
+    zero-width one on its left edge."""
+    mx, my = (b.x_min + b.x_max) / 2, (b.y_min + b.y_max) / 2
+    return [b, BBox(mx, my, b.x_max, b.y_max), BBox(b.x_max, b.y_min, b.x_max + 1.0, b.y_max),
+            BBox(b.x_min, b.y_min, b.x_min, b.y_max)]
+
+
+@given(st.lists(boxes(), min_size=1, max_size=8))
 @settings(max_examples=100)
-def test_iou_symmetry(vals):
-    a = BBox(min(vals[0], vals[1]), min(vals[2], vals[3]), max(vals[0], vals[1]), max(vals[2], vals[3]))
-    b = BBox(min(vals[4], vals[5]), min(vals[6], vals[7]), max(vals[4], vals[5]), max(vals[6], vals[7]))
-    assert iou(a, b) == iou(b, a)
+def test_iou_symmetry(bs):
+    m = iou_matrix(box_array(bs), box_array(bs))
+    assert np.array_equal(m, m.T)
+
+
+@given(st.lists(boxes(), min_size=1, max_size=5), st.lists(boxes(), max_size=5))
+@settings(max_examples=300)
+def test_iou_matrix_equals_scalar_oracle(a, b):
+    b = b + [r for box in a for r in _relatives(box)]
+    m = iou_matrix(box_array(a), box_array(b))
+    assert m.shape == (len(a), len(b))
+    assert m.tolist() == [[iou(x, y) for y in b] for x in a]
 
 
 def test_degenerate_box_rejected():
@@ -292,6 +354,33 @@ def test_nms_output_subset_and_no_overlap():
             for b in out[i + 1:]:
                 if a.class_id == b.class_id:
                     assert iou(a.box, b.box) <= 0.45
+
+
+@st.composite
+def det_lists(draw):
+    """Detections with scores from three values (so scores tie), three
+    classes, identical boxes (an earlier box drawn again) and zero-width
+    boxes."""
+    dets = []
+    for _ in range(draw(st.integers(0, 12))):
+        if dets and draw(st.booleans()):
+            box = draw(st.sampled_from(dets)).box
+        else:
+            x0, y0 = draw(st.floats(0, 50)), draw(st.floats(0, 50))
+            w = draw(st.sampled_from([0.0, 5.0, 20.0]) | st.floats(0, 30))
+            box = BBox(x0, y0, x0 + w, y0 + draw(st.floats(1, 30)))
+        dets.append(Detection(box=box, class_id=draw(st.integers(0, 2)),
+                              score=draw(st.sampled_from([0.3, 0.6, 0.9]))))
+    return dets
+
+
+@given(det_lists(), st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_nms_equals_brute_force_property(dets, thres):
+    # the oracle keeps the input order among tied scores across classes,
+    # while nms lists tied classes in ascending class id
+    want = sorted(brute_force_nms(dets, thres), key=lambda d: (-d.score, d.class_id))
+    assert nms(dets, thres) == want
 
 
 # -- detect_image -------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_detection import boxes, det_lists, iou
 
 from dcspp_yolo.anchors import AnchorSet
-from dcspp_yolo.detection import BBox, Detection, iou
+from dcspp_yolo.detection import BBox, Detection
 from dcspp_yolo.evaluation import (
     EvalError,
     average_precision,
@@ -70,6 +74,29 @@ def test_matching_agrees_with_brute_force():
                             cid=int(rng.integers(2)), score=float(rng.uniform())))
         dets.sort(key=lambda d: -d.score)
         assert match_detections(dets, truths, 0.5) == brute_force_match(dets, truths, 0.5)
+
+
+@st.composite
+def matching_cases(draw):
+    """Score-sorted detections and truths of three classes; some truths
+    repeat a detection's box, and some boxes have zero width."""
+    dets = sorted(draw(det_lists()), key=lambda d: -d.score)
+    truths = []
+    for _ in range(draw(st.integers(0, 6))):
+        box = draw(st.sampled_from(dets)).box if dets and draw(st.booleans()) else draw(boxes())
+        truths.append((draw(st.integers(0, 2)), box))
+    return dets, truths
+
+
+@given(matching_cases(), st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_matching_equals_brute_force_property(case, thres):
+    dets, truths = case
+    flags = match_detections(dets, truths, thres)
+    assert all(type(f) is bool for f in flags)
+    # a detection that overlaps no truth never matches, so at iou_thres 0
+    # the oracle runs at the smallest positive threshold instead
+    assert flags == brute_force_match(dets, truths, max(thres, math.ulp(0.0)))
 
 
 # -- average precision ------------------------------------------------------------

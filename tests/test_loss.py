@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_detection import iou
 
 from dcspp_yolo.anchors import AnchorSet
-from dcspp_yolo.detection import DetectionError
+from dcspp_yolo.detection import BBox, DetectionError
 from dcspp_yolo.gradcheck import check_loss
 from dcspp_yolo.loss import (
     Assignment,
@@ -316,6 +319,85 @@ def test_loss_matches_straight_line_oracle():
         parts, _ = compute_loss(preds, truths, asg, w)
         expected = straight_line_loss(raw, truths, asg, w, anchors)
         assert parts.total == pytest.approx(expected, abs=1e-10)
+
+
+def _pred_box(preds, i, j, a) -> BBox:
+    """Predicted box of slot (i, j, a) in normalized image coordinates."""
+    s = preds.s
+    cx = (j + preds.x_off[i, j, a]) / s
+    cy = (i + preds.y_off[i, j, a]) / s
+    w = preds.w[i, j, a] / s
+    h = preds.h[i, j, a] / s
+    return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
+def triple_loop_assignment(truths, preds, anchors, weights):
+    """Scalar oracle: (obj, noobj, truth_idx, conf_target) from one IoU
+    call per (slot, truth) pair, the later truth winning a shared slot."""
+    s, k = preds.s, preds.k
+    obj = np.zeros((s, s, k), dtype=bool)
+    noobj = np.ones((s, s, k), dtype=bool)
+    truth_idx = np.full((s, s, k), -1, dtype=np.int64)
+    conf_target = np.zeros((s, s, k), dtype=np.float64)
+    if truths:
+        truth_boxes = [t.corners() for t in truths]
+        for i in range(s):
+            for j in range(s):
+                for a in range(k):
+                    pb = _pred_box(preds, i, j, a)
+                    best = max(iou(pb, tb) for tb in truth_boxes)
+                    if best > weights.iou_thres:
+                        noobj[i, j, a] = False
+        for t_i, t in enumerate(truths):
+            j = min(int(t.cx * s), s - 1)
+            i = min(int(t.cy * s), s - 1)
+            tw, th = t.w * s, t.h * s
+            ious = []
+            for aw, ah in anchors.dims[:k]:
+                inter = min(tw, aw) * min(th, ah)
+                ious.append(inter / (tw * th + aw * ah - inter))
+            a_best = int(np.argmax(ious))
+            obj[i, j, a_best] = True
+            noobj[i, j, a_best] = False
+            truth_idx[i, j, a_best] = t_i
+            conf_target[i, j, a_best] = iou(_pred_box(preds, i, j, a_best), truth_boxes[t_i])
+    return obj, noobj, truth_idx, conf_target
+
+
+_centre = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+_truth = st.builds(TruthBox, cx=_centre, cy=_centre, w=st.floats(0.01, 1), h=st.floats(0.01, 1),
+                   class_id=st.integers(0, 2))
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    s=st.integers(1, 6),
+    k=st.integers(1, 4),
+    truths=st.lists(_truth, max_size=5),
+    collide=st.booleans(),
+    iou_thres=st.sampled_from([0.05, 0.5, 0.9]),
+    images_seen=st.sampled_from([0, 20000]),
+)
+@settings(max_examples=200, deadline=None)
+def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, iou_thres, images_seen):
+    if collide and len(truths) >= 2:  # the last truth claims the first one's slot
+        first = truths[0]
+        truths[-1] = TruthBox(first.cx, first.cy, first.w, first.h, truths[-1].class_id)
+    rng = np.random.default_rng(seed)
+    c = 3
+    anchors = AnchorSet(dims=[tuple(d) for d in rng.uniform(0.2, 4.0, (k, 2))])
+    raw = rng.standard_normal((k * (5 + c), s, s))
+    w = LossWeights(iou_thres=iou_thres)
+    preds = decode_predictions(raw, anchors)
+    asg = assign_targets(truths, preds, anchors, w, images_seen=images_seen)
+    obj, noobj, truth_idx, conf_target = triple_loop_assignment(truths, preds, anchors, w)
+    assert np.array_equal(asg.obj, obj)
+    assert np.array_equal(asg.noobj, noobj)
+    assert np.array_equal(asg.truth_idx, truth_idx)
+    assert np.array_equal(asg.conf_target, conf_target)
+    parts, _ = compute_loss(preds, truths, asg, w)
+    expected = straight_line_loss(raw, truths, asg, w, anchors)
+    assert parts.total == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
 def test_loss_gradient_matches_finite_differences():
