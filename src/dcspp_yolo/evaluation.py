@@ -111,6 +111,8 @@ def evaluate(
         img = ppm.ppm_read(img_path)
         h, w = img.shape[:2]
         truths = read_label_file(lab_path)
+        if (cid := max((t.class_id for t in truths), default=0)) >= net.cfg.num_classes:
+            raise EvalError(f"{lab_path}: class id {cid} out of range for {net.cfg.num_classes} classes")
         truth_boxes = truths_to_pixel_boxes(truths, w, h)
         for cid, _ in truth_boxes:
             truth_counts[cid] = truth_counts.get(cid, 0) + 1

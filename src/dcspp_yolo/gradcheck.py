@@ -131,10 +131,10 @@ def check_leaky(seed: int = 0) -> float:
 
 def check_maxpool(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
-    # well-separated values keep the argmax stable under the probe step
+    # well-separated values keep each window's maximum in place under the probe step
     x = rng.permutation(np.arange(2 * 2 * 6 * 6, dtype=np.float64) * 0.1).reshape(2, 2, 6, 6)
     errs = []
-    for size, stride, pad in ((2, 2, 0), (3, 1, (1, 1)), (5, 1, (2, 2))):
+    for size, stride, pad in ((2, 2, 0), (3, 1, (1, 1)), (5, 1, (2, 2)), (2, 1, (0, 1))):
         y, cache = layers.maxpool_forward(x, size, stride, pad)
         proj = rng.standard_normal(y.shape)
         gx = layers.maxpool_backward(proj, cache)

@@ -9,9 +9,9 @@ float64 for finite-difference verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class LayerError(ValueError):
@@ -86,8 +86,8 @@ class BNCache:
 
 @dataclass
 class MaxPoolCache:
-    argmax: np.ndarray           # (n, c, oh, ow) flat index into the size*size window
-    in_shape: tuple[int, ...]
+    xp: np.ndarray  # zero-padded input and pooled output, by reference: backward
+    y: np.ndarray   # finds each window's first maximum again from the two
     size: int
     stride: int
     pad: tuple[int, int] = (0, 0)
@@ -103,17 +103,21 @@ def _pad_hw(x: np.ndarray, before: int, after: int, value: float = 0.0) -> np.nd
     return np.pad(x, ((0, 0), (0, 0), (before, after), (before, after)), constant_values=value)
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(n, c, hp, wp) -> (n, c*k*k, oh*ow) patch matrix.
+def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple]:
+    """Per window offset (dy, dx), in row-major scan order: the index of the
+    (n, c, oh, ow) strided view of a padded input at that offset in every window."""
+    for dy in range(size):
+        for dx in range(size):
+            yield np.s_[..., dy:dy + stride * (oh - 1) + 1:stride,
+                        dx:dx + stride * (ow - 1) + 1:stride]
 
-    Column order matches weights.reshape(out_c, in_c*k*k): channel-major,
-    then kernel row, then kernel column.
-    """
+
+def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """(n, c, hp, wp) -> (n, c*k*k, oh*ow) patch matrix, its columns in the
+    order of weights.reshape(out_c, in_c*k*k): channel, kernel row, column."""
     n, c = xp.shape[:2]
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
-    return np.ascontiguousarray(cols)
+    cols = np.stack([xp[sl] for sl in _windows(k, stride, oh, ow)], axis=2)
+    return cols.reshape(n, c * k * k, oh * ow)
 
 
 def conv2d_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
@@ -128,7 +132,7 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
     oh, ow = conv2d_out_hw(h, w, k, s, p.pad)
     if oh < 1 or ow < 1:
         raise LayerError(f"conv: input {h}x{w} too small for kernel {k} stride {s} pad {p.pad}")
-    cols = _im2col(_pad_hw(x, p.pad, p.pad), k, s)
+    cols = _im2col(_pad_hw(x, p.pad, p.pad), k, s, oh, ow)
     wm = p.weights.reshape(p.out_channels, -1)
     y = np.matmul(wm, cols) + p.bias[:, None]
     return y.reshape(n, p.out_channels, oh, ow)
@@ -152,7 +156,7 @@ def conv2d_backward(
             f"conv backward: grad shape {grad_out.shape} does not match forward output "
             f"{(n, p.out_channels, oh, ow)}"
         )
-    cols = _im2col(_pad_hw(cached_x, pad, pad), k, s)
+    cols = _im2col(_pad_hw(cached_x, pad, pad), k, s, oh, ow)
     go = grad_out.reshape(n, p.out_channels, oh * ow)
 
     grad_b = go.sum(axis=(0, 2))
@@ -163,15 +167,12 @@ def conv2d_backward(
         return None, grad_w, grad_b
 
     wm = p.weights.reshape(p.out_channels, -1)
-    grad_cols = np.matmul(wm.T, go).reshape(n, c, k, k, oh, ow)
+    grad_cols = np.matmul(wm.T, go).reshape(n, c, k * k, oh, ow)
 
-    hp, wp = h + 2 * pad, w + 2 * pad
-    grad_xp = np.zeros((n, c, hp, wp), dtype=grad_out.dtype)
-    for dy in range(k):
-        for dx in range(k):
-            grad_xp[:, :, dy:dy + s * oh:s, dx:dx + s * ow:s] += grad_cols[:, :, dy, dx]
-    grad_x = grad_xp[:, :, pad:hp - pad, pad:wp - pad] if pad else grad_xp
-    return grad_x, grad_w, grad_b
+    grad_xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
+    for o, sl in enumerate(_windows(k, s, oh, ow)):
+        grad_xp[sl] += grad_cols[:, :, o]
+    return grad_xp[:, :, pad:pad + h, pad:pad + w], grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def leaky_forward(x: np.ndarray, p: LeakyParams) -> np.ndarray:
 
 
 def leaky_backward(grad_out: np.ndarray, cached_x: np.ndarray, p: LeakyParams) -> np.ndarray:
-    return grad_out * np.where(cached_x >= 0, 1.0, 1.0 / p.a)
+    return np.where(cached_x >= 0, grad_out, grad_out / p.a)
 
 
 # ---------------------------------------------------------------------------
@@ -251,47 +252,39 @@ def maxpool_out_hw(
 def maxpool_forward(
     x: np.ndarray, size: int, stride: int, pad: int | tuple[int, int] = 0
 ) -> tuple[np.ndarray, MaxPoolCache]:
-    """Max pool with zero padding.
-
-    `pad` may be a single symmetric amount or (before, after); ties inside
-    a window resolve to the first element in row-major scan order, which
-    pins the backward scatter target.
-    """
-    if size < 1 or stride < 1:
-        raise LayerError(f"maxpool: size and stride must be >= 1, got {size}, {stride}")
+    """Max pool with zero padding; `pad` is one symmetric amount or
+    (before, after). A running max over the window offsets in scan order:
+    on a tie the earlier element stays, signed zeros included, and NaN
+    propagates. No index is kept."""
     pb, pa = _normalize_pad(pad)
+    if size < 1 or stride < 1 or size > min(x.shape[2], x.shape[3]) + pb + pa:
+        raise LayerError(f"maxpool: size {size}, stride {stride}, pad {pad} do not fit {x.shape}")
     xp = _pad_hw(x, pb, pa)
-    win = sliding_window_view(xp, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c, oh, ow = win.shape[:4]
-    flat = win.reshape(n, c, oh, ow, size * size)
-    arg = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return y, MaxPoolCache(argmax=arg, in_shape=x.shape, size=size, stride=stride, pad=(pb, pa))
+    oh, ow = maxpool_out_hw(x.shape[2], x.shape[3], size, stride, (pb, pa))
+    wins = _windows(size, stride, oh, ow)
+    y = xp[next(wins)].copy()
+    for sl in wins:
+        np.maximum(xp[sl], y, out=y)  # a tie returns the second operand, the earlier one
+    return y, MaxPoolCache(xp=xp, y=y, size=size, stride=stride, pad=(pb, pa))
 
 
 def maxpool_backward(grad_out: np.ndarray, cache: MaxPoolCache) -> np.ndarray:
-    n, c, h, w = cache.in_shape
+    """Route each output gradient to its window's first maximum. Offsets are
+    scattered in reverse scan order, so an input cell sums its windows in
+    window order; adding -0.0 is exact."""
+    xp, y = cache.xp, cache.y
+    if grad_out.shape != y.shape:
+        raise LayerError(f"maxpool backward: grad shape {grad_out.shape} != output {y.shape}")
+    wins = list(_windows(cache.size, cache.stride, y.shape[2], y.shape[3]))
+    hits, free = [], np.ones(y.shape, dtype=bool)
+    for sl in wins:
+        hits.append((xp[sl] == y) & free)  # the first maximum in scan order
+        free ^= hits[-1]
+    grad_p = np.zeros(xp.shape, dtype=grad_out.dtype)
+    for sl, hit in zip(reversed(wins), reversed(hits)):
+        grad_p[sl] += np.where(hit, grad_out, -0.0)
     pb, pa = cache.pad
-    hp, wp = h + pb + pa, w + pb + pa
-    size, stride = cache.size, cache.stride
-    arg = cache.argmax
-    oh, ow = arg.shape[2], arg.shape[3]
-    if grad_out.shape != arg.shape:
-        raise LayerError(f"maxpool backward: grad shape {grad_out.shape} != output {arg.shape}")
-
-    oy = np.arange(oh)[:, None] * stride
-    ox = np.arange(ow)[None, :] * stride
-    rows = oy[None, None] + arg // size
-    cols = ox[None, None] + arg % size
-    nc = np.arange(n * c).reshape(n, c, 1, 1)
-    flat_idx = (nc * hp + rows) * wp + cols
-
-    grad_p = np.zeros(n * c * hp * wp, dtype=grad_out.dtype)
-    np.add.at(grad_p, flat_idx.ravel(), grad_out.ravel())
-    grad_p = grad_p.reshape(n, c, hp, wp)
-    if pb or pa:
-        grad_p = grad_p[:, :, pb:hp - pa, pb:wp - pa]
-    return grad_p
+    return grad_p[:, :, pb:xp.shape[2] - pa, pb:xp.shape[3] - pa]
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,9 @@ def train(
 
     raw_images = [ppm.ppm_read(img) for img, _ in manifest.entries]
     truth_lists = [read_label_file(lab) for _, lab in manifest.entries]
+    for (_, lab), truths in zip(manifest.entries, truth_lists):
+        if (cid := max((t.class_id for t in truths), default=0)) >= net.cfg.num_classes:
+            raise TrainingError(f"{lab}: class id {cid} out of range for {net.cfg.num_classes} classes")
     static_inputs = None
     if not cfg.flip and not cfg.crop:
         static_inputs = [image_to_tensor(im, size)[0] for im in raw_images]

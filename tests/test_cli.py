@@ -1,4 +1,5 @@
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -155,3 +156,22 @@ def test_seeded_train_runs_are_byte_identical(tmp_path):
                      "--seed", "7"]) == 0
         blobs.append((w.read_bytes(), log.read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_of_range_class_id_reports_one_line_error(pipeline, tmp_path, capsys, command):
+    _, data, anchors, weights, _ = pipeline
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    label = copy / (copy / "manifest.tsv").read_text().splitlines()[0].split("\t")[1]
+    label.write_text(label.read_text() + "7 0.5 0.5 0.2 0.2\n")
+    args = {
+        "train": ["--out", str(tmp_path / "w.weights"), "--input-size", "96",
+                  "--channel-scale", "1/8"],
+        "eval": ["--model", str(weights)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--anchors", str(anchors), "--manifest", str(copy / "manifest.tsv"),
+                 "--classes", str(copy / "classes.names")] + args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {label}: class id 7 out of range for 3 classes\n"

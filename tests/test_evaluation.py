@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -175,3 +176,11 @@ def test_duplicated_dataset_same_map(tmp_path):
     single = evaluate(net, manifest)
     doubled = DatasetManifest(entries=manifest.entries * 2, class_names=manifest.class_names)
     assert evaluate(net, doubled).map == pytest.approx(single.map, abs=1e-9)
+
+
+def test_out_of_range_class_id_is_eval_error(tmp_path):
+    manifest = synth_dataset(2, image_size=96, seed=42, out_dir=tmp_path)
+    label = manifest.entries[1][1]
+    label.write_text(label.read_text() + "7 0.5 0.5 0.2 0.2\n")
+    with pytest.raises(EvalError, match=rf"^{re.escape(str(label))}: class id 7 .* 3 classes$"):
+        evaluate(_random_net(), manifest)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dcspp_yolo import layers
 from dcspp_yolo.gradcheck import (
@@ -230,6 +232,13 @@ def test_maxpool_constant_interior():
     assert np.all(y[:, :, 1:-1, 1:-1] == 2.5)
 
 
+def test_maxpool_window_larger_than_padded_input_rejected():
+    with pytest.raises(LayerError, match="do not fit"):
+        maxpool_forward(np.zeros((1, 1, 2, 3)), 4, 1, (0, 1))
+    with pytest.raises(LayerError):
+        maxpool_forward(np.zeros((1, 1, 4, 4)), 2, 0, 0)
+
+
 def test_maxpool_backward_conserves_mass():
     x = RNG.uniform(0.5, 2.0, (2, 3, 8, 8))  # positive, so zero padding never wins
     for size, stride, pad in ((2, 2, 0), (3, 1, 1)):
@@ -249,6 +258,150 @@ def test_maxpool_tie_breaks_first_in_scan_order():
 
 def test_maxpool_gradcheck():
     assert check_maxpool() < 1e-4
+
+
+# -- window kernels against the sliding-window oracles ----------------------------
+# The im2col and max-pool kernels these replaced, kept as oracles: a sliding
+# window view, an argmax per window (the first maximum on a tie) and an
+# np.add.at scatter through flat indices.
+
+
+def oracle_im2col(xp, k, stride):
+    n, c = xp.shape[:2]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
+    return np.ascontiguousarray(cols)
+
+
+def oracle_maxpool_forward(x, size, stride, pad):
+    pb, pa = pad
+    xp = np.pad(x, ((0, 0), (0, 0), (pb, pa), (pb, pa)))
+    win = sliding_window_view(xp, (size, size), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, oh, ow = win.shape[:4]
+    flat = win.reshape(n, c, oh, ow, size * size)
+    arg = flat.argmax(axis=-1)
+    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    return y, (arg, x.shape, size, stride, pad)
+
+
+def oracle_maxpool_backward(grad_out, cache):
+    arg, (n, c, h, w), size, stride, (pb, pa) = cache
+    hp, wp = h + pb + pa, w + pb + pa
+    oh, ow = arg.shape[2], arg.shape[3]
+    oy = np.arange(oh)[:, None] * stride
+    ox = np.arange(ow)[None, :] * stride
+    rows = oy[None, None] + arg // size
+    cols = ox[None, None] + arg % size
+    nc = np.arange(n * c).reshape(n, c, 1, 1)
+    flat_idx = (nc * hp + rows) * wp + cols
+    grad_p = np.zeros(n * c * hp * wp, dtype=grad_out.dtype)
+    np.add.at(grad_p, flat_idx.ravel(), grad_out.ravel())
+    return grad_p.reshape(n, c, hp, wp)[:, :, pb:hp - pa, pb:wp - pa]
+
+
+# few distinct values, signed zeros and all-negative windows make ties and
+# windows won by the zero padding common
+TIE_VALUES = [-0.0, 0.0, 1.0, -1.0, 2.0, -2.0]
+
+
+@st.composite
+def pool_cases(draw, values=st.sampled_from(TIE_VALUES)):
+    size = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 3))
+    pb, pa = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    lo = max(1, size - pb - pa)
+    h, w = draw(st.integers(lo, lo + 6)), draw(st.integers(lo, lo + 6))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    x = draw(arrays(dtype, (draw(st.integers(1, 2)), draw(st.integers(1, 2)), h, w),
+                    elements=values | st.floats(-3, 3, width=32)))
+    return x, size, stride, (pb, pa)
+
+
+@given(pool_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_maxpool_equals_argmax_oracle_bytewise(case, data):
+    x, size, stride, pad = case
+    y, cache = maxpool_forward(x, size, stride, pad)
+    y_ref, ref_cache = oracle_maxpool_forward(x, size, stride, pad)
+    assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
+    # 1e-20 vanishes next to 1.0 in either dtype, so a sum over overlapping
+    # windows taken in another order than the oracle's shows in the bytes
+    g = data.draw(arrays(x.dtype, y.shape, elements=st.sampled_from(TIE_VALUES + [0.1, 1e-20])
+                         | st.floats(-2, 2, width=32)))
+    gx, gx_ref = maxpool_backward(g, cache), oracle_maxpool_backward(g, ref_cache)
+    assert gx.shape == x.shape and gx.dtype == gx_ref.dtype
+    assert gx.tobytes() == gx_ref.tobytes()
+
+
+@given(pool_cases(values=st.sampled_from(TIE_VALUES + [np.nan])))
+@settings(max_examples=100, deadline=None)
+def test_maxpool_forward_puts_nan_where_oracle_does(case):
+    # the backward pass does not route through NaN (training stops on a
+    # non-finite loss before backward), so only the forward is compared
+    x, size, stride, pad = case
+    y, _ = maxpool_forward(x, size, stride, pad)
+    y_ref, _ = oracle_maxpool_forward(x, size, stride, pad)
+    assert np.array_equal(np.isnan(y), np.isnan(y_ref))
+    assert y[~np.isnan(y)].tobytes() == y_ref[~np.isnan(y_ref)].tobytes()
+
+
+@given(pool_cases())
+@settings(max_examples=100, deadline=None)
+def test_im2col_equals_sliding_window_oracle(case):
+    x, k, stride, (pb, pa) = case
+    xp = np.pad(x, ((0, 0), (0, 0), (pb, pa), (pb, pa)))
+    oh, ow = layers.maxpool_out_hw(x.shape[2], x.shape[3], k, stride, (pb, pa))
+    cols = layers._im2col(xp, k, stride, oh, ow)
+    ref = oracle_im2col(xp, k, stride)
+    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
+
+
+def test_maxpool_all_negative_window_takes_padding_zero():
+    x = np.full((1, 1, 2, 2), -1.0)
+    y, cache = maxpool_forward(x, 2, 1, (0, 1))
+    assert y.tolist() == [[[[-1.0, 0.0], [0.0, 0.0]]]]
+    gx = maxpool_backward(np.ones_like(y), cache)
+    assert gx.tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]  # padding wins take no gradient
+
+
+def test_maxpool_signed_zero_tie_keeps_first():
+    # window 0 sees -0.0 first, then 0.0 and padding; window 1 sees 0.0 first
+    y, cache = maxpool_forward(np.array([[[[-0.0, 0.0]]]]), 2, 1, (0, 1))
+    assert np.signbit(y[0, 0, 0, 0]) and not np.signbit(y[0, 0, 0, 1])
+    gx = maxpool_backward(np.array([[[[3.0, 5.0]]]]), cache)
+    assert gx.tolist() == [[[[3.0, 5.0]]]]
+
+
+# -- dtype ----------------------------------------------------------------------
+
+
+@given(st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_every_kernel_returns_its_input_dtype(dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 3, 6, 6)).astype(dtype)
+    g = rng.standard_normal((2, 3, 6, 6)).astype(dtype)
+    conv = ConvParams(weights=rng.standard_normal((3, 3, 3, 3)).astype(dtype),
+                      bias=rng.standard_normal(3).astype(dtype), pad=1)
+    bn = BNParams(*(np.full(3, v, dtype=dtype) for v in (1.5, 0.5, 0.0, 1.0)))
+    leaky = LeakyParams(10.0)
+    bn_y, bn_cache = batchnorm_forward(x, bn, training=True)
+    pool_y, pool_cache = maxpool_forward(x, 3, 1, 1)
+    outs = {
+        "conv2d_forward": [conv2d_forward(x, conv)],
+        "conv2d_backward": conv2d_backward(g, x, conv),
+        "batchnorm_forward": [bn_y, batchnorm_forward(x, bn, training=False)[0]],
+        "batchnorm_backward": batchnorm_backward(g, bn_cache, bn),
+        "leaky_forward": [leaky_forward(x, leaky)],
+        "leaky_backward": [leaky_backward(g, x, leaky)],
+        "maxpool_forward": [pool_y],
+        "maxpool_backward": [maxpool_backward(g, pool_cache)],
+        "reorg_forward": [reorg_forward(x, 2)],
+        "reorg_backward": [reorg_backward(g.reshape(2, 12, 3, 3), 2)],
+    }
+    for name, arrays_out in outs.items():
+        assert [a.dtype for a in arrays_out] == [dtype] * len(arrays_out), name
 
 
 # -- reorg --------------------------------------------------------------------

@@ -174,12 +174,28 @@ def test_gradient_reaches_first_conv():
 
 
 def test_fanout_gradient_is_sum_of_branch_gradients():
-    # conv13 feeds both pool5 and the passthrough conv; killing the gradient
-    # on either consumer splits its total into the two branch contributions
+    # conv13 feeds both pool5 and the passthrough conv: the gradient conv13
+    # receives is exactly the sum of the input gradients its two consumers
+    # return, and killing the passthrough conv changes conv13's gradients
     net = tiny_net()
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 3, 96, 96)).astype(np.float32)
     g = rng.standard_normal((1, 16, 3, 3)).astype(np.float32)
+
+    seen = {}
+
+    def record(name):
+        node = net._by_name[name]
+        backward = node.backward
+
+        def wrapper(gout, cache, param_grads):
+            gins = backward(gout, cache, param_grads)
+            seen[name] = (gout.copy(), [gi.copy() for gi in gins])
+            return gins
+        node.backward = wrapper
+
+    for name in ("pool5", "pass_conv", "conv13"):
+        record(name)
 
     def conv13_grad(kill: str | None):
         saved = {}
@@ -194,11 +210,14 @@ def test_fanout_gradient_is_sum_of_branch_gradients():
         return out
 
     total = conv13_grad(None)
+    received = seen["conv13"][0]
+    from_pool5, from_pass = seen["pool5"][1][0], seen["pass_conv"][1][0]
+    assert received.dtype == from_pool5.dtype == from_pass.dtype == np.float32
+    assert (received == from_pool5 + from_pass).all()  # pool5 precedes pass_conv in the graph
+    assert not (from_pool5 == 0).all() and not (from_pass == 0).all()
+
     only_head = conv13_grad("pass_conv")   # passthrough contributes nothing
     only_pass = conv13_grad("conv22")      # trunk ends right after pool5's consumer
-    # the dc block still reads pool5 directly, so instead verify additivity
-    # through the pass branch: total == head-only + (total - head-only)
-    assert np.allclose(total, only_head + (total - only_head), atol=0)
     assert not np.allclose(total, only_head)  # the pass branch really contributes
     assert np.isfinite(only_pass).all()
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -269,3 +270,11 @@ def test_train_requires_anchors(tmp_path):
                                       channel_scale=Fraction(1, 8)))
     with pytest.raises(TrainingError, match="anchors"):
         train(net, manifest, TrainConfig(epochs=1))
+
+
+def test_out_of_range_class_id_is_training_error(tmp_path):
+    net, manifest = _tiny_setup(tmp_path)
+    label = manifest.entries[1][1]
+    label.write_text(label.read_text() + "7 0.5 0.5 0.2 0.2\n")
+    with pytest.raises(TrainingError, match=rf"^{re.escape(str(label))}: class id 7 .* 3 classes$"):
+        train(net, manifest, TrainConfig(batch_size=4, epochs=1))
