@@ -3,7 +3,7 @@ stride-1 spatial-pyramid-pooling block, and a reorg passthrough head;
 pure numpy, CPU only, trainable from scratch at desk scale."""
 
 from .anchors import AnchorSet, iou_dist, kmeans_anchors
-from .detection import BBox, Detection, decode, decode_predictions, detect_image, iou_matrix, nms
+from .detection import BBox, Detection, Detections, decode, decode_predictions, detect_image, iou_matrix, nms
 from .evaluation import average_precision, evaluate, match_detections
 from .loss import LossWeights, TruthBox, assign_targets, compute_loss
 from .network import NetworkConfig, NetworkGraph, build_network
@@ -15,6 +15,7 @@ __all__ = [
     "AnchorSet",
     "BBox",
     "Detection",
+    "Detections",
     "LossWeights",
     "NetworkConfig",
     "NetworkGraph",

@@ -146,28 +146,23 @@ def kmeans_anchors(
 def load_boxes_from_labels(label_dir: str | Path, grid_size: int) -> list[tuple[float, float]]:
     """Collect (w, h) pairs from every label file, scaled to grid units.
 
-    Files are visited in lexicographic order so the result is stable.
+    Files are visited in lexicographic order so the result is stable, and
+    each is read by `data.read_label_file`, so a file `train` rejects is
+    rejected here too.
     """
+    from .data import LabelError, read_label_file  # imported here: data -> detection -> anchors
+
     root = Path(label_dir)
     files = sorted(root.glob("*.txt"))
     if not files:
         raise AnchorError(f"no label files found in {root}")
     out: list[tuple[float, float]] = []
     for path in files:
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise AnchorError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            try:
-                w, h = float(parts[3]), float(parts[4])
-            except ValueError as exc:
-                raise AnchorError(f"{path}:{lineno}: malformed number: {exc}") from exc
-            if not (0 < w <= 1 and 0 < h <= 1):
-                raise AnchorError(f"{path}:{lineno}: w/h out of (0, 1]: {w}, {h}")
-            out.append((w * grid_size, h * grid_size))
+        try:
+            truths = read_label_file(path)
+        except LabelError as exc:
+            raise AnchorError(str(exc)) from exc
+        out.extend((t.w * grid_size, t.h * grid_size) for t in truths)
     return out
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +18,9 @@ from .data import (
     image_to_tensor,
     read_class_names,
     render_detections,
-    unletterbox_box,
+    unletterbox_boxes,
 )
-from .detection import Detection, DetectionError, detect_image, format_detections
+from .detection import DetectionError, detect_image, format_detections
 from .evaluation import EvalError, evaluate, format_report, report_csv
 from .layers import LayerError
 from .loss import LossError
@@ -229,10 +230,7 @@ def cmd_detect(args) -> int:
     h, w = img.shape[:2]
     size = net.cfg.input_size
     dets = detect_image(net, image_to_tensor(img, size), args.conf, args.nms)
-    dets = [
-        Detection(box=unletterbox_box(d.box, w, h, size), class_id=d.class_id, score=d.score)
-        for d in dets
-    ]
+    dets = replace(dets, boxes=unletterbox_boxes(dets.boxes, w, h, size))
     text = format_detections(dets)
     if args.out:
         Path(args.out).write_text(text)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .detection import BBox, Detection
+from .detection import BBox, Detection, box_array
 from .loss import TruthBox
 
 
@@ -115,34 +116,25 @@ def image_to_tensor(img: np.ndarray, target: int) -> np.ndarray:
     return np.ascontiguousarray(canvas.transpose(2, 0, 1)[None])
 
 
-def unletterbox_box(box: BBox, orig_w: int, orig_h: int, target: int) -> BBox:
-    """Map a box from network-input pixels back to original-image pixels."""
+def unletterbox_boxes(boxes: np.ndarray, orig_w: int, orig_h: int, target: int) -> np.ndarray:
+    """Map (N, 4) corner boxes from network-input pixels back to
+    original-image pixels, clipped to the original image."""
     p = letterbox_params(orig_w, orig_h, target)
-    x0 = (box.x_min - p.pad_x) / p.scale
-    x1 = (box.x_max - p.pad_x) / p.scale
-    y0 = (box.y_min - p.pad_y) / p.scale
-    y1 = (box.y_max - p.pad_y) / p.scale
-    x0, x1 = (min(max(v, 0.0), orig_w) for v in (x0, x1))
-    y0, y1 = (min(max(v, 0.0), orig_h) for v in (y0, y1))
-    return BBox(x0, y0, x1, y1)
+    out = (boxes - np.array([p.pad_x, p.pad_y, p.pad_x, p.pad_y])) / p.scale
+    return np.minimum(np.maximum(out, 0.0), np.array([orig_w, orig_h, orig_w, orig_h]))
 
 
-def truths_to_pixel_boxes(truths: list[TruthBox], w: int, h: int) -> list[tuple[int, BBox]]:
-    out = []
-    for t in truths:
-        b = t.corners()
-        out.append(
-            (
-                t.class_id,
-                BBox(
-                    max(b.x_min, 0.0) * w,
-                    max(b.y_min, 0.0) * h,
-                    min(b.x_max, 1.0) * w,
-                    min(b.y_max, 1.0) * h,
-                ),
-            )
-        )
-    return out
+def unletterbox_box(box: BBox, orig_w: int, orig_h: int, target: int) -> BBox:
+    """`unletterbox_boxes` for one box."""
+    return BBox(*unletterbox_boxes(box_array([box]), orig_w, orig_h, target)[0].tolist())
+
+
+def truths_to_pixel_boxes(truths: list[TruthBox], w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T,) int64 class ids and (T, 4) corner boxes in image pixels,
+    clipped to the image."""
+    ids = np.array([t.class_id for t in truths], dtype=np.int64)
+    corners = np.clip(box_array(t.corners() for t in truths), 0.0, 1.0)
+    return ids, corners * np.array([w, h, w, h])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +148,7 @@ def class_color(class_id: int) -> tuple[int, int, int]:
 
 
 def render_detections(
-    img: np.ndarray, dets: list[Detection], class_names: list[str] | None = None
+    img: np.ndarray, dets: Iterable[Detection], class_names: list[str] | None = None
 ) -> np.ndarray:
     """Copy of the image with 2-pixel box outlines per detection."""
     out = img.copy()

@@ -5,7 +5,7 @@ evaluation matching and training target assignment share."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +36,25 @@ class Detection:
     box: BBox
     class_id: int
     score: float
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """N detections as arrays: (N, 4) float64 corner boxes (x_min, y_min,
+    x_max, y_max), (N,) float64 scores and (N,) int64 class ids, which
+    `decode`, `nms` and `detect_image` return in descending score order,
+    NaN scores last. Iterating yields one `Detection` per row."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    class_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self) -> Iterator[Detection]:
+        for box, c, v in zip(self.boxes.tolist(), self.class_ids.tolist(), self.scores.tolist()):
+            yield Detection(box=BBox(*box), class_id=c, score=v)
 
 
 def box_array(boxes: Iterable[BBox]) -> np.ndarray:
@@ -138,7 +157,7 @@ def decode(
     img_w: float,
     img_h: float,
     conf_thres: float,
-) -> list[Detection]:
+) -> Detections:
     """Turn one (1, K*(5+C), S, S) output volume into scored detections.
 
     Per slot the box center is (cell + sigmoid offset) scaled to pixels,
@@ -146,7 +165,7 @@ def decode(
     objectness sigmoid times the best per-class sigmoid. Boxes are
     clipped to the image; slots at or below conf_thres are dropped.
     Slots are taken in (anchor, row, column) order, then stably sorted
-    by descending score.
+    by descending score, NaN scores last.
     """
     p = decode_predictions(grid, anchors)
     cell_w = img_w / p.s
@@ -164,37 +183,37 @@ def decode(
     ], axis=-1)
     # (S, S, K) -> (K, S, S): slots in (anchor, row, column) order
     boxes = boxes.transpose(2, 0, 1, 3).reshape(-1, 4)
-    class_id = p.cls.argmax(axis=-1).transpose(2, 0, 1).ravel()
+    class_id = p.cls.argmax(axis=-1).transpose(2, 0, 1).ravel().astype(np.int64)
     score = (p.conf * p.cls.max(axis=-1)).transpose(2, 0, 1).ravel()
     keep = np.flatnonzero(~(score <= conf_thres))  # a NaN score is kept, not dropped
     keep = keep[np.argsort(-score[keep], kind="stable")]
-    return [
-        Detection(box=BBox(*box), class_id=c, score=v)
-        for box, c, v in zip(boxes[keep].tolist(), class_id[keep].tolist(), score[keep].tolist())
-    ]
+    return Detections(boxes=boxes[keep], scores=score[keep], class_ids=class_id[keep])
 
 
-def nms(dets: list[Detection], nms_thres: float) -> list[Detection]:
+def nms(dets: Detections, nms_thres: float) -> Detections:
     """Greedy class-aware suppression.
 
     Per class, in descending score order, keep a detection unless it
-    overlaps an already kept same-class detection above nms_thres.
-    Output is sorted by descending score (stable for ties).
+    overlaps an already kept same-class detection above nms_thres (a
+    NaN overlap suppresses). Output is in descending score order, ties
+    in ascending class id and then input order; NaN scores come last,
+    in input order.
     """
-    kept: list[Detection] = []
-    by_class: dict[int, list[Detection]] = {}
-    for d in dets:
-        by_class.setdefault(d.class_id, []).append(d)
-    for cid in sorted(by_class):
-        group = sorted(by_class[cid], key=lambda d: -d.score)
-        boxes = box_array(d.box for d in group)
-        chosen = np.zeros(len(group), dtype=bool)
+    chosen = np.zeros(len(dets), dtype=bool)
+    for cid in np.unique(dets.class_ids):
+        group = np.flatnonzero(dets.class_ids == cid)
+        group = group[np.argsort(-dets.scores[group], kind="stable")]
+        boxes = dets.boxes[group]
+        kept = np.zeros(len(group), dtype=bool)
         # greedy in score order: row r is compared with the rows kept before it
         for r, row in enumerate(iou_matrix(boxes, boxes)):
-            chosen[r] = (row[chosen] <= nms_thres).all()
-        kept.extend(d for d, c in zip(group, chosen) if c)
-    kept.sort(key=lambda d: -d.score)
-    return kept
+            kept[r] = (row[kept] <= nms_thres).all()
+        chosen[group[kept]] = True
+    rows = np.flatnonzero(chosen)
+    scores = dets.scores[rows]
+    tie = np.where(np.isnan(scores), 0, dets.class_ids[rows])
+    rows = rows[np.lexsort((tie, -scores))]
+    return Detections(dets.boxes[rows], dets.scores[rows], dets.class_ids[rows])
 
 
 def detect_image(
@@ -202,7 +221,7 @@ def detect_image(
     image: np.ndarray,
     conf_thres: float = 0.25,
     nms_thres: float = 0.45,
-) -> list[Detection]:
+) -> Detections:
     """Forward, decode, and suppress for one network-sized input image.
 
     Pixel coordinates are in the network input space; callers that
@@ -216,7 +235,7 @@ def detect_image(
     return nms(dets, nms_thres)
 
 
-def format_detections(dets: list[Detection]) -> str:
+def format_detections(dets: Iterable[Detection]) -> str:
     """One 'class_id score x_min y_min x_max y_max' line per detection."""
     lines = [
         f"{d.class_id} {d.score:.6f} {d.box.x_min:.6f} {d.box.y_min:.6f} "

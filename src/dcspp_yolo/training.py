@@ -10,7 +10,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import ppm
-from .data import image_to_tensor, read_label_file, write_class_names, write_label_file
+from .data import (
+    image_to_tensor,
+    read_class_names,
+    read_label_file,
+    write_class_names,
+    write_label_file,
+)
 from .detection import decode_predictions
 from .loss import LossParts, LossWeights, TruthBox, assign_targets, compute_loss
 from .network import NetworkGraph, Param
@@ -82,10 +88,7 @@ def load_manifest(path: str | Path, classes_path: str | Path) -> DatasetManifest
         entries.append((root / parts[0], root / parts[1]))
     if not entries:
         raise TrainingError(f"{path}: empty manifest")
-    names = [ln.strip() for ln in Path(classes_path).read_text().splitlines() if ln.strip()]
-    if not names:
-        raise TrainingError(f"{classes_path}: empty class list")
-    return DatasetManifest(entries=entries, class_names=names)
+    return DatasetManifest(entries=entries, class_names=read_class_names(classes_path))
 
 
 # ---------------------------------------------------------------------------

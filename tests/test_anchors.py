@@ -152,6 +152,14 @@ def test_load_boxes_malformed_line_reports_location(tmp_path):
         load_boxes_from_labels(tmp_path, 13)
 
 
+@pytest.mark.parametrize("line", ["x 1.5 0.5 0.9 0.2", "0 0.95 0.5 0.4 0.2"])
+def test_load_boxes_rejects_what_the_label_reader_rejects(tmp_path, line):
+    # a non-integer class id with a centre outside [0, 1]; a box past the right edge
+    (tmp_path / "a.txt").write_text(f"0 0.5 0.5 0.25 0.5\n{line}\n")
+    with pytest.raises(AnchorError, match=r"a\.txt:2: "):
+        load_boxes_from_labels(tmp_path, 13)
+
+
 def test_anchor_file_round_trip(tmp_path):
     anchors = AnchorSet(dims=[(1.25, 2.5), (3.0, 3.75)], seed=9, mean_iou=0.8125)
     path = tmp_path / "anchors.txt"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from dcspp_yolo.detection import (
     BBox,
     Detection,
     DetectionError,
+    Detections,
     box_array,
     decode,
     detect_image,
@@ -151,7 +153,7 @@ def _anchors1():
 
 def test_decode_all_large_negative_empty():
     grid = np.full((1, 6, 13, 13), -40.0)
-    assert decode(grid, _anchors1(), 416, 416, 0.25) == []
+    assert list(decode(grid, _anchors1(), 416, 416, 0.25)) == []
 
 
 def test_decode_center_of_first_cell():
@@ -159,7 +161,7 @@ def test_decode_center_of_first_cell():
     grid[0, 0:2, 0, 0] = 0.0   # tx = ty = 0 in cell (0, 0)
     grid[0, 4, 0, 0] = 40.0    # conf ~ 1
     grid[0, 5, 0, 0] = 40.0    # class prob ~ 1
-    dets = decode(grid, _anchors1(), 416, 416, 0.25)
+    dets = list(decode(grid, _anchors1(), 416, 416, 0.25))
     assert len(dets) == 1
     box = dets[0].box
     assert (box.x_min + box.x_max) / 2 == pytest.approx(16.0)
@@ -173,7 +175,7 @@ def test_decode_single_hot_cell_score_is_sigmoid_product():
     grid[0, 5, 2, 1] = tcls
     grid[0, 6, 2, 1] = tcls - 1.0
     anchors = _anchors1()
-    dets = decode(grid, anchors, 128, 128, 0.01)
+    dets = list(decode(grid, anchors, 128, 128, 0.01))
     assert len(dets) == 1
     assert dets[0].score == pytest.approx(_sig(tc) * _sig(tcls))
     assert dets[0].class_id == 0
@@ -186,7 +188,7 @@ def test_decode_channel_mismatch():
 
 def test_decode_conf_threshold_one_empty():
     grid = np.full((1, 6, 4, 4), 3.0)
-    assert decode(grid, _anchors1(), 128, 128, 1.0) == []
+    assert list(decode(grid, _anchors1(), 128, 128, 1.0)) == []
 
 
 def test_decode_centers_stay_in_cell():
@@ -203,7 +205,7 @@ def test_decode_centers_stay_in_cell():
             g[0, 2:4, i, j] = -4.0  # shrink w/h so the box stays inside
             g[0, 4, i, j] = 40.0
             g[0, 5, i, j] = 40.0
-            d = decode(g, _anchors1(), img, img, 0.5)[0]
+            d = list(decode(g, _anchors1(), img, img, 0.5))[0]
             cx = (d.box.x_min + d.box.x_max) / 2
             cy = (d.box.y_min + d.box.y_max) / 2
             assert j * cell <= cx <= (j + 1) * cell
@@ -272,7 +274,7 @@ def test_decode_equals_per_cell_oracle(seed, s, k, c, scale, values, conf_thres)
     img = 32.0 * s
     got = decode(grid, anchors, img, img, conf_thres)
     want = per_cell_decode(grid, anchors, img, img, conf_thres)
-    assert got == want
+    assert list(got) == want
 
 
 def test_decode_scales_with_image_dims():
@@ -294,7 +296,7 @@ def brute_force_nms(dets, thres):
     """Reference with explicit kept-set semantics: repeatedly take the
     highest-scored remaining detection, discard same-class overlaps."""
     remaining = list(dets)
-    remaining.sort(key=lambda d: -d.score)
+    remaining.sort(key=lambda d: (math.isnan(d.score), -d.score))
     kept = []
     while remaining:
         best = remaining.pop(0)
@@ -304,6 +306,19 @@ def brute_force_nms(dets, thres):
             if d.class_id != best.class_id or iou(d.box, best.box) <= thres
         ]
     return kept
+
+
+def as_detections(dets) -> Detections:
+    """The `Detections` record of a list of `Detection`s, rows in list order."""
+    return Detections(boxes=box_array(d.box for d in dets),
+                      scores=np.array([d.score for d in dets], dtype=np.float64),
+                      class_ids=np.array([d.class_id for d in dets], dtype=np.int64))
+
+
+def as_rows(dets) -> np.ndarray:
+    """(N, 6) class id, score and corners per detection, to compare with NaN == NaN."""
+    return np.array([(d.class_id, d.score, d.box.x_min, d.box.y_min, d.box.x_max, d.box.y_max)
+                     for d in dets], dtype=np.float64).reshape(-1, 6)
 
 
 def _random_dets(rng, n, classes=2):
@@ -322,33 +337,33 @@ def _random_dets(rng, n, classes=2):
 
 def test_nms_single_detection_unchanged():
     d = Detection(box=BBox(0, 0, 10, 10), class_id=0, score=0.7)
-    assert nms([d], 0.45) == [d]
+    assert list(nms(as_detections([d]), 0.45)) == [d]
 
 
 def test_nms_identical_boxes_keep_best():
     hi = Detection(box=BBox(0, 0, 10, 10), class_id=0, score=0.9)
     lo = Detection(box=BBox(0, 0, 10, 10), class_id=0, score=0.8)
-    assert nms([lo, hi], 0.45) == [hi]
+    assert list(nms(as_detections([lo, hi]), 0.45)) == [hi]
 
 
 def test_nms_different_classes_do_not_suppress():
     a = Detection(box=BBox(0, 0, 10, 10), class_id=0, score=0.9)
     b = Detection(box=BBox(0, 0, 10, 10), class_id=1, score=0.8)
-    assert nms([a, b], 0.45) == [a, b]
+    assert list(nms(as_detections([a, b]), 0.45)) == [a, b]
 
 
 def test_nms_matches_brute_force_oracle():
     rng = np.random.default_rng(7)
     for _ in range(300):
         dets = _random_dets(rng, int(rng.integers(0, 10)))
-        assert nms(dets, 0.45) == brute_force_nms(dets, 0.45)
+        assert list(nms(as_detections(dets), 0.45)) == brute_force_nms(dets, 0.45)
 
 
 def test_nms_output_subset_and_no_overlap():
     rng = np.random.default_rng(8)
     for _ in range(50):
         dets = _random_dets(rng, 8)
-        out = nms(dets, 0.45)
+        out = list(nms(as_detections(dets), 0.45))
         assert all(d in dets for d in out)
         for i, a in enumerate(out):
             for b in out[i + 1:]:
@@ -358,9 +373,12 @@ def test_nms_output_subset_and_no_overlap():
 
 @st.composite
 def det_lists(draw):
-    """Detections with scores from three values (so scores tie), three
-    classes, identical boxes (an earlier box drawn again) and zero-width
-    boxes."""
+    """Detections with scores from three values and NaN (so scores tie),
+    three classes, identical boxes (an earlier box drawn again),
+    zero-width boxes, and at most one box whose y edges are NaN, as
+    `decode` gives a slot with a NaN height. (NaN x edges would meet the
+    zero-width boxes, where the scalar `iou` returns 0 because Python's
+    min and max drop a NaN second operand.)"""
     dets = []
     for _ in range(draw(st.integers(0, 12))):
         if dets and draw(st.booleans()):
@@ -370,7 +388,11 @@ def det_lists(draw):
             w = draw(st.sampled_from([0.0, 5.0, 20.0]) | st.floats(0, 30))
             box = BBox(x0, y0, x0 + w, y0 + draw(st.floats(1, 30)))
         dets.append(Detection(box=box, class_id=draw(st.integers(0, 2)),
-                              score=draw(st.sampled_from([0.3, 0.6, 0.9]))))
+                              score=draw(st.sampled_from([0.3, 0.6, 0.9, math.nan]))))
+    if dets and draw(st.booleans()):
+        i = draw(st.integers(0, len(dets) - 1))
+        b = dets[i].box
+        dets[i] = replace(dets[i], box=BBox(b.x_min, math.nan, b.x_max, math.nan))
     return dets
 
 
@@ -378,9 +400,20 @@ def det_lists(draw):
 @settings(max_examples=300, deadline=None)
 def test_nms_equals_brute_force_property(dets, thres):
     # the oracle keeps the input order among tied scores across classes,
-    # while nms lists tied classes in ascending class id
-    want = sorted(brute_force_nms(dets, thres), key=lambda d: (-d.score, d.class_id))
-    assert nms(dets, thres) == want
+    # while nms lists tied classes in ascending class id; NaN scores keep
+    # the oracle's input order, since neither of two NaN keys sorts first
+    want = sorted(brute_force_nms(dets, thres),
+                  key=lambda d: (math.isnan(d.score), -d.score, d.class_id))
+    assert np.array_equal(as_rows(nms(as_detections(dets), thres)), as_rows(want), equal_nan=True)
+
+
+@pytest.mark.parametrize("scores", [[math.nan, 0.9, 0.5], [0.9, 0.5, math.nan], [0.9, math.nan, 0.5]])
+def test_nms_puts_nan_scores_last(scores):
+    dets = [Detection(box=BBox(20.0 * i, 0, 20.0 * i + 10, 10), class_id=i % 2, score=v)
+            for i, v in enumerate(scores)]
+    kept = list(nms(as_detections(dets), 0.45))
+    assert [d.score for d in kept[:2]] == [0.9, 0.5]
+    assert math.isnan(kept[2].score)
 
 
 # -- detect_image -------------------------------------------------------------------
@@ -401,13 +434,13 @@ def test_detect_image_deterministic():
     x = rng.uniform(0, 1, (1, 3, 96, 96)).astype(np.float32)
     a = detect_image(net, x, 0.01, 0.45)
     b = detect_image(net, x, 0.01, 0.45)
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_detect_image_conf_one_empty():
     net = _tiny_detector()
     x = np.full((1, 3, 96, 96), 0.5, dtype=np.float32)
-    assert detect_image(net, x, 1.0, 0.45) == []
+    assert list(detect_image(net, x, 1.0, 0.45)) == []
 
 
 def test_format_detections_layout():

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_detection import boxes, det_lists, iou
+from test_detection import as_detections, boxes, det_lists, iou
 
+from dcspp_yolo import evaluation
 from dcspp_yolo.anchors import AnchorSet
-from dcspp_yolo.detection import BBox, Detection
+from dcspp_yolo.detection import BBox, Detection, box_array
 from dcspp_yolo.evaluation import (
     EvalError,
     average_precision,
     evaluate,
     match_detections,
+    pr_points,
 )
 from dcspp_yolo.network import NetworkConfig, build_network
 from dcspp_yolo.training import DatasetManifest, synth_dataset
@@ -24,23 +26,30 @@ def det(x0, y0, x1, y1, cid=0, score=0.9):
     return Detection(box=BBox(x0, y0, x1, y1), class_id=cid, score=score)
 
 
+def truth_arrays(truths):
+    """Class ids and (T, 4) corner boxes of a list of (class id, BBox) truths."""
+    return np.array([cid for cid, _ in truths], dtype=np.int64), box_array(b for _, b in truths)
+
+
 # -- matching -----------------------------------------------------------------
 
 
 def test_single_detection_on_truth_is_tp():
     truths = [(0, BBox(10, 10, 30, 30))]
-    assert match_detections([det(10, 10, 30, 30)], truths) == [True]
+    flags = match_detections(as_detections([det(10, 10, 30, 30)]), *truth_arrays(truths))
+    assert flags.tolist() == [True]
 
 
 def test_second_detection_on_same_truth_is_fp():
     truths = [(0, BBox(10, 10, 30, 30))]
     dets = [det(10, 10, 30, 30, score=0.9), det(11, 11, 31, 31, score=0.8)]
-    assert match_detections(dets, truths) == [True, False]
+    assert match_detections(as_detections(dets), *truth_arrays(truths)).tolist() == [True, False]
 
 
 def test_class_must_match():
     truths = [(1, BBox(10, 10, 30, 30))]
-    assert match_detections([det(10, 10, 30, 30, cid=0)], truths) == [False]
+    flags = match_detections(as_detections([det(10, 10, 30, 30, cid=0)]), *truth_arrays(truths))
+    assert flags.tolist() == [False]
 
 
 def brute_force_match(dets, truths, thres):
@@ -74,14 +83,16 @@ def test_matching_agrees_with_brute_force():
             dets.append(det(x0, y0, x0 + rng.uniform(5, 30), y0 + rng.uniform(5, 30),
                             cid=int(rng.integers(2)), score=float(rng.uniform())))
         dets.sort(key=lambda d: -d.score)
-        assert match_detections(dets, truths, 0.5) == brute_force_match(dets, truths, 0.5)
+        flags = match_detections(as_detections(dets), *truth_arrays(truths), 0.5)
+        assert flags.tolist() == brute_force_match(dets, truths, 0.5)
 
 
 @st.composite
 def matching_cases(draw):
-    """Score-sorted detections and truths of three classes; some truths
-    repeat a detection's box, and some boxes have zero width."""
-    dets = sorted(draw(det_lists()), key=lambda d: -d.score)
+    """Score-sorted detections (NaN scores last) and truths of three
+    classes; some truths repeat a detection's box, and some boxes have zero
+    width or NaN y edges."""
+    dets = sorted(draw(det_lists()), key=lambda d: (math.isnan(d.score), -d.score))
     truths = []
     for _ in range(draw(st.integers(0, 6))):
         box = draw(st.sampled_from(dets)).box if dets and draw(st.booleans()) else draw(boxes())
@@ -93,11 +104,11 @@ def matching_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_matching_equals_brute_force_property(case, thres):
     dets, truths = case
-    flags = match_detections(dets, truths, thres)
-    assert all(type(f) is bool for f in flags)
+    flags = match_detections(as_detections(dets), *truth_arrays(truths), thres)
+    assert flags.dtype == bool and flags.shape == (len(dets),)
     # a detection that overlaps no truth never matches, so at iou_thres 0
     # the oracle runs at the smallest positive threshold instead
-    assert flags == brute_force_match(dets, truths, max(thres, math.ulp(0.0)))
+    assert flags.tolist() == brute_force_match(dets, truths, max(thres, math.ulp(0.0)))
 
 
 # -- average precision ------------------------------------------------------------
@@ -135,6 +146,42 @@ def test_ap_depends_only_on_score_order():
     ap_a = average_precision([f for _, f in pooled_a], 4)
     ap_b = average_precision([f for _, f in pooled_b], 4)
     assert ap_a == ap_b
+
+
+def loop_pr_points(flags, num_truths):
+    """Oracle: recall and precision after each flag, counted in a loop."""
+    tp = fp = 0
+    pts = []
+    for f in flags:
+        tp += 1 if f else 0
+        fp += 0 if f else 1
+        pts.append((tp / num_truths, tp / (tp + fp)))
+    return pts
+
+
+def loop_average_precision(flags, num_truths):
+    """Oracle: all-point AP with the envelope and the sum taken in loops."""
+    if not flags:
+        return 0.0
+    pts = loop_pr_points(flags, num_truths)
+    mrec = [0.0] + [r for r, _ in pts] + [pts[-1][0]]
+    mpre = [0.0] + [p for _, p in pts] + [0.0]
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    ap = 0.0
+    for i in range(1, len(mrec)):
+        ap += (mrec[i] - mrec[i - 1]) * mpre[i]
+    return ap
+
+
+def test_pr_curve_equals_loop_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        flags = [bool(f) for f in rng.random(int(rng.integers(0, 40))) < rng.random()]
+        truths = int(rng.integers(max(1, sum(flags)), sum(flags) + 5))
+        assert pr_points(flags, truths) == loop_pr_points(flags, truths)
+        assert pr_points(np.array(flags, dtype=bool), truths) == loop_pr_points(flags, truths)
+        assert average_precision(flags, truths) == loop_average_precision(flags, truths)
 
 
 def test_extra_low_scored_fp_never_increases_ap():
@@ -176,6 +223,32 @@ def test_duplicated_dataset_same_map(tmp_path):
     single = evaluate(net, manifest)
     doubled = DatasetManifest(entries=manifest.entries * 2, class_names=manifest.class_names)
     assert evaluate(net, doubled).map == pytest.approx(single.map, abs=1e-9)
+
+
+def test_nan_scores_pool_after_every_finite_score(tmp_path, monkeypatch):
+    manifest = synth_dataset(4, image_size=96, seed=44, out_dir=tmp_path)
+    net = _random_net()
+    head = net.nodes[-1].conv
+    head.bias.reshape(net.cfg.num_anchors, -1)[1, 4] = np.nan  # anchor 1's objectness
+    seen = []  # (detections, flags) per image, in evaluation order
+
+    def spy(dets, *args):
+        flags = match_detections(dets, *args)
+        seen.append((list(dets), flags.tolist()))
+        return flags
+
+    monkeypatch.setattr(evaluation, "match_detections", spy)
+    result = evaluate(net, manifest, conf_thres=0.005, iou_thres=0.0)
+    assert sum(math.isnan(d.score) for dets, _ in seen for d in dets) > 0
+    for cid, cr in result.per_class.items():
+        rows = [(d.score, f) for dets, flags in seen
+                for d, f in zip(dets, flags) if d.class_id == cid]
+        finite = sorted((r for r in rows if not math.isnan(r[0])), key=lambda r: -r[0])
+        nan = [r for r in rows if math.isnan(r[0])]
+        assert finite and nan
+        want = [f for _, f in finite] + [f for _, f in nan]
+        assert want != [f for _, f in nan] + [f for _, f in finite]  # the order shows in pr_points
+        assert cr.pr_points == loop_pr_points(want, cr.num_truths)
 
 
 def test_out_of_range_class_id_is_eval_error(tmp_path):
