@@ -44,48 +44,44 @@ def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray, step: float = 
     return g
 
 
-def check_conv(seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 3, 5, 5))
+def _conv_err(rng: np.random.Generator, x_shape: tuple, out_c: int, k: int, stride: int,
+              pad: int, *, params: bool = True) -> float:
+    """Worst error of the input gradient and, with params, of the weight
+    and bias gradients of a random conv under a random output projection."""
+    x = rng.standard_normal(x_shape)
     p = layers.ConvParams(
-        weights=rng.standard_normal((4, 3, 3, 3)),
-        bias=rng.standard_normal(4),
-        stride=1,
-        pad=1,
+        weights=rng.standard_normal((out_c, x_shape[1], k, k)),
+        bias=rng.standard_normal(out_c),
+        stride=stride,
+        pad=pad,
     )
-    proj = rng.standard_normal(layers.conv2d_forward(x, p).shape)
+    y, cache = layers.conv2d_forward(x, p)
+    proj = rng.standard_normal(y.shape)
+    gx, gw, gb = layers.conv2d_backward(proj, cache, p)
 
-    def f_x(v):
-        return float((layers.conv2d_forward(v, p) * proj).sum())
+    def f(x, weights, bias):
+        y, _ = layers.conv2d_forward(x, layers.ConvParams(weights, bias, stride, pad))
+        return float((y * proj).sum())
 
-    gx, gw, gb = layers.conv2d_backward(proj, x, p)
-    errs = [max_rel_err(gx, numeric_grad(f_x, x))]
-
-    def f_w(v):
-        return float((layers.conv2d_forward(x, layers.ConvParams(v, p.bias, p.stride, p.pad)) * proj).sum())
-
-    errs.append(max_rel_err(gw, numeric_grad(f_w, p.weights)))
-
-    def f_b(v):
-        return float((layers.conv2d_forward(x, layers.ConvParams(p.weights, v, p.stride, p.pad)) * proj).sum())
-
-    errs.append(max_rel_err(gb, numeric_grad(f_b, p.bias)))
+    errs = [max_rel_err(gx, numeric_grad(lambda v: f(v, p.weights, p.bias), x))]
+    if params:
+        errs.append(max_rel_err(gw, numeric_grad(lambda v: f(x, v, p.bias), p.weights)))
+        errs.append(max_rel_err(gb, numeric_grad(lambda v: f(x, p.weights, v), p.bias)))
     return max(errs)
 
 
+def check_conv(seed: int = 0) -> float:
+    return _conv_err(np.random.default_rng(seed), (2, 3, 5, 5), 4, 3, stride=1, pad=1)
+
+
 def check_conv_strided(seed: int = 1) -> float:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((1, 2, 6, 6))
-    p = layers.ConvParams(
-        weights=rng.standard_normal((3, 2, 3, 3)), bias=rng.standard_normal(3), stride=2, pad=1
-    )
-    proj = rng.standard_normal(layers.conv2d_forward(x, p).shape)
-    gx, gw, gb = layers.conv2d_backward(proj, x, p)
+    return _conv_err(np.random.default_rng(seed), (1, 2, 6, 6), 3, 3, stride=2, pad=1,
+                     params=False)
 
-    def f_x(v):
-        return float((layers.conv2d_forward(v, p) * proj).sum())
 
-    return max_rel_err(gx, numeric_grad(f_x, x))
+def check_conv_1x1(seed: int = 2) -> float:
+    """The 1x1 stride-1 kernel, whose patch matrix is the input reshaped."""
+    return _conv_err(np.random.default_rng(seed), (2, 3, 4, 5), 4, 1, stride=1, pad=0)
 
 
 def check_batchnorm(seed: int = 0) -> float:
@@ -241,6 +237,7 @@ def check_loss(seed: int = 0) -> float:
 LAYER_CHECKS: dict[str, Callable[[], float]] = {
     "conv": check_conv,
     "conv_strided": check_conv_strided,
+    "conv_1x1": check_conv_1x1,
     "batchnorm": check_batchnorm,
     "leaky": check_leaky,
     "maxpool": check_maxpool,

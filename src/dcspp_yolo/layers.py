@@ -4,6 +4,17 @@ pooling, and space-to-depth, each with an exact analytic backward pass.
 All functions operate on plain (n, c, h, w) float arrays and preserve
 the input dtype, so the same code runs in float32 for training and in
 float64 for finite-difference verification.
+
+Convolution folds the batch into the GEMM (the im2col lowering of
+Chellapilla et al. 2006): `_im2col` lays the padded input out as one
+(c*k*k, n*oh*ow) patch matrix, a single `W @ cols` gives the output as
+(out_c, n, oh, ow), and the caller sees it as an (n, out_c, oh, ow)
+view, so activations may be stored channel-major. For a 1x1 stride-1
+kernel the patch matrix is the input reshaped. Like batch norm and max
+pooling, the forward returns a cache, `ConvCache`: the patch matrix,
+which backward multiplies by the output gradient for the weight
+gradient, and the input shape. A caller that will not run backward drops
+it.
 """
 
 from __future__ import annotations
@@ -79,6 +90,12 @@ class LeakyParams:
 
 
 @dataclass
+class ConvCache:
+    cols: np.ndarray                      # (c*k*k, n*oh*ow) patch matrix of the padded input
+    in_shape: tuple[int, int, int, int]   # (n, c, h, w) of the unpadded input
+
+
+@dataclass
 class BNCache:
     xhat: np.ndarray
     inv_std: np.ndarray
@@ -105,7 +122,7 @@ def _pad_hw(x: np.ndarray, before: int, after: int, value: float = 0.0) -> np.nd
 
 def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple]:
     """Per window offset (dy, dx), in row-major scan order: the index of the
-    (n, c, oh, ow) strided view of a padded input at that offset in every window."""
+    (..., oh, ow) strided view of a padded input at that offset in every window."""
     for dy in range(size):
         for dx in range(size):
             yield np.s_[..., dy:dy + stride * (oh - 1) + 1:stride,
@@ -113,18 +130,28 @@ def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple]:
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(n, c, hp, wp) -> (n, c*k*k, oh*ow) patch matrix, its columns in the
-    order of weights.reshape(out_c, in_c*k*k): channel, kernel row, column."""
-    n, c = xp.shape[:2]
-    cols = np.stack([xp[sl] for sl in _windows(k, stride, oh, ow)], axis=2)
-    return cols.reshape(n, c * k * k, oh * ow)
+    """(n, c, hp, wp) -> (c*k*k, n*oh*ow) patch matrix of the whole batch. Rows
+    follow weights.reshape(out_c, in_c*k*k): channel, kernel row, kernel
+    column; columns follow image, output row, output column."""
+    xt = xp.transpose(1, 0, 2, 3)  # (c, n, hp, wp)
+    c, n = xt.shape[:2]
+    if k == 1 and stride == 1:
+        return xt.reshape(c, -1)
+    # filled in place: np.stack follows the memory order of its inputs, so
+    # for channel-major activations the reshape below would copy again
+    cols = np.empty((c, k * k, n, oh, ow), dtype=xp.dtype)
+    for o, sl in enumerate(_windows(k, stride, oh, ow)):
+        cols[:, o] = xt[sl]
+    return cols.reshape(c * k * k, -1)
 
 
 def conv2d_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
 
-def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]:
+    """One GEMM over the batch. The output is an (n, out_c, oh, ow) view of
+    the channel-major (out_c, n, oh, ow) product."""
     n, c, h, w = x.shape
     if c != p.in_channels:
         raise LayerError(f"conv: input has {c} channels, kernel expects {p.in_channels}")
@@ -133,22 +160,23 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> np.ndarray:
     if oh < 1 or ow < 1:
         raise LayerError(f"conv: input {h}x{w} too small for kernel {k} stride {s} pad {p.pad}")
     cols = _im2col(_pad_hw(x, p.pad, p.pad), k, s, oh, ow)
-    wm = p.weights.reshape(p.out_channels, -1)
-    y = np.matmul(wm, cols) + p.bias[:, None]
-    return y.reshape(n, p.out_channels, oh, ow)
+    y = p.weights.reshape(p.out_channels, -1) @ cols
+    y += p.bias[:, None]
+    return y.reshape(p.out_channels, n, oh, ow).transpose(1, 0, 2, 3), ConvCache(cols, x.shape)
 
 
 def conv2d_backward(
-    grad_out: np.ndarray, cached_x: np.ndarray, p: ConvParams, *, input_grad: bool = True
+    grad_out: np.ndarray, cache: ConvCache, p: ConvParams, *, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input, weights and bias.
+    """Gradients w.r.t. input, weights and bias, from the forward's patch matrix.
 
     The input gradient is the correlation of the output gradient with the
     180-degree-rotated kernel, realized here by scattering the column
-    gradients back through the im2col geometry. With input_grad=False it
-    is not computed and None takes its place.
+    gradients back through the im2col geometry; for a 1x1 stride-1 kernel
+    it is the column gradient reshaped. With input_grad=False it is not
+    computed and None takes its place.
     """
-    n, c, h, w = cached_x.shape
+    n, c, h, w = cache.in_shape
     k, s, pad = p.kernel, p.stride, p.pad
     oh, ow = conv2d_out_hw(h, w, k, s, pad)
     if grad_out.shape != (n, p.out_channels, oh, ow):
@@ -156,23 +184,22 @@ def conv2d_backward(
             f"conv backward: grad shape {grad_out.shape} does not match forward output "
             f"{(n, p.out_channels, oh, ow)}"
         )
-    cols = _im2col(_pad_hw(cached_x, pad, pad), k, s, oh, ow)
-    go = grad_out.reshape(n, p.out_channels, oh * ow)
-
-    grad_b = go.sum(axis=(0, 2))
-    go_flat = np.ascontiguousarray(go.transpose(1, 0, 2)).reshape(p.out_channels, -1)
-    cols_flat = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(cols.shape[1], -1)
-    grad_w = (go_flat @ cols_flat.T).reshape(p.weights.shape)
+    go = grad_out.transpose(1, 0, 2, 3).reshape(p.out_channels, -1)  # (out_c, n*oh*ow)
+    grad_b = go.sum(axis=1)
+    grad_w = (go @ cache.cols.T).reshape(p.weights.shape)
     if not input_grad:
         return None, grad_w, grad_b
 
-    wm = p.weights.reshape(p.out_channels, -1)
-    grad_cols = np.matmul(wm.T, go).reshape(n, c, k * k, oh, ow)
-
-    grad_xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
-    for o, sl in enumerate(_windows(k, s, oh, ow)):
-        grad_xp[sl] += grad_cols[:, :, o]
-    return grad_xp[:, :, pad:pad + h, pad:pad + w], grad_w, grad_b
+    grad_cols = p.weights.reshape(p.out_channels, -1).T @ go
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if k == 1 and s == 1:
+        grad_xp = grad_cols.reshape(c, n, hp, wp)
+    else:
+        grad_cols = grad_cols.reshape(c, k * k, n, oh, ow)
+        grad_xp = np.zeros((c, n, hp, wp), dtype=grad_cols.dtype)
+        for o, sl in enumerate(_windows(k, s, oh, ow)):
+            grad_xp[sl] += grad_cols[:, o]
+    return grad_xp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w], grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ reorg passthrough, and the linear detection convolution.
 The graph is a flat list of nodes in topological order. Each node kind
 gives `forward(ins, training) -> (out, cache)`, `backward(grad, cache,
 param_grads) -> input grads` and `out_shape(in_shapes)`. Forward caches
-per-node activations when training; backward walks the list in reverse,
-summing gradients over fan-out before calling each node's backward.
+per-node activations (for a conv, its patch matrix) when training;
+backward walks the list in reverse, summing gradients over fan-out before
+calling each node's backward, and frees each node's cache once that
+backward has run.
 """
 
 from __future__ import annotations
@@ -118,15 +120,18 @@ class ConvNode(LayerNode):
         c = self.conv
         return (c.out_channels, *conv2d_out_hw(h, w, c.kernel, c.stride, c.pad))
 
+    def _conv(self, x: np.ndarray, training: bool):
+        y, cache = conv2d_forward(x, self.conv)
+        return y, cache if training else None  # inference keeps no patch matrix
+
     def forward(self, ins: list[np.ndarray], training: bool):
         x = ins[0]
         if self.pre_activation:
             bn_out, bn_cache = batchnorm_forward(x, self.bn, training)
-            conv_in = leaky_forward(bn_out, self.act)
-            y = conv2d_forward(conv_in, self.conv)
-            return y, {"bn": bn_cache, "act_in": bn_out, "conv_in": conv_in}
-        y = conv2d_forward(x, self.conv)
-        cache = {"conv_in": x}
+            y, conv_cache = self._conv(leaky_forward(bn_out, self.act), training)
+            return y, {"bn": bn_cache, "act_in": bn_out, "conv": conv_cache}
+        y, conv_cache = self._conv(x, training)
+        cache = {"conv": conv_cache}
         if self.bn is not None:
             y, cache["bn"] = batchnorm_forward(y, self.bn, training)
         if self.act is not None:
@@ -142,7 +147,7 @@ class ConvNode(LayerNode):
 
     def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray | None]:
         if self.pre_activation:
-            g, gw, gb = conv2d_backward(gout, cache["conv_in"], self.conv)
+            g, gw, gb = conv2d_backward(gout, cache["conv"], self.conv)
             g = leaky_backward(g, cache["act_in"], self.act)
             g = self._bn_backward(g, cache, param_grads)
         else:
@@ -152,7 +157,7 @@ class ConvNode(LayerNode):
             if self.bn is not None:
                 g = self._bn_backward(g, cache, param_grads)
             # nothing reads the gradient of the input image
-            g, gw, gb = conv2d_backward(g, cache["conv_in"], self.conv,
+            g, gw, gb = conv2d_backward(g, cache["conv"], self.conv,
                                         input_grad=self.inputs[0] != "data")
         param_grads[f"{self.name}.weights"] = gw
         param_grads[f"{self.name}.bias"] = gb
@@ -369,7 +374,12 @@ class NetworkGraph:
         self.cfg = cfg
         self.nodes = nodes
         self._by_name = {n.name: n for n in nodes}
-        self._cache: tuple[dict, dict] | None = None
+        # per node, the activations it is the last to read
+        last_reader = {name: node.name for node in nodes for name in node.inputs}
+        self._last_read_by: dict[str, list[str]] = {n.name: [] for n in nodes}
+        for name, reader in last_reader.items():
+            self._last_read_by[reader].append(name)
+        self._cache: tuple[tuple, dict] | None = None  # output shape, per-node caches
 
     @property
     def output_name(self) -> str:
@@ -383,38 +393,47 @@ class NetworkGraph:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Run the graph on an (n, 3, s, s) batch and return the output
         ndarray, (n, K*(5+C), s/32, s/32). With training=True, batch norm
-        uses batch statistics and the activations are kept for backward."""
+        uses batch statistics and each node's cache is kept for backward.
+        An activation is dropped once its last reader has run; it lives on
+        only where a cache holds it."""
         x = np.asarray(x)
         s = self.cfg.input_size
         if x.ndim != 4 or x.shape[1:] != (3, s, s):
             raise NetworkError(f"input must be (n, 3, {s}, {s}), got {x.shape}")
+        self._cache = None  # an earlier training cache is freed before this pass allocates
         acts: dict[str, np.ndarray] = {"data": x}
         caches: dict[str, object] = {}
         for node in self.nodes:
             acts[node.name], cache = node.forward([acts[name] for name in node.inputs], training)
             if training:
                 caches[node.name] = cache
-        self._cache = (acts, caches) if training else None
-        return np.ascontiguousarray(acts[self.output_name])
+            for name in self._last_read_by[node.name]:
+                del acts[name]
+        out = acts[self.output_name]
+        self._cache = (out.shape, caches) if training else None
+        return np.ascontiguousarray(out)
 
     def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
         """Propagate an output gradient; returns parameter gradients keyed
-        '<node>.weights', '<node>.bias', '<node>.gamma', '<node>.beta'."""
+        '<node>.weights', '<node>.bias', '<node>.gamma', '<node>.beta'.
+        Each node's cache is freed once its backward has run, so one forward
+        serves one backward."""
         if self._cache is None:
             raise NetworkError("backward requires a preceding forward(training=True)")
-        acts, caches = self._cache
         g = np.asarray(grad_out)
-        out = acts[self.output_name]
-        if g.shape != out.shape:
-            raise NetworkError(f"grad shape {g.shape} does not match output {out.shape}")
+        out_shape, caches = self._cache
+        if g.shape != out_shape:
+            raise NetworkError(f"grad shape {g.shape} does not match output {out_shape}")
+        self._cache = None
 
         node_grads: dict[str, np.ndarray] = {self.output_name: g}
         param_grads: dict[str, np.ndarray] = {}
         for node in reversed(self.nodes):
+            cache = caches.pop(node.name)
             gout = node_grads.pop(node.name, None)
             if gout is None:
                 continue
-            gins = node.backward(gout, caches[node.name], param_grads)
+            gins = node.backward(gout, cache, param_grads)
             for src, gi in zip(node.inputs, gins):
                 if gi is None:
                     continue

@@ -31,11 +31,23 @@ def _sig(x):
 # -- IoU ------------------------------------------------------------------------
 
 
+def _nan_min(u: float, v: float) -> float:
+    # Python's min and max keep or drop a NaN depending on operand order;
+    # np.minimum and np.maximum, which iou_matrix uses, always return it
+    return math.nan if math.isnan(u) or math.isnan(v) else min(u, v)
+
+
+def _nan_max(u: float, v: float) -> float:
+    return math.nan if math.isnan(u) or math.isnan(v) else max(u, v)
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Scalar oracle: intersection over union of one pair of boxes; 0 by
-    convention when they do not overlap or the union is empty."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    convention when they do not overlap or the union is empty. A NaN edge
+    makes the overlap NaN, which fails those tests, so the IoU is NaN
+    unless the other axis shows no overlap."""
+    ix = _nan_min(a.x_max, b.x_max) - _nan_max(a.x_min, b.x_min)
+    iy = _nan_min(a.y_max, b.y_max) - _nan_max(a.y_min, b.y_min)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
@@ -375,10 +387,8 @@ def test_nms_output_subset_and_no_overlap():
 def det_lists(draw):
     """Detections with scores from three values and NaN (so scores tie),
     three classes, identical boxes (an earlier box drawn again),
-    zero-width boxes, and at most one box whose y edges are NaN, as
-    `decode` gives a slot with a NaN height. (NaN x edges would meet the
-    zero-width boxes, where the scalar `iou` returns 0 because Python's
-    min and max drop a NaN second operand.)"""
+    zero-width boxes, and at most one box whose x edges, y edges or both
+    are NaN, as `decode` gives a slot with a NaN width or height."""
     dets = []
     for _ in range(draw(st.integers(0, 12))):
         if dets and draw(st.booleans()):
@@ -392,7 +402,10 @@ def det_lists(draw):
     if dets and draw(st.booleans()):
         i = draw(st.integers(0, len(dets) - 1))
         b = dets[i].box
-        dets[i] = replace(dets[i], box=BBox(b.x_min, math.nan, b.x_max, math.nan))
+        nan_x, nan_y = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+        x0, x1 = (math.nan, math.nan) if nan_x else (b.x_min, b.x_max)
+        y0, y1 = (math.nan, math.nan) if nan_y else (b.y_min, b.y_max)
+        dets[i] = replace(dets[i], box=BBox(x0, y0, x1, y1))
     return dets
 
 

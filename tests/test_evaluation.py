@@ -91,7 +91,7 @@ def test_matching_agrees_with_brute_force():
 def matching_cases(draw):
     """Score-sorted detections (NaN scores last) and truths of three
     classes; some truths repeat a detection's box, and some boxes have zero
-    width or NaN y edges."""
+    width or NaN edges."""
     dets = sorted(draw(det_lists()), key=lambda d: (math.isnan(d.score), -d.score))
     truths = []
     for _ in range(draw(st.integers(0, 6))):

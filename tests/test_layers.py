@@ -9,6 +9,7 @@ from dcspp_yolo import layers
 from dcspp_yolo.gradcheck import (
     check_batchnorm,
     check_conv,
+    check_conv_1x1,
     check_conv_strided,
     check_leaky,
     check_maxpool,
@@ -48,20 +49,21 @@ def _conv(out_c, in_c, k, stride=1, pad=0, rng=RNG):
 
 def test_conv_first_layer_shape():
     x = np.zeros((1, 3, 416, 416), dtype=np.float32)
-    y = conv2d_forward(x, _conv(32, 3, 3, pad=1))
+    y, cache = conv2d_forward(x, _conv(32, 3, 3, pad=1))
     assert y.shape == (1, 32, 416, 416)
+    assert cache.cols.shape == (3 * 3 * 3, 416 * 416) and cache.in_shape == x.shape
 
 
 def test_conv_head_shape():
     x = np.zeros((1, 2304, 13, 13), dtype=np.float32)
-    y = conv2d_forward(x, _conv(1024, 2304, 3, pad=1))
+    y, _ = conv2d_forward(x, _conv(1024, 2304, 3, pad=1))
     assert y.shape == (1, 1024, 13, 13)
 
 
 def test_conv_identity_kernel():
     x = RNG.standard_normal((2, 1, 6, 6))
     p = ConvParams(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1))
-    assert np.allclose(conv2d_forward(x, p), x)
+    assert np.allclose(conv2d_forward(x, p)[0], x)
 
 
 def test_conv_channel_mismatch():
@@ -73,7 +75,7 @@ def test_conv_backward_identity_passthrough():
     x = RNG.standard_normal((1, 1, 5, 5))
     p = ConvParams(weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1))
     g = RNG.standard_normal((1, 1, 5, 5))
-    gx, _, _ = conv2d_backward(g, x, p)
+    gx, _, _ = conv2d_backward(g, conv2d_forward(x, p)[1], p)
     assert np.allclose(gx, g)
 
 
@@ -81,7 +83,7 @@ def test_conv_bias_gradient_is_sum():
     x = RNG.standard_normal((2, 3, 7, 7))
     p = _conv(4, 3, 3, pad=1)
     g = RNG.standard_normal((2, 4, 7, 7))
-    _, _, gb = conv2d_backward(g, x, p)
+    _, _, gb = conv2d_backward(g, conv2d_forward(x, p)[1], p)
     assert np.allclose(gb, g.sum(axis=(0, 2, 3)))
 
 
@@ -89,12 +91,21 @@ def test_conv_backward_shape_mismatch():
     x = RNG.standard_normal((1, 3, 8, 8))
     p = _conv(4, 3, 3, pad=1)
     with pytest.raises(LayerError):
-        conv2d_backward(np.zeros((1, 4, 5, 5)), x, p)
+        conv2d_backward(np.zeros((1, 4, 5, 5)), conv2d_forward(x, p)[1], p)
+
+
+def test_conv_1x1_patch_matrix_is_the_input_reshaped():
+    # a channel-major input, as a conv's output is, needs no copy at all
+    x = np.ascontiguousarray(RNG.standard_normal((3, 2, 4, 5))).transpose(1, 0, 2, 3)
+    _, cache = conv2d_forward(x, _conv(4, 3, 1))
+    assert np.shares_memory(cache.cols, x)
+    assert np.array_equal(cache.cols, x.transpose(1, 0, 2, 3).reshape(3, 2 * 4 * 5))
 
 
 def test_conv_gradcheck():
     assert check_conv() < 1e-4
     assert check_conv_strided() < 1e-4
+    assert check_conv_1x1() < 1e-4
 
 
 # -- batch normalization ----------------------------------------------------
@@ -261,17 +272,50 @@ def test_maxpool_gradcheck():
 
 
 # -- window kernels against the sliding-window oracles ----------------------------
-# The im2col and max-pool kernels these replaced, kept as oracles: a sliding
-# window view, an argmax per window (the first maximum on a tie) and an
-# np.add.at scatter through flat indices.
+# The im2col, convolution and max-pool kernels these replaced, kept as
+# oracles: a per-image sliding window view with a batched matmul, an argmax
+# per window (the first maximum on a tie) and an np.add.at scatter through
+# flat indices.
 
 
 def oracle_im2col(xp, k, stride):
+    """(n, c, hp, wp) -> per-image (n, c*k*k, oh*ow) patch matrices."""
     n, c = xp.shape[:2]
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     oh, ow = win.shape[2], win.shape[3]
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
     return np.ascontiguousarray(cols)
+
+
+def _pad(x, pad):
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+
+def oracle_conv2d_forward(x, p):
+    n, _, h, w = x.shape
+    oh, ow = layers.conv2d_out_hw(h, w, p.kernel, p.stride, p.pad)
+    cols = oracle_im2col(_pad(x, p.pad), p.kernel, p.stride)
+    y = np.matmul(p.weights.reshape(p.out_channels, -1), cols) + p.bias[:, None]
+    return y.reshape(n, p.out_channels, oh, ow)
+
+
+def oracle_conv2d_backward(grad_out, x, p):
+    n, c, h, w = x.shape
+    k, s, pad = p.kernel, p.stride, p.pad
+    oh, ow = grad_out.shape[2:]
+    cols = oracle_im2col(_pad(x, pad), k, s)
+    go = grad_out.reshape(n, p.out_channels, oh * ow)
+    grad_b = go.sum(axis=(0, 2))
+    go_flat = np.ascontiguousarray(go.transpose(1, 0, 2)).reshape(p.out_channels, -1)
+    cols_flat = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(cols.shape[1], -1)
+    grad_w = (go_flat @ cols_flat.T).reshape(p.weights.shape)
+    grad_cols = np.matmul(p.weights.reshape(p.out_channels, -1).T, go).reshape(n, c, k, k, oh, ow)
+    grad_xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
+    for dy in range(k):
+        for dx in range(k):
+            grad_xp[:, :, dy:dy + s * (oh - 1) + 1:s, dx:dx + s * (ow - 1) + 1:s] += \
+                grad_cols[:, :, dy, dx]
+    return grad_xp[:, :, pad:pad + h, pad:pad + w], grad_w, grad_b
 
 
 def oracle_maxpool_forward(x, size, stride, pad):
@@ -349,12 +393,48 @@ def test_maxpool_forward_puts_nan_where_oracle_does(case):
 @given(pool_cases())
 @settings(max_examples=100, deadline=None)
 def test_im2col_equals_sliding_window_oracle(case):
+    # the batch folds into the columns: (c*k*k, n*oh*ow), image-major
     x, k, stride, (pb, pa) = case
     xp = np.pad(x, ((0, 0), (0, 0), (pb, pa), (pb, pa)))
     oh, ow = layers.maxpool_out_hw(x.shape[2], x.shape[3], k, stride, (pb, pa))
     cols = layers._im2col(xp, k, stride, oh, ow)
-    ref = oracle_im2col(xp, k, stride)
+    per_image = oracle_im2col(xp, k, stride)
+    ref = per_image.transpose(1, 0, 2).reshape(per_image.shape[1], -1)
     assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
+
+
+# The batch-folded GEMM sums in another order than the per-image oracle, so
+# it is held to a tolerance per dtype, relative to the largest oracle value.
+CONV_TOLERANCE = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
+
+
+@st.composite
+def conv_cases(draw):
+    n, c, out_c = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    lo = max(1, k - 2 * pad)
+    h, w = draw(st.integers(lo, lo + 6)), draw(st.integers(lo, lo + 6))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    p = ConvParams(weights=rng.standard_normal((out_c, c, k, k)).astype(dtype),
+                   bias=rng.standard_normal(out_c).astype(dtype), stride=stride, pad=pad)
+    g = rng.standard_normal((n, out_c, *layers.conv2d_out_hw(h, w, k, stride, pad)))
+    return x, p, g.astype(dtype)
+
+
+@given(conv_cases())
+@settings(max_examples=300, deadline=None)
+def test_conv_equals_per_image_oracle_within_tolerance(case):
+    x, p, g = case
+    y, cache = conv2d_forward(x, p)
+    got = [y, *conv2d_backward(g, cache, p)]
+    ref = [oracle_conv2d_forward(x, p), *oracle_conv2d_backward(g, x, p)]
+    for name, a, b in zip(("y", "grad_x", "grad_w", "grad_b"), got, ref):
+        assert a.shape == b.shape and a.dtype == b.dtype == x.dtype, name
+        err = np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(x.dtype).tiny)
+        assert err <= CONV_TOLERANCE[x.dtype], (name, err)
 
 
 def test_maxpool_all_negative_window_takes_padding_zero():
@@ -386,11 +466,12 @@ def test_every_kernel_returns_its_input_dtype(dtype, seed):
                       bias=rng.standard_normal(3).astype(dtype), pad=1)
     bn = BNParams(*(np.full(3, v, dtype=dtype) for v in (1.5, 0.5, 0.0, 1.0)))
     leaky = LeakyParams(10.0)
+    conv_y, conv_cache = conv2d_forward(x, conv)
     bn_y, bn_cache = batchnorm_forward(x, bn, training=True)
     pool_y, pool_cache = maxpool_forward(x, 3, 1, 1)
     outs = {
-        "conv2d_forward": [conv2d_forward(x, conv)],
-        "conv2d_backward": conv2d_backward(g, x, conv),
+        "conv2d_forward": [conv_y, conv_cache.cols],
+        "conv2d_backward": conv2d_backward(g, conv_cache, conv),
         "batchnorm_forward": [bn_y, batchnorm_forward(x, bn, training=False)[0]],
         "batchnorm_backward": batchnorm_backward(g, bn_cache, bn),
         "leaky_forward": [leaky_forward(x, leaky)],

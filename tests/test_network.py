@@ -1,4 +1,5 @@
 import os
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,61 @@ def test_inference_forward_does_not_enable_backward():
         net.backward(np.zeros((1, 16, 3, 3), dtype=np.float32))
 
 
+def test_inference_forward_leaves_no_cache(monkeypatch):
+    net = tiny_net()
+    x = np.random.default_rng(8).standard_normal((2, 3, 96, 96)).astype(np.float32)
+    net.forward(x, training=True)
+    conv_caches = []
+    for node in net.conv_nodes():
+        forward = node.forward
+
+        def recording(ins, training, forward=forward):
+            out, cache = forward(ins, training)
+            conv_caches.append(cache["conv"])
+            return out, cache
+        monkeypatch.setattr(node, "forward", recording)
+    net.forward(x, training=False)
+    assert net._cache is None  # the training cache of the earlier pass is gone too
+    assert len(conv_caches) == sum(1 for _ in net.conv_nodes())
+    assert all(c is None for c in conv_caches)  # no patch matrix outlives its node
+
+
+def test_forward_drops_each_activation_after_its_last_reader(monkeypatch):
+    net = tiny_net()
+    refs, alive_at_head = {}, []
+    head = net.nodes[-1]
+    for node in net.nodes:
+        def recording(ins, training, forward=node.forward, name=node.name):
+            if name == head.name:
+                alive_at_head.extend(n for n, ref in refs.items() if ref() is not None)
+            out, cache = forward(ins, training)
+            refs[name] = weakref.ref(out)
+            return out, cache
+        monkeypatch.setattr(node, "forward", recording)
+    net.forward(np.zeros((1, 3, 96, 96), dtype=np.float32))
+    assert alive_at_head == head.inputs
+
+
+def test_second_backward_raises():
+    net = tiny_net()
+    rng = np.random.default_rng(9)
+    out = net.forward(rng.standard_normal((1, 3, 96, 96)).astype(np.float32), training=True)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    net.backward(g)
+    assert net._cache is None
+    with pytest.raises(NetworkError, match="training"):
+        net.backward(g)
+
+
+def test_backward_with_wrong_grad_shape_keeps_the_cache():
+    net = tiny_net()
+    rng = np.random.default_rng(10)
+    out = net.forward(rng.standard_normal((1, 3, 96, 96)).astype(np.float32), training=True)
+    with pytest.raises(NetworkError, match="grad shape"):
+        net.backward(np.zeros((1, 16, 4, 4), dtype=np.float32))
+    assert net.backward(np.zeros_like(out))
+
+
 def test_zero_output_grad_gives_zero_param_grads():
     net = tiny_net()
     rng = np.random.default_rng(3)
@@ -248,7 +304,7 @@ def test_layer_kernels_called_through_network_module(monkeypatch):
     assert len(calls["maxpool_forward"]) == len(calls["maxpool_backward"]) == n_pool
     for name in kernels:
         assert calls[name], name
-    # conv1 is called positionally as (grad, x, params) and asks for no image gradient
+    # conv1 is called positionally as (grad, cache, params) and asks for no image gradient
     conv1 = [c for c in calls["conv2d_backward"] if c[0][2] is net._by_name["conv1"].conv]
     assert len(conv1) == 1 and len(conv1[0][0]) == 3
     assert conv1[0][1] == {"input_grad": False}
@@ -257,12 +313,16 @@ def test_layer_kernels_called_through_network_module(monkeypatch):
 def test_skipping_image_gradient_keeps_conv1_grads_bit_identical(monkeypatch):
     net = tiny_net()
     rng = np.random.default_rng(7)
-    out = net.forward(rng.standard_normal((2, 3, 96, 96)).astype(np.float32), training=True)
+    x = rng.standard_normal((2, 3, 96, 96)).astype(np.float32)
+    out = net.forward(x, training=True)
     g = rng.standard_normal(out.shape).astype(np.float32)
     skipped = net.backward(g)
     full_backward = network.conv2d_backward
     monkeypatch.setattr(network, "conv2d_backward",
-                        lambda go, x, p, input_grad=True: full_backward(go, x, p))
+                        lambda go, cache, p, input_grad=True: full_backward(go, cache, p))
+    # backward frees the cache; the same input and weights give the same
+    # batch statistics, so a second training forward rebuilds it bit for bit
+    assert net.forward(x, training=True).tobytes() == out.tobytes()
     full = net.backward(g)
     for key in ("conv1.weights", "conv1.bias"):
         assert skipped[key].dtype == full[key].dtype
