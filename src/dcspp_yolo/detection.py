@@ -90,11 +90,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PredGrid:
-    """Decoded predictions for one image, anchor-major arrays of (S, S, K).
+    """Decoded predictions for a batch, anchor-major arrays of (B, S, S, K).
 
     x_off/y_off are sigmoid intra-cell offsets; w/h are decoded box dims
     in grid units (anchor * exp(raw)); conf is the sigmoid objectness;
-    cls is (S, S, K, C) per-class sigmoid probabilities.
+    cls is (B, S, S, K, C) per-class sigmoid probabilities.
     """
 
     x_off: np.ndarray
@@ -106,30 +106,31 @@ class PredGrid:
     anchor_dims: np.ndarray  # (K, 2) grid units
 
     @property
-    def s(self) -> int:
+    def b(self) -> int:
         return self.x_off.shape[0]
 
     @property
+    def s(self) -> int:
+        return self.x_off.shape[1]
+
+    @property
     def k(self) -> int:
-        return self.x_off.shape[2]
+        return self.x_off.shape[3]
 
     @property
     def c(self) -> int:
-        return self.cls.shape[3]
+        return self.cls.shape[4]
 
 
 def decode_predictions(raw: np.ndarray, anchors: AnchorSet) -> PredGrid:
-    """Split a raw (K*(5+C), S, S) or (1, K*(5+C), S, S) output volume
-    into a PredGrid.
+    """Split a raw (B, K*(5+C), S, S) output volume into a PredGrid.
 
     Channel layout per anchor: tx, ty, tw, th, tc, then C class logits.
     """
     raw = np.asarray(raw)
-    if raw.ndim == 4:
-        if raw.shape[0] != 1:
-            raise DetectionError(f"decode expects a single image, got batch of {raw.shape[0]}")
-        raw = raw[0]
-    channels, s, s2 = raw.shape
+    if raw.ndim != 4:
+        raise DetectionError(f"expected a (B, K*(5+C), S, S) volume, got shape {raw.shape}")
+    b, channels, s, s2 = raw.shape
     if s != s2:
         raise DetectionError(f"grid must be square, got {s}x{s2}")
     k = anchors.k
@@ -138,13 +139,14 @@ def decode_predictions(raw: np.ndarray, anchors: AnchorSet) -> PredGrid:
             f"channel count {channels} does not factor as K*(5+C) with K={k} and C >= 1"
         )
     c = channels // k - 5
-    vol = raw.astype(np.float64).reshape(k, 5 + c, s, s).transpose(2, 3, 0, 1)  # (S,S,K,5+C)
+    # (B, K, 5+C, S, S) -> (B, S, S, K, 5+C)
+    vol = raw.astype(np.float64).reshape(b, k, 5 + c, s, s).transpose(0, 3, 4, 1, 2)
     dims = anchors.as_array()
     return PredGrid(
         x_off=sigmoid(vol[..., 0]),
         y_off=sigmoid(vol[..., 1]),
-        w=dims[None, None, :, 0] * np.exp(vol[..., 2]),
-        h=dims[None, None, :, 1] * np.exp(vol[..., 3]),
+        w=dims[:, 0] * np.exp(vol[..., 2]),
+        h=dims[:, 1] * np.exp(vol[..., 3]),
         conf=sigmoid(vol[..., 4]),
         cls=sigmoid(vol[..., 5:]),
         anchor_dims=dims,
@@ -168,13 +170,15 @@ def decode(
     by descending score, NaN scores last.
     """
     p = decode_predictions(grid, anchors)
+    if p.b != 1:
+        raise DetectionError(f"decode expects a single image, got batch of {p.b}")
     cell_w = img_w / p.s
     cell_h = img_h / p.s
-    rows, cols, _ = np.indices(p.conf.shape)
-    bx = (cols + p.x_off) * cell_w
-    by = (rows + p.y_off) * cell_h
-    bw = p.w * cell_w
-    bh = p.h * cell_h
+    rows, cols, _ = np.indices(p.conf.shape[1:])
+    bx = (cols + p.x_off[0]) * cell_w
+    by = (rows + p.y_off[0]) * cell_h
+    bw = p.w[0] * cell_w
+    bh = p.h[0] * cell_h
     boxes = np.stack([
         np.minimum(np.maximum(bx - bw / 2, 0.0), img_w),
         np.minimum(np.maximum(by - bh / 2, 0.0), img_h),
@@ -183,8 +187,8 @@ def decode(
     ], axis=-1)
     # (S, S, K) -> (K, S, S): slots in (anchor, row, column) order
     boxes = boxes.transpose(2, 0, 1, 3).reshape(-1, 4)
-    class_id = p.cls.argmax(axis=-1).transpose(2, 0, 1).ravel().astype(np.int64)
-    score = (p.conf * p.cls.max(axis=-1)).transpose(2, 0, 1).ravel()
+    class_id = p.cls[0].argmax(axis=-1).transpose(2, 0, 1).ravel().astype(np.int64)
+    score = (p.conf[0] * p.cls[0].max(axis=-1)).transpose(2, 0, 1).ravel()
     keep = np.flatnonzero(~(score <= conf_thres))  # a NaN score is kept, not dropped
     keep = keep[np.argsort(-score[keep], kind="stable")]
     return Detections(boxes=boxes[keep], scores=score[keep], class_ids=class_id[keep])

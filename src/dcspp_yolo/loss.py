@@ -17,6 +17,11 @@ as 0, and gradient descent actively saturates any slot that wanders
 above 2/3. The squared-error-on-activations form keeps zero loss
 equivalent to zero residuals.
 
+Everything works on a batch of B images (one image is a batch of one):
+each part is summed over an image's slots and averaged over the images.
+Warm-up is per image: image b of a batch that starts after `images_seen`
+images is pulled toward the priors while images_seen + b < n_prior.
+
 Targets (which slot owns which truth, and the confidence target for
 owned slots) are frozen into the Assignment when it is built, so
 `compute_loss` is a pure differentiable function of the raw network
@@ -31,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorSet, shape_iou_matrix
-# decode_predictions is re-exported: the loss is defined on its PredGrid
-from .detection import BBox, PredGrid, box_array, decode_predictions, iou_matrix
+from .detection import BBox, PredGrid, box_array, iou_matrix
 
 
 class LossError(ValueError):
@@ -76,25 +80,28 @@ class TruthBox:
 class Assignment:
     """Per-slot indicators plus the targets frozen at assignment time."""
 
-    obj: np.ndarray          # (S, S, K) bool
-    noobj: np.ndarray        # (S, S, K) bool
-    prior_active: bool
-    truth_idx: np.ndarray    # (S, S, K) int, -1 when unassigned
-    conf_target: np.ndarray  # (S, S, K) IoU(pred, truth) for owned slots
+    obj: np.ndarray           # (B, S, S, K) bool
+    noobj: np.ndarray         # (B, S, S, K) bool
+    prior_active: np.ndarray  # (B,) bool, True while image b is in warm-up
+    truth_idx: np.ndarray     # (B, S, S, K) int into the batch's truths, -1 when unassigned
+    conf_target: np.ndarray   # (B, S, S, K) IoU(pred, truth) for owned slots
 
 
-def _validate_truths(truths: list[TruthBox]) -> None:
-    for idx, t in enumerate(truths):
-        if not (0.0 <= t.cx <= 1.0 and 0.0 <= t.cy <= 1.0):
-            raise LossError(f"truth {idx}: center ({t.cx}, {t.cy}) outside [0, 1]")
-        if not (0.0 < t.w <= 1.0 and 0.0 < t.h <= 1.0):
-            raise LossError(f"truth {idx}: size ({t.w}, {t.h}) outside (0, 1]")
-        if t.class_id < 0:
-            raise LossError(f"truth {idx}: negative class id {t.class_id}")
+def _validate_truths(truths: list[list[TruthBox]], b: int) -> None:
+    if len(truths) != b:
+        raise LossError(f"{len(truths)} truth lists for a batch of {b} images")
+    for img, image_truths in enumerate(truths):
+        for idx, t in enumerate(image_truths):
+            if not (0.0 <= t.cx <= 1.0 and 0.0 <= t.cy <= 1.0):
+                raise LossError(f"image {img}, truth {idx}: center ({t.cx}, {t.cy}) outside [0, 1]")
+            if not (0.0 < t.w <= 1.0 and 0.0 < t.h <= 1.0):
+                raise LossError(f"image {img}, truth {idx}: size ({t.w}, {t.h}) outside (0, 1]")
+            if t.class_id < 0:
+                raise LossError(f"image {img}, truth {idx}: negative class id {t.class_id}")
 
 
 def assign_targets(
-    truths: list[TruthBox],
+    truths: list[list[TruthBox]],
     preds: PredGrid,
     anchors: AnchorSet,
     weights: LossWeights,
@@ -102,27 +109,31 @@ def assign_targets(
 ) -> Assignment:
     """Choose the responsible slot per truth and the no-object mask.
 
-    Each truth is owned by the slot in its center cell whose anchor shape
-    has the highest co-centered IoU with it (the first such anchor on a
-    tie); that slot's confidence target is the IoU of the current
-    predicted box against the truth. Slots whose predicted box overlaps
-    any truth above iou_thres are exempted from the no-object penalty;
-    everything else is a no-object slot. Both come from one
-    (S, S, K, T) IoU matrix of every predicted box against every truth.
-    The prior indicator covers all slots while fewer than n_prior images
-    were seen.
+    `truths` holds one list per image of the batch; `truth_idx` indexes
+    their concatenation in image order. Each truth is owned by the slot
+    in its center cell of its own image whose anchor shape has the
+    highest co-centered IoU with it (the first such anchor on a tie);
+    that slot's confidence target is the IoU of the current predicted
+    box against the truth. Slots whose predicted box overlaps any truth
+    of the same image above iou_thres are exempted from the no-object
+    penalty; everything else is a no-object slot. Both come from one
+    (B*S*S*K, T) IoU matrix of every predicted box against every truth
+    of the batch, masked to each slot's own image. Image b is in prior
+    warm-up while images_seen + b < n_prior.
 
-    When two truths claim the same (cell, anchor) slot, the later truth in
-    `truths` owns it and the earlier one is dropped.
+    When two truths of one image claim the same (cell, anchor) slot, the
+    later truth owns it and the earlier one is dropped.
     """
-    _validate_truths(truths)
-    s, k = preds.s, preds.k
-    obj = np.zeros((s, s, k), dtype=bool)
-    noobj = np.ones((s, s, k), dtype=bool)
-    truth_idx = np.full((s, s, k), -1, dtype=np.int64)
-    conf_target = np.zeros((s, s, k), dtype=np.float64)
+    b, s, k = preds.b, preds.s, preds.k
+    _validate_truths(truths, b)
+    flat = [t for image_truths in truths for t in image_truths]
+    obj = np.zeros((b, s, s, k), dtype=bool)
+    noobj = np.ones((b, s, s, k), dtype=bool)
+    truth_idx = np.full((b, s, s, k), -1, dtype=np.int64)
+    conf_target = np.zeros((b, s, s, k), dtype=np.float64)
 
-    if truths:
+    if flat:
+        image_of = np.repeat(np.arange(b), [len(ts) for ts in truths])
         # predicted boxes in normalized image coordinates
         rows, cols, _ = np.indices((s, s, k))
         cx = (cols + preds.x_off) / s
@@ -130,24 +141,25 @@ def assign_targets(
         w = preds.w / s
         h = preds.h / s
         pred_boxes = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
-        ious = iou_matrix(pred_boxes.reshape(-1, 4), box_array(t.corners() for t in truths))
-        ious = ious.reshape(s, s, k, len(truths))
-        noobj = ~(ious > weights.iou_thres).any(axis=-1)
-        shapes = np.array([(t.w * s, t.h * s) for t in truths])
+        ious = iou_matrix(pred_boxes.reshape(-1, 4), box_array(t.corners() for t in flat))
+        ious = ious.reshape(b, s, s, k, len(flat))
+        same_image = (image_of == np.arange(b)[:, None])[:, None, None, None, :]
+        noobj = ~((ious > weights.iou_thres) & same_image).any(axis=-1)
+        shapes = np.array([(t.w * s, t.h * s) for t in flat])
         best_anchor = shape_iou_matrix(shapes, anchors.as_array()).argmax(axis=1)
         # one truth at a time, so that the later of two colliding truths wins
-        for t_i, (t, a) in enumerate(zip(truths, best_anchor.tolist())):
+        for t_i, (t, img, a) in enumerate(zip(flat, image_of.tolist(), best_anchor.tolist())):
             j = min(int(t.cx * s), s - 1)
             i = min(int(t.cy * s), s - 1)
-            obj[i, j, a] = True
-            noobj[i, j, a] = False
-            truth_idx[i, j, a] = t_i
-            conf_target[i, j, a] = ious[i, j, a, t_i]
+            obj[img, i, j, a] = True
+            noobj[img, i, j, a] = False
+            truth_idx[img, i, j, a] = t_i
+            conf_target[img, i, j, a] = ious[img, i, j, a, t_i]
 
     return Assignment(
         obj=obj,
         noobj=noobj,
-        prior_active=images_seen < weights.n_prior,
+        prior_active=images_seen + np.arange(b) < weights.n_prior,
         truth_idx=truth_idx,
         conf_target=conf_target,
     )
@@ -182,42 +194,31 @@ def _sq_term_and_grad(residual, s):
     return val, grad
 
 
-def _prior_residuals(preds: PredGrid, dims: np.ndarray):
-    rx = 0.5 - preds.x_off
-    ry = 0.5 - preds.y_off
-    rw = dims[None, None, :, 0] - preds.w
-    rh = dims[None, None, :, 1] - preds.h
-    return rx, ry, rw, rh
-
-
-def prior_term(preds: PredGrid, anchors: AnchorSet) -> float:
-    """Unweighted sum over all slots of the prior-matching penalty."""
-    rx, ry, rw, rh = _prior_residuals(preds, anchors.as_array())
-    return float((rx ** 2 + ry ** 2 + rw ** 2 + rh ** 2).sum())
-
-
 def compute_loss(
     preds: PredGrid,
-    truths: list[TruthBox],
+    truths: list[list[TruthBox]],
     assignment: Assignment,
     weights: LossWeights,
 ) -> tuple[LossParts, np.ndarray]:
-    """Weighted loss parts and the gradient w.r.t. the raw output volume.
+    """Batch-mean weighted loss parts and the gradient of their total
+    w.r.t. the raw output volume.
 
-    The returned gradient has shape (K*(5+C), S, S) in float64 and matches
-    central finite differences of the total for a fixed assignment.
+    `truths` and `assignment` are those given to and returned by
+    `assign_targets`. The returned gradient has shape (B, K*(5+C), S, S)
+    in float64 and matches central finite differences of the mean total
+    for a fixed assignment.
     """
-    s, k, c = preds.s, preds.k, preds.c
+    b, s, k, c = preds.b, preds.s, preds.k, preds.c
     lam = weights
     obj = assignment.obj
     noobj = assignment.noobj
 
-    d_tx = np.zeros((s, s, k))
-    d_ty = np.zeros((s, s, k))
-    d_tw = np.zeros((s, s, k))
-    d_th = np.zeros((s, s, k))
-    d_tc = np.zeros((s, s, k))
-    d_cls = np.zeros((s, s, k, c))
+    d_tx = np.zeros((b, s, s, k))
+    d_ty = np.zeros((b, s, s, k))
+    d_tw = np.zeros((b, s, s, k))
+    d_th = np.zeros((b, s, s, k))
+    d_tc = np.zeros((b, s, s, k))
+    d_cls = np.zeros((b, s, s, k, c))
 
     # confidence: target 0 on no-object slots, stored IoU on owned slots
     conf_res = np.where(obj, assignment.conf_target, 0.0) - preds.conf
@@ -230,12 +231,13 @@ def compute_loss(
     # coordinates and classification on owned slots
     coord_part = 0.0
     cls_part = 0.0
-    if truths:
+    flat = [t for image_truths in truths for t in image_truths]
+    if flat:
         own = np.nonzero(obj)
-        i, j, _ = own
+        _, i, j, _ = own
         t_idx = assignment.truth_idx[own]
-        t_cx, t_cy, t_w, t_h = np.array([(t.cx, t.cy, t.w, t.h) for t in truths])[t_idx].T
-        t_cls = np.array([t.class_id for t in truths])[t_idx]
+        t_cx, t_cy, t_w, t_h = np.array([(t.cx, t.cy, t.w, t.h) for t in flat])[t_idx].T
+        t_cls = np.array([t.class_id for t in flat])[t_idx]
         x_off, y_off, w, h = preds.x_off[own], preds.y_off[own], preds.w[own], preds.h[own]
         vx, gx_grad = _sq_term_and_grad(t_cx * s - j - x_off, x_off)
         vy, gy_grad = _sq_term_and_grad(t_cy * s - i - y_off, y_off)
@@ -253,22 +255,26 @@ def compute_loss(
         cls_part = lam.cls * -float(log_p.sum(axis=1).sum())
         d_cls[own] += lam.cls * (p - onehot)
 
-    # prior pull on every slot during warm-up
+    # prior pull on every slot of the images in warm-up
     prior_part = 0.0
-    if assignment.prior_active and lam.prior > 0:
-        rx, ry, rw, rh = _prior_residuals(preds, preds.anchor_dims)
-        vx, gx_grad = _sq_term_and_grad(rx, preds.x_off)
-        vy, gy_grad = _sq_term_and_grad(ry, preds.y_off)
+    warm = assignment.prior_active
+    if lam.prior > 0 and warm.any():
+        x_off, y_off, w, h = preds.x_off[warm], preds.y_off[warm], preds.w[warm], preds.h[warm]
+        vx, gx_grad = _sq_term_and_grad(0.5 - x_off, x_off)
+        vy, gy_grad = _sq_term_and_grad(0.5 - y_off, y_off)
+        rw = preds.anchor_dims[:, 0] - w
+        rh = preds.anchor_dims[:, 1] - h
         prior_part = lam.prior * float((vx + vy + rw ** 2 + rh ** 2).sum())
-        d_tx += lam.prior * gx_grad
-        d_ty += lam.prior * gy_grad
-        d_tw += lam.prior * 2.0 * rw * (-preds.w)
-        d_th += lam.prior * 2.0 * rh * (-preds.h)
+        d_tx[warm] += lam.prior * gx_grad
+        d_ty[warm] += lam.prior * gy_grad
+        d_tw[warm] += lam.prior * 2.0 * rw * (-w)
+        d_th[warm] += lam.prior * 2.0 * rh * (-h)
 
-    parts = LossParts(noobj=noobj_part, obj=obj_part, coord=coord_part,
-                      cls=cls_part, prior=prior_part)
+    parts = LossParts(noobj=noobj_part / b, obj=obj_part / b, coord=coord_part / b,
+                      cls=cls_part / b, prior=prior_part / b)
 
-    # assemble (S,S,K,5+C) then fold into the raw channel layout
+    # assemble (B,S,S,K,5+C), fold into the raw channel layout, and copy it
+    # C-contiguous like the raw output: backward's float32 sums follow the layout
     grad_slots = np.concatenate(
         [
             d_tx[..., None], d_ty[..., None], d_tw[..., None], d_th[..., None],
@@ -276,5 +282,5 @@ def compute_loss(
         ],
         axis=-1,
     )
-    grad = grad_slots.transpose(2, 3, 0, 1).reshape(k * (5 + c), s, s)
-    return parts, grad
+    grad = np.ascontiguousarray(grad_slots.transpose(0, 3, 4, 1, 2)).reshape(b, k * (5 + c), s, s)
+    return parts, grad / b

@@ -379,22 +379,19 @@ def train(
     net: NetworkGraph,
     manifest: DatasetManifest,
     cfg: TrainConfig,
-    loss_weights: LossWeights | None = None,
     on_checkpoint: Callable[[int, NetworkGraph], None] | None = None,
     max_iterations: int = 0,
 ) -> TrainResult:
     """Run the optimization loop: augment, forward, loss, backward, Adam.
 
-    The prior warm-up follows an images-seen counter; the per-iteration
-    loss log holds batch means of the weighted loss parts. A non-finite
-    loss aborts with the offending iteration. Bit-reproducible for a fixed
-    (seed, config, dataset).
+    The prior warm-up follows an images-seen counter against
+    `cfg.n_prior`; the per-iteration loss log holds batch means of the
+    weighted loss parts. A non-finite loss aborts with the offending
+    iteration. Bit-reproducible for a fixed (seed, config, dataset).
     """
     if net.cfg.anchors is None:
         raise TrainingError("network config carries no anchors; training needs them")
-    weights = loss_weights or LossWeights()
-    if weights.n_prior != cfg.n_prior:
-        weights = replace(weights, n_prior=cfg.n_prior)
+    weights = LossWeights(n_prior=cfg.n_prior)
     rng = np.random.default_rng(cfg.seed)
     params = net.parameters()
     state = AdamState()
@@ -433,26 +430,16 @@ def train(
             x = np.stack(xs)
             raw = net.forward(x, training=True)
 
-            bsz = len(batch)
-            grad = np.zeros_like(raw)
-            acc = np.zeros(6)
-            for b in range(bsz):
-                preds = decode_predictions(raw[b], anchors)
-                asg = assign_targets(batch_truths[b], preds, anchors, weights,
-                                     images_seen=images_seen)
-                images_seen += 1
-                parts, g = compute_loss(preds, batch_truths[b], asg, weights)
-                acc += np.asarray(parts.as_tuple())
-                grad[b] = g / bsz
-            acc /= bsz
-            mean_parts = LossParts(noobj=acc[1], obj=acc[2], coord=acc[3],
-                                   cls=acc[4], prior=acc[5])
-            if not np.isfinite(acc).all():
+            preds = decode_predictions(raw, anchors)
+            asg = assign_targets(batch_truths, preds, anchors, weights, images_seen=images_seen)
+            images_seen += len(batch)
+            parts, grad = compute_loss(preds, batch_truths, asg, weights)
+            if not np.isfinite(parts.as_tuple()).all():
                 raise TrainingError(f"non-finite loss at iteration {iteration}")
 
-            grads = net.backward(grad)
+            grads = net.backward(grad.astype(raw.dtype))
             adam_step(params, grads, state, lr, cfg)
-            rows.append(LogRow(iteration=iteration, epoch=epoch, lr=lr, parts=mean_parts))
+            rows.append(LogRow(iteration=iteration, epoch=epoch, lr=lr, parts=parts))
             if max_iterations and iteration >= max_iterations:
                 done = True
                 break

@@ -17,9 +17,9 @@ from dcspp_yolo import gradcheck
 from dcspp_yolo.anchors import AnchorSet, iou_dist, kmeans_anchors, load_boxes_from_labels
 from dcspp_yolo.cli import main as cli_main
 from dcspp_yolo.data import image_to_tensor
-from dcspp_yolo.detection import BBox, detect_image, nms
+from dcspp_yolo.detection import BBox, decode_predictions, detect_image, nms
 from dcspp_yolo.evaluation import average_precision, evaluate, match_detections
-from dcspp_yolo.loss import LossWeights, TruthBox, assign_targets, compute_loss, decode_predictions
+from dcspp_yolo.loss import LossWeights, TruthBox, assign_targets, compute_loss
 from dcspp_yolo.network import NetworkConfig, REFERENCE_SHAPES_416, build_network
 from dcspp_yolo.ppm import ppm_read, ppm_write
 from dcspp_yolo.training import TrainConfig, synth_dataset, train, write_loss_log
@@ -106,10 +106,10 @@ def test_acceptance_loss_oracle():
             TruthBox(cx=0.77, cy=0.74, w=0.25, h=0.2, class_id=1),
         ]
         w = LossWeights(n_prior=1000)
-        preds = decode_predictions(raw, anchors)
+        preds = decode_predictions(raw[None], anchors)
         for images_seen in (0, 1000):
-            asg = assign_targets(truths, preds, anchors, w, images_seen=images_seen)
-            parts, _ = compute_loss(preds, truths, asg, w)
+            asg = assign_targets([truths], preds, anchors, w, images_seen=images_seen)
+            parts, _ = compute_loss(preds, [truths], asg, w)
             expected = straight_line_loss(raw, truths, asg, w, anchors)
             assert abs(parts.total - expected) <= 1e-10
 
@@ -121,9 +121,9 @@ def test_acceptance_loss_oracle():
         raw[5, 0, 1] = -800.0
         raw[6, 0, 1] = 800.0
         truth = TruthBox(cx=0.75, cy=0.25, w=0.7 / 2, h=0.9 / 2, class_id=1)
-        preds = decode_predictions(raw, anchors)
-        asg = assign_targets([truth], preds, anchors, w, images_seen=1000)
-        parts, _ = compute_loss(preds, [truth], asg, w)
+        preds = decode_predictions(raw[None], anchors)
+        asg = assign_targets([[truth]], preds, anchors, w, images_seen=1000)
+        parts, _ = compute_loss(preds, [[truth]], asg, w)
         assert parts.total == 0.0
 
 

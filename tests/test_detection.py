@@ -198,6 +198,11 @@ def test_decode_channel_mismatch():
         decode(np.zeros((1, 7, 4, 4)), AnchorSet(dims=[(1, 1), (2, 2)]), 128, 128, 0.1)
 
 
+def test_decode_rejects_a_batch_of_two():
+    with pytest.raises(DetectionError, match="single image, got batch of 2"):
+        decode(np.zeros((2, 6, 4, 4)), _anchors1(), 128, 128, 0.1)
+
+
 def test_decode_conf_threshold_one_empty():
     grid = np.full((1, 6, 4, 4), 3.0)
     assert list(decode(grid, _anchors1(), 128, 128, 1.0)) == []

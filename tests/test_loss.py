@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from test_detection import iou
 
 from dcspp_yolo.anchors import AnchorSet
-from dcspp_yolo.detection import BBox, DetectionError
+from dcspp_yolo.detection import BBox, DetectionError, decode_predictions
 from dcspp_yolo.gradcheck import check_loss
 from dcspp_yolo.loss import (
     Assignment,
@@ -16,8 +16,6 @@ from dcspp_yolo.loss import (
     TruthBox,
     assign_targets,
     compute_loss,
-    decode_predictions,
-    prior_term,
 )
 
 ANCHORS2 = AnchorSet(dims=[(0.8, 0.9), (1.6, 1.2)])
@@ -31,29 +29,37 @@ def _sig(x: float) -> float:
 
 
 def _raw(s, k, c, rng=None, fill=0.0):
+    """A batch of one raw output volume, (1, K*(5+C), S, S)."""
     if rng is None:
-        return np.full((k * (5 + c), s, s), fill)
-    return rng.standard_normal((k * (5 + c), s, s))
+        return np.full((1, k * (5 + c), s, s), fill)
+    return rng.standard_normal((1, k * (5 + c), s, s))
 
 
 # -- decode ------------------------------------------------------------------
 
 
 def test_decode_predictions_values():
-    raw = np.zeros((1 * 7, 2, 2))
-    raw[0, 0, 1] = 0.4   # tx at cell (0,1)
-    raw[2, 1, 0] = 0.25  # tw at cell (1,0)
+    raw = np.zeros((2, 1 * 7, 2, 2))
+    raw[1, 0, 0, 1] = 0.4   # tx at cell (0,1) of image 1
+    raw[1, 2, 1, 0] = 0.25  # tw at cell (1,0) of image 1
     anchors = AnchorSet(dims=[(0.7, 0.9)])
     g = decode_predictions(raw, anchors)
-    assert g.s == 2 and g.k == 1 and g.c == 2
-    assert g.x_off[0, 1, 0] == pytest.approx(_sig(0.4))
-    assert g.w[1, 0, 0] == pytest.approx(0.7 * math.exp(0.25))
-    assert g.conf[0, 0, 0] == pytest.approx(0.5)
+    assert g.b == 2 and g.s == 2 and g.k == 1 and g.c == 2
+    assert g.cls.shape == (2, 2, 2, 1, 2)
+    assert g.x_off[1, 0, 1, 0] == pytest.approx(_sig(0.4))
+    assert g.x_off[0, 0, 1, 0] == 0.5
+    assert g.w[1, 1, 0, 0] == pytest.approx(0.7 * math.exp(0.25))
+    assert g.conf[1, 0, 0, 0] == pytest.approx(0.5)
 
 
 def test_decode_predictions_channel_mismatch():
     with pytest.raises(DetectionError):
-        decode_predictions(np.zeros((9, 2, 2)), AnchorSet(dims=[(1, 1), (2, 2)]))
+        decode_predictions(np.zeros((1, 9, 2, 2)), AnchorSet(dims=[(1, 1), (2, 2)]))
+
+
+def test_decode_predictions_needs_a_batch_axis():
+    with pytest.raises(DetectionError, match="B, K"):
+        decode_predictions(np.zeros((7, 2, 2)), AnchorSet(dims=[(1, 1)]))
 
 
 # -- assignment ----------------------------------------------------------------
@@ -61,7 +67,7 @@ def test_decode_predictions_channel_mismatch():
 
 def test_no_truths_all_noobj():
     preds = decode_predictions(_raw(3, 2, 2), ANCHORS2)
-    asg = assign_targets([], preds, ANCHORS2, LossWeights())
+    asg = assign_targets([[]], preds, ANCHORS2, LossWeights())
     assert not asg.obj.any()
     assert asg.noobj.all()
 
@@ -71,9 +77,9 @@ def test_best_shape_anchor_wins():
     s = 13
     preds = decode_predictions(_raw(s, 2, 2), anchors)
     truth = TruthBox(cx=6.5 / s, cy=6.5 / s, w=3.0 / s, h=3.0 / s, class_id=0)
-    asg = assign_targets([truth], preds, anchors, LossWeights())
-    assert asg.obj[6, 6, 1]
-    assert not asg.obj[6, 6, 0]
+    asg = assign_targets([[truth]], preds, anchors, LossWeights())
+    assert asg.obj[0, 6, 6, 1]
+    assert not asg.obj[0, 6, 6, 0]
     assert asg.obj.sum() == 1
 
 
@@ -84,7 +90,7 @@ def test_two_truths_two_obj_slots_match_bruteforce():
         TruthBox(cx=0.2, cy=0.3, w=0.2, h=0.25, class_id=0),
         TruthBox(cx=0.8, cy=0.75, w=0.4, h=0.3, class_id=2),
     ]
-    asg = assign_targets(truths, preds, ANCHORS2, LossWeights())
+    asg = assign_targets([truths], preds, ANCHORS2, LossWeights())
     assert asg.obj.sum() == 2
     # brute-force expectation over all S*S*K slots
     s = 4
@@ -99,14 +105,14 @@ def test_two_truths_two_obj_slots_match_bruteforce():
             if v > best_v:
                 best_k, best_v = k, v
         expected.add((i, j, best_k))
-    assert {tuple(idx) for idx in np.argwhere(asg.obj)} == expected
+    assert {tuple(idx) for idx in np.argwhere(asg.obj[0])} == expected
 
 
 def test_obj_and_noobj_mutually_exclusive():
     rng = np.random.default_rng(1)
     preds = decode_predictions(_raw(4, 2, 3, rng), ANCHORS2)
     truths = [TruthBox(cx=0.4, cy=0.6, w=0.3, h=0.3, class_id=1)]
-    asg = assign_targets(truths, preds, ANCHORS2, LossWeights())
+    asg = assign_targets([truths], preds, ANCHORS2, LossWeights())
     assert not (asg.obj & asg.noobj).any()
 
 
@@ -115,7 +121,13 @@ def test_truth_out_of_range_rejected_with_index():
     bad = [TruthBox(cx=0.5, cy=0.5, w=0.2, h=0.2, class_id=0),
            TruthBox(cx=1.4, cy=0.5, w=0.2, h=0.2, class_id=0)]
     with pytest.raises(LossError, match="truth 1"):
-        assign_targets(bad, preds, ANCHORS2, LossWeights())
+        assign_targets([bad], preds, ANCHORS2, LossWeights())
+
+
+def test_truth_list_per_image_required():
+    preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
+    with pytest.raises(LossError, match="1 truth lists for a batch of 2"):
+        assign_targets([[]], preds, ANCHORS2, LossWeights())
 
 
 def test_slot_collision_later_truth_owns_slot():
@@ -124,17 +136,20 @@ def test_slot_collision_later_truth_owns_slot():
     preds = decode_predictions(_raw(3, 2, 2), anchors)
     truths = [TruthBox(cx=0.45, cy=0.45, w=0.2, h=0.2, class_id=0),
               TruthBox(cx=0.55, cy=0.55, w=0.2, h=0.2, class_id=1)]
-    asg = assign_targets(truths, preds, anchors, LossWeights())
+    asg = assign_targets([truths], preds, anchors, LossWeights())
     assert asg.obj.sum() == 1
-    assert asg.obj[1, 1, 0]
-    assert asg.truth_idx[1, 1, 0] == 1
+    assert asg.obj[0, 1, 1, 0]
+    assert asg.truth_idx[0, 1, 1, 0] == 1
 
 
 def test_prior_indicator_follows_images_seen():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
     w = LossWeights(n_prior=100)
-    assert assign_targets([], preds, ANCHORS2, w, images_seen=99).prior_active
-    assert not assign_targets([], preds, ANCHORS2, w, images_seen=100).prior_active
+    assert assign_targets([[]], preds, ANCHORS2, w, images_seen=99).prior_active.tolist() == [True]
+    assert assign_targets([[]], preds, ANCHORS2, w, images_seen=100).prior_active.tolist() == [False]
+    batch = decode_predictions(np.zeros((3, 14, 2, 2)), ANCHORS2)
+    asg = assign_targets([[], [], []], batch, ANCHORS2, w, images_seen=98)
+    assert asg.prior_active.tolist() == [True, True, False]
 
 
 # -- loss values -----------------------------------------------------------------
@@ -144,12 +159,12 @@ def _perfect_instance():
     """One truth exactly matched; extreme logits give exact 0/1 sigmoids."""
     anchors = AnchorSet(dims=[(0.7, 0.9)])
     s, k, c = 2, 1, 2
-    raw = np.zeros((k * (5 + c), s, s))
-    raw[4, :, :] = -800.0          # conf -> exactly 0 everywhere
+    raw = np.zeros((1, k * (5 + c), s, s))
+    raw[0, 4, :, :] = -800.0       # conf -> exactly 0 everywhere
     i, j = 0, 1
-    raw[4, i, j] = 800.0           # conf -> exactly 1 on the object slot
-    raw[5, i, j] = -800.0
-    raw[6, i, j] = 800.0           # true class (1) prob -> exactly 1
+    raw[0, 4, i, j] = 800.0        # conf -> exactly 1 on the object slot
+    raw[0, 5, i, j] = -800.0
+    raw[0, 6, i, j] = 800.0        # true class (1) prob -> exactly 1
     truth = TruthBox(cx=(j + 0.5) / s, cy=(i + 0.5) / s, w=0.7 / s, h=0.9 / s, class_id=1)
     return raw, [truth], anchors
 
@@ -158,20 +173,20 @@ def test_perfect_prediction_loss_exactly_zero():
     raw, truths, anchors = _perfect_instance()
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets(truths, preds, anchors, w, images_seen=w.n_prior)
-    parts, grad = compute_loss(preds, truths, asg, w)
+    asg = assign_targets([truths], preds, anchors, w, images_seen=w.n_prior)
+    parts, grad = compute_loss(preds, [truths], asg, w)
     assert parts.total == 0.0
     assert parts.as_tuple() == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_empty_image_all_conf_zero_loss_zero():
     anchors = AnchorSet(dims=[(1.0, 1.0)])
-    raw = np.zeros((6, 2, 2))
-    raw[4] = -800.0
+    raw = np.zeros((1, 6, 2, 2))
+    raw[0, 4] = -800.0
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets([], preds, anchors, w, images_seen=w.n_prior)
-    parts, _ = compute_loss(preds, [], asg, w)
+    asg = assign_targets([[]], preds, anchors, w, images_seen=w.n_prior)
+    parts, _ = compute_loss(preds, [[]], asg, w)
     assert parts.total == 0.0
 
 
@@ -182,8 +197,8 @@ def test_loss_nonnegative():
         preds = decode_predictions(_raw(3, 2, 2, rng), ANCHORS2)
         truths = [TruthBox(cx=rng.uniform(0.1, 0.9), cy=rng.uniform(0.1, 0.9),
                            w=rng.uniform(0.05, 0.5), h=rng.uniform(0.05, 0.5), class_id=0)]
-        asg = assign_targets(truths, preds, ANCHORS2, w, images_seen=0)
-        parts, _ = compute_loss(preds, truths, asg, w)
+        asg = assign_targets([truths], preds, ANCHORS2, w, images_seen=0)
+        parts, _ = compute_loss(preds, [truths], asg, w)
         assert parts.total >= 0.0
         for v in parts.as_tuple():
             assert v >= 0.0
@@ -196,19 +211,19 @@ def test_class_weight_monotonicity():
     preds = decode_predictions(raw, ANCHORS2)
     lo = LossWeights(cls=1.0)
     hi = LossWeights(cls=2.0)
-    asg = assign_targets(truths, preds, ANCHORS2, lo, images_seen=lo.n_prior)
-    assert compute_loss(preds, truths, asg, hi)[0].total > compute_loss(preds, truths, asg, lo)[0].total
+    asg = assign_targets([truths], preds, ANCHORS2, lo, images_seen=lo.n_prior)
+    assert compute_loss(preds, [truths], asg, hi)[0].total > compute_loss(preds, [truths], asg, lo)[0].total
 
 
 def test_zero_class_probability_is_clamped():
     anchors = AnchorSet(dims=[(1.0, 1.0)])
-    raw = np.zeros((6, 2, 2))
-    raw[5] = -800.0  # true-class probability exactly 0
+    raw = np.zeros((1, 6, 2, 2))
+    raw[0, 5] = -800.0  # true-class probability exactly 0
     truths = [TruthBox(cx=0.25, cy=0.25, w=0.4, h=0.4, class_id=0)]
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets(truths, preds, anchors, w, images_seen=w.n_prior)
-    parts, grad = compute_loss(preds, truths, asg, w)
+    asg = assign_targets([truths], preds, anchors, w, images_seen=w.n_prior)
+    parts, grad = compute_loss(preds, [truths], asg, w)
     assert math.isfinite(parts.total)
     assert np.isfinite(grad).all()
 
@@ -218,7 +233,10 @@ def test_zero_class_probability_is_clamped():
 
 def test_prior_term_zero_at_priors():
     preds = decode_predictions(_raw(3, 2, 2, fill=0.0), ANCHORS2)
-    assert prior_term(preds, ANCHORS2) == 0.0
+    w = LossWeights()
+    asg = assign_targets([[]], preds, ANCHORS2, w, images_seen=0)
+    assert asg.prior_active.all()
+    assert compute_loss(preds, [[]], asg, w)[0].prior == 0.0
 
 
 def test_prior_contributes_nothing_after_warmup():
@@ -226,21 +244,23 @@ def test_prior_contributes_nothing_after_warmup():
     raw = _raw(2, 2, 2, rng)
     preds = decode_predictions(raw, ANCHORS2)
     w = LossWeights(n_prior=5)
-    asg_on = assign_targets([], preds, ANCHORS2, w, images_seen=0)
-    asg_off = assign_targets([], preds, ANCHORS2, w, images_seen=5)
-    assert compute_loss(preds, [], asg_on, w)[0].prior > 0.0
-    assert compute_loss(preds, [], asg_off, w)[0].prior == 0.0
+    asg_on = assign_targets([[]], preds, ANCHORS2, w, images_seen=0)
+    asg_off = assign_targets([[]], preds, ANCHORS2, w, images_seen=5)
+    assert compute_loss(preds, [[]], asg_on, w)[0].prior > 0.0
+    assert compute_loss(preds, [[]], asg_off, w)[0].prior == 0.0
 
 
 def test_prior_single_cell_scalar_recomputation():
     # one slot with x offset 0.6 against the 0.5 prior, everything else at prior
     anchors = AnchorSet(dims=[(1.0, 1.0)])
-    raw = np.zeros((6, 1, 1))
+    raw = np.zeros((1, 6, 1, 1))
     off = 0.6
-    raw[0, 0, 0] = math.log(off / (1 - off))  # sigmoid -> 0.6
+    raw[0, 0, 0, 0] = math.log(off / (1 - off))  # sigmoid -> 0.6
     preds = decode_predictions(raw, anchors)
-    got = prior_term(preds, anchors)
-    expected = (0.5 - off) ** 2
+    w = LossWeights()
+    asg = assign_targets([[]], preds, anchors, w, images_seen=0)
+    got = compute_loss(preds, [[]], asg, w)[0].prior
+    expected = w.prior * (0.5 - off) ** 2
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -248,7 +268,10 @@ def test_prior_single_cell_scalar_recomputation():
 
 
 def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: AnchorSet):
-    """Independent scalar recomputation: plain loops, plain floats."""
+    """Independent scalar recomputation: plain loops, plain floats.
+
+    `raw` is one image's (K*(5+C), S, S) volume and `truths` its truth
+    list; `asg` is the assignment of a batch whose image 0 it is."""
     k = anchors.k
     c = raw.shape[0] // k - 5
     s = raw.shape[1]
@@ -262,12 +285,12 @@ def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: An
                 bw = anchors.dims[a][0] * math.exp(raw[base + 2, i, j])
                 bh = anchors.dims[a][1] * math.exp(raw[base + 3, i, j])
                 bc = _sig(raw[base + 4, i, j])
-                if asg.noobj[i, j, a]:
+                if asg.noobj[0, i, j, a]:
                     total += w.noobj * (0.0 - bc) ** 2
-                if asg.obj[i, j, a]:
-                    g_c = asg.conf_target[i, j, a]
+                if asg.obj[0, i, j, a]:
+                    g_c = asg.conf_target[0, i, j, a]
                     total += w.obj * (g_c - bc) ** 2
-                    t = truths[asg.truth_idx[i, j, a]]
+                    t = truths[asg.truth_idx[0, i, j, a]]
                     gx, gy = t.cx * s - j, t.cy * s - i
                     gw, gh = t.w * s, t.h * s
                     total += w.coord * (
@@ -282,7 +305,7 @@ def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: An
                             total += w.cls * -math.log(max(p_l, 1e-15))
                         else:
                             total += w.cls * -math.log(max(1.0 - p_l, 1e-15))
-                if asg.prior_active:
+                if asg.prior_active[0]:
                     total += w.prior * (
                         (0.5 - sx) ** 2
                         + (0.5 - sy) ** 2
@@ -312,28 +335,29 @@ def test_loss_matches_straight_line_oracle():
         TruthBox(cx=0.77, cy=0.74, w=0.25, h=0.2, class_id=1),
     ]
     w = LossWeights(n_prior=1000)
-    preds = decode_predictions(raw, anchors)
+    preds = decode_predictions(raw[None], anchors)
 
     for images_seen in (0, 1000):  # prior on and off
-        asg = assign_targets(truths, preds, anchors, w, images_seen=images_seen)
-        parts, _ = compute_loss(preds, truths, asg, w)
+        asg = assign_targets([truths], preds, anchors, w, images_seen=images_seen)
+        parts, _ = compute_loss(preds, [truths], asg, w)
         expected = straight_line_loss(raw, truths, asg, w, anchors)
         assert parts.total == pytest.approx(expected, abs=1e-10)
 
 
 def _pred_box(preds, i, j, a) -> BBox:
-    """Predicted box of slot (i, j, a) in normalized image coordinates."""
+    """Predicted box of slot (i, j, a) of image 0 in normalized image coordinates."""
     s = preds.s
-    cx = (j + preds.x_off[i, j, a]) / s
-    cy = (i + preds.y_off[i, j, a]) / s
-    w = preds.w[i, j, a] / s
-    h = preds.h[i, j, a] / s
+    cx = (j + preds.x_off[0, i, j, a]) / s
+    cy = (i + preds.y_off[0, i, j, a]) / s
+    w = preds.w[0, i, j, a] / s
+    h = preds.h[0, i, j, a] / s
     return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
 def triple_loop_assignment(truths, preds, anchors, weights):
-    """Scalar oracle: (obj, noobj, truth_idx, conf_target) from one IoU
-    call per (slot, truth) pair, the later truth winning a shared slot."""
+    """Scalar oracle: (obj, noobj, truth_idx, conf_target) of image 0
+    from one IoU call per (slot, truth) pair, the later truth winning a
+    shared slot."""
     s, k = preds.s, preds.k
     obj = np.zeros((s, s, k), dtype=bool)
     noobj = np.ones((s, s, k), dtype=bool)
@@ -388,16 +412,61 @@ def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, iou_t
     anchors = AnchorSet(dims=[tuple(d) for d in rng.uniform(0.2, 4.0, (k, 2))])
     raw = rng.standard_normal((k * (5 + c), s, s))
     w = LossWeights(iou_thres=iou_thres)
-    preds = decode_predictions(raw, anchors)
-    asg = assign_targets(truths, preds, anchors, w, images_seen=images_seen)
+    preds = decode_predictions(raw[None], anchors)
+    asg = assign_targets([truths], preds, anchors, w, images_seen=images_seen)
     obj, noobj, truth_idx, conf_target = triple_loop_assignment(truths, preds, anchors, w)
-    assert np.array_equal(asg.obj, obj)
-    assert np.array_equal(asg.noobj, noobj)
-    assert np.array_equal(asg.truth_idx, truth_idx)
-    assert np.array_equal(asg.conf_target, conf_target)
-    parts, _ = compute_loss(preds, truths, asg, w)
+    assert np.array_equal(asg.obj[0], obj)
+    assert np.array_equal(asg.noobj[0], noobj)
+    assert np.array_equal(asg.truth_idx[0], truth_idx)
+    assert np.array_equal(asg.conf_target[0], conf_target)
+    parts, _ = compute_loss(preds, [truths], asg, w)
     expected = straight_line_loss(raw, truths, asg, w, anchors)
     assert parts.total == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    b=st.integers(1, 5),
+    s=st.integers(1, 4),
+    k=st.integers(1, 3),
+    truths=st.lists(st.lists(_truth, max_size=4), min_size=5, max_size=5),
+    collide=st.booleans(),
+    images_seen=st.integers(0, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_equals_batch_of_one_calls(seed, b, s, k, truths, collide, images_seen):
+    truths = truths[:b]
+    if collide:  # in every image with two truths, the last claims the first one's slot
+        truths = [ts[:-1] + [TruthBox(ts[0].cx, ts[0].cy, ts[0].w, ts[0].h, ts[-1].class_id)]
+                  if len(ts) >= 2 else ts for ts in truths]
+    rng = np.random.default_rng(seed)
+    c = 3
+    anchors = AnchorSet(dims=[tuple(d) for d in rng.uniform(0.2, 4.0, (k, 2))])
+    raw = rng.standard_normal((b, k * (5 + c), s, s))
+    w = LossWeights(n_prior=6)  # images_seen in [0, 12] puts warm-up before, in and after the batch
+    preds = decode_predictions(raw, anchors)
+    asg = assign_targets(truths, preds, anchors, w, images_seen=images_seen)
+    parts, grad = compute_loss(preds, truths, asg, w)
+    assert grad.shape == raw.shape and grad.dtype == np.float64 and grad.flags.c_contiguous
+
+    offset = 0
+    single_parts = []
+    for i in range(b):
+        one = decode_predictions(raw[i:i + 1], anchors)
+        one_asg = assign_targets([truths[i]], one, anchors, w, images_seen=images_seen + i)
+        one_parts, one_grad = compute_loss(one, [truths[i]], one_asg, w)
+        assert np.array_equal(asg.obj[i], one_asg.obj[0])
+        assert np.array_equal(asg.noobj[i], one_asg.noobj[0])
+        assert np.array_equal(asg.conf_target[i], one_asg.conf_target[0])
+        assert asg.prior_active[i] == one_asg.prior_active[0]
+        local = one_asg.truth_idx[0]
+        assert np.array_equal(asg.truth_idx[i], np.where(local >= 0, local + offset, -1))
+        assert grad[i].tobytes() == (one_grad[0] / b).tobytes()
+        single_parts.append(one_parts.as_tuple())
+        offset += len(truths[i])
+    for got, want in zip(parts.as_tuple(), np.mean(single_parts, axis=0)):
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_loss_gradient_matches_finite_differences():

@@ -264,6 +264,28 @@ def test_divergence_aborts_with_iteration(tmp_path):
         train(net, manifest, cfg)
 
 
+def test_backward_gets_a_float32_gradient_laid_out_like_the_output(tmp_path):
+    net, manifest = _tiny_setup(tmp_path)
+    outputs, grads = [], []
+    forward, backward = net.forward, net.backward
+
+    def spy_forward(x, training=False):
+        out = forward(x, training=training)
+        outputs.append((out.shape, out.dtype, out.flags.c_contiguous))
+        return out
+
+    def spy_backward(grad):
+        grads.append((grad.shape, grad.dtype, grad.flags.c_contiguous))
+        return backward(grad)
+
+    net.forward, net.backward = spy_forward, spy_backward
+    train(net, manifest, TrainConfig(batch_size=3, epochs=1, seed=0))
+    # 4 images in batches of 3: a full batch, then one of 1
+    assert outputs == [((3, 16, 3, 3), np.float32, True), ((1, 16, 3, 3), np.float32, True)]
+    # backward's float32 sums depend on the layout too, so it must match the output's
+    assert grads == outputs
+
+
 def test_train_requires_anchors(tmp_path):
     manifest = synth_dataset(2, image_size=96, seed=1, out_dir=tmp_path / "d")
     net = build_network(NetworkConfig(input_size=96, num_classes=3, num_anchors=2,
