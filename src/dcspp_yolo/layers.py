@@ -14,7 +14,21 @@ kernel the patch matrix is the input reshaped. Like batch norm and max
 pooling, the forward returns a cache, `ConvCache`: the patch matrix,
 which backward multiplies by the output gradient for the weight
 gradient, and the input shape. A caller that will not run backward drops
-it.
+it. Backward sums the weight and bias gradients over a C-contiguous copy
+of the output gradient, so their float32 bytes do not depend on the
+layout the caller passes.
+
+Inference batch norm folds the running statistics into one per-channel
+scale gamma / sqrt(var + eps) and shift beta - mean * scale (the folding
+of Jacob et al. 2018), and like leaky ReLU it can write its result into
+`out=`: at inference the network runs both in place on the array the conv
+just allocated. Training batch norm normalizes by the batch statistics.
+
+Leaky ReLU has no data-dependent branch: forward is max(x, x / a), and
+backward divides the gradient by a divisor, a or 1, looked up from the
+sign of the cached input. The divisor array is laid out like that input,
+because the gradient's memory layout decides the order of the float32
+sums in batch norm and conv backward, and so the trained bytes.
 """
 
 from __future__ import annotations
@@ -184,7 +198,9 @@ def conv2d_backward(
             f"conv backward: grad shape {grad_out.shape} does not match forward output "
             f"{(n, p.out_channels, oh, ow)}"
         )
-    go = grad_out.transpose(1, 0, 2, 3).reshape(p.out_channels, -1)  # (out_c, n*oh*ow)
+    # (out_c, n*oh*ow), contiguous whatever grad_out's layout, so that the
+    # float32 sums below do not depend on it
+    go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3).reshape(p.out_channels, -1))
     grad_b = go.sum(axis=1)
     grad_w = (go @ cache.cols.T).reshape(p.weights.shape)
     if not input_grad:
@@ -207,8 +223,12 @@ def conv2d_backward(
 
 
 def batchnorm_forward(
-    x: np.ndarray, p: BNParams, training: bool
+    x: np.ndarray, p: BNParams, training: bool, *, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, BNCache | None]:
+    """Training normalizes by the batch statistics and updates the running
+    ones. Inference applies the running statistics as one per-channel scale
+    and shift, written into `out` when given (which may be `x` itself);
+    training does not read `out`."""
     if x.shape[1] != p.channels:
         raise LayerError(f"batchnorm: input has {x.shape[1]} channels, params have {p.channels}")
     if training:
@@ -221,12 +241,10 @@ def batchnorm_forward(
         p.running_var[:] = m * p.running_var + (1.0 - m) * var
         y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
         return y, BNCache(xhat=xhat, inv_std=inv_std)
-    inv_std = 1.0 / np.sqrt(p.running_var + p.epsilon)
-    y = (
-        p.gamma[None, :, None, None] * (x - p.running_mean[None, :, None, None])
-        * inv_std[None, :, None, None]
-        + p.beta[None, :, None, None]
-    )
+    scale = p.gamma / np.sqrt(p.running_var + p.epsilon)
+    shift = p.beta - p.running_mean * scale
+    y = np.multiply(x, scale[None, :, None, None], out=out)
+    y += shift[None, :, None, None]
     return y, None
 
 
@@ -251,12 +269,20 @@ def batchnorm_backward(
 # leaky ReLU
 
 
-def leaky_forward(x: np.ndarray, p: LeakyParams) -> np.ndarray:
-    return np.where(x >= 0, x, x / p.a)
+def leaky_forward(x: np.ndarray, p: LeakyParams, *, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, x / a): for a > 1 the larger of the two is x where x >= 0 and
+    x / a below zero, with no data-dependent branch. `out` may be `x`."""
+    return np.maximum(x, x / p.a, out=out)
 
 
 def leaky_backward(grad_out: np.ndarray, cached_x: np.ndarray, p: LeakyParams) -> np.ndarray:
-    return np.where(cached_x >= 0, grad_out, grad_out / p.a)
+    """grad_out divided by a where cached_x < 0 and by 1 elsewhere; the
+    divisor is looked up from the sign mask into an array laid out like
+    cached_x, so the gradient keeps the layout it had before."""
+    lut = np.array([p.a, 1.0], dtype=grad_out.dtype)
+    d = np.empty_like(cached_x, dtype=grad_out.dtype)
+    np.take(lut, (cached_x >= 0).view(np.uint8), out=d)
+    return grad_out / d
 
 
 # ---------------------------------------------------------------------------

@@ -125,18 +125,23 @@ class ConvNode(LayerNode):
         return y, cache if training else None  # inference keeps no patch matrix
 
     def forward(self, ins: list[np.ndarray], training: bool):
+        """At inference batch norm and leaky overwrite arrays this node
+        allocated: the conv output, or, before a pre-activation conv, batch
+        norm's result. The input is never written, since a route may share it."""
         x = ins[0]
         if self.pre_activation:
             bn_out, bn_cache = batchnorm_forward(x, self.bn, training)
-            y, conv_cache = self._conv(leaky_forward(bn_out, self.act), training)
+            act = leaky_forward(bn_out, self.act, out=None if training else bn_out)
+            y, conv_cache = self._conv(act, training)
             return y, {"bn": bn_cache, "act_in": bn_out, "conv": conv_cache}
         y, conv_cache = self._conv(x, training)
         cache = {"conv": conv_cache}
+        inplace = None if training else y
         if self.bn is not None:
-            y, cache["bn"] = batchnorm_forward(y, self.bn, training)
+            y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=inplace)
         if self.act is not None:
             cache["act_in"] = y
-            y = leaky_forward(y, self.act)
+            y = leaky_forward(y, self.act, out=inplace)
         return y, cache
 
     def _bn_backward(self, g: np.ndarray, cache, param_grads) -> np.ndarray:

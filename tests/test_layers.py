@@ -102,6 +102,23 @@ def test_conv_1x1_patch_matrix_is_the_input_reshaped():
     assert np.array_equal(cache.cols, x.transpose(1, 0, 2, 3).reshape(3, 2 * 4 * 5))
 
 
+@pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 1, 1), (3, 2, 1)])
+def test_conv_param_grads_do_not_depend_on_grad_layout(k, stride, pad):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+    p = ConvParams(weights=rng.standard_normal((6, 3, k, k)).astype(np.float32),
+                   bias=np.zeros(6, dtype=np.float32), stride=stride, pad=pad)
+    y, cache = conv2d_forward(x, p)
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    _, ref_w, ref_b = conv2d_backward(g, cache, p)
+    channel_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    for layout in (channel_last, _channel_major(g)):
+        assert np.array_equal(layout, g)
+        _, grad_w, grad_b = conv2d_backward(layout, cache, p)
+        assert grad_w.tobytes() == ref_w.tobytes()
+        assert grad_b.tobytes() == ref_b.tobytes()
+
+
 def test_conv_gradcheck():
     assert check_conv() < 1e-4
     assert check_conv_strided() < 1e-4
@@ -178,6 +195,50 @@ def test_bn_gradcheck():
     assert check_batchnorm() < 1e-4
 
 
+def oracle_bn_inference(x, p):
+    """The unfolded inference formula: gamma * (x - mean) / std + beta."""
+    inv_std = 1.0 / np.sqrt(p.running_var + p.epsilon)
+    return (
+        p.gamma[None, :, None, None] * (x - p.running_mean[None, :, None, None])
+        * inv_std[None, :, None, None]
+        + p.beta[None, :, None, None]
+    )
+
+
+# Folding gamma / std into one scale and beta - mean * scale into one shift
+# rounds differently from the oracle. Each form errs by a few units in the
+# last place of the terms it adds, |x * scale|, |mean * scale| and |beta|, so
+# the difference is held to 8 eps of their sum, element by element.
+BN_FOLD_ULPS = 8
+
+
+@given(st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 50.0))
+@settings(max_examples=200, deadline=None)
+def test_bn_inference_folded_equals_oracle_within_tolerance(dtype, seed, mean_over_std):
+    rng = np.random.default_rng(seed)
+    c = 5
+    std = rng.uniform(0.05, 4.0, c)
+    mean = rng.choice([-1.0, 1.0], c) * mean_over_std * std
+    p = BNParams(gamma=rng.uniform(-3.0, 3.0, c).astype(dtype),
+                 beta=rng.normal(0.0, 2.0, c).astype(dtype),
+                 running_mean=mean.astype(dtype), running_var=(std ** 2).astype(dtype))
+    x = (rng.standard_normal((3, c, 4, 4)) * std[None, :, None, None]
+         + mean[None, :, None, None]).astype(dtype)
+    y, cache = batchnorm_forward(x, p, training=False)
+    assert cache is None and y.dtype == dtype
+    ref = oracle_bn_inference(x, p)
+    scale = p.gamma / np.sqrt(p.running_var + p.epsilon)
+    size = (np.abs(x * scale[None, :, None, None])
+            + np.abs(p.running_mean * scale)[None, :, None, None]
+            + np.abs(p.beta)[None, :, None, None])
+    assert (np.abs(y - ref) <= BN_FOLD_ULPS * np.finfo(dtype).eps * size).all()
+    # written in place, the same bytes
+    inplace = x.copy()
+    got, _ = batchnorm_forward(inplace, p, training=False, out=inplace)
+    assert got is inplace and got.tobytes() == y.tobytes()
+
+
 # -- leaky ReLU --------------------------------------------------------------
 
 
@@ -222,6 +283,62 @@ def test_leaky_continuous_at_zero():
 
 def test_leaky_gradcheck():
     assert check_leaky() < 1e-4
+
+
+def oracle_leaky_forward(x, p):
+    return np.where(x >= 0, x, x / p.a)
+
+
+def oracle_leaky_backward(grad_out, cached_x, p):
+    return np.where(cached_x >= 0, grad_out, grad_out / p.a)
+
+
+def _special_values(dtype):
+    fi = np.finfo(dtype)
+    return [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+            *(s * float(v) for v in (fi.smallest_subnormal, fi.tiny, fi.max) for s in (1, -1))]
+
+
+def _channel_major(a):
+    """The same values laid out (c, n, h, w) in memory, as conv outputs are."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+@st.composite
+def leaky_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    elements = st.one_of(st.sampled_from(_special_values(dtype)),
+                         st.floats(width=np.finfo(dtype).bits, allow_nan=False))
+    x, g = (draw(arrays(dtype, (2, 3, 2, 3), elements=elements)) for _ in range(2))
+    return x, g, LeakyParams(draw(st.sampled_from([1.0001, 7.3, 10.0, 1e6])))
+
+
+@given(leaky_cases())
+@settings(max_examples=300, deadline=None)
+def test_leaky_forward_equals_where_oracle_bytewise(case):
+    x, _, p = case
+    ref = oracle_leaky_forward(x, p)
+    y = leaky_forward(x, p)
+    assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
+    inplace = x.copy()
+    assert leaky_forward(inplace, p, out=inplace) is inplace
+    assert inplace.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("x_channel_major", [False, True])
+@pytest.mark.parametrize("g_channel_major", [False, True])
+@given(case=leaky_cases())
+@settings(max_examples=100, deadline=None)
+def test_leaky_backward_equals_where_oracle_bytes_and_strides(case, g_channel_major,
+                                                               x_channel_major):
+    x, g, p = case
+    x = _channel_major(x) if x_channel_major else x
+    g = _channel_major(g) if g_channel_major else g
+    ref = oracle_leaky_backward(g, x, p)
+    got = leaky_backward(g, x, p)
+    # the layout reaches the float32 sums of batch norm and conv backward
+    assert got.strides == ref.strides
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 # -- max pooling --------------------------------------------------------------

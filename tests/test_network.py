@@ -177,6 +177,39 @@ def test_inference_forward_leaves_no_cache(monkeypatch):
     assert all(c is None for c in conv_caches)  # no patch matrix outlives its node
 
 
+def test_inference_writes_in_place_into_no_shared_array(monkeypatch):
+    net = tiny_net()
+    rng = np.random.default_rng(10)
+    for node in net.conv_nodes():
+        if node.bn is not None:
+            c = node.bn.channels
+            node.bn.gamma[...] = rng.uniform(0.5, 2.0, c)
+            node.bn.beta[...] = rng.normal(0.0, 0.5, c)
+            node.bn.running_mean[...] = rng.normal(0.0, 0.5, c)
+            node.bn.running_var[...] = rng.uniform(0.5, 2.0, c)
+    x = rng.standard_normal((2, 3, 96, 96)).astype(np.float32)
+    before = x.copy()
+    changed = []
+    for node in net.nodes:
+        def checking(ins, training, forward=node.forward, name=node.name):
+            seen = [a.tobytes() for a in ins]
+            out, cache = forward(ins, training)
+            changed.extend(name for a, b in zip(ins, seen) if a.tobytes() != b)
+            return out, cache
+        monkeypatch.setattr(node, "forward", checking)
+    first = net.forward(x, training=False)
+    second = net.forward(x, training=False)
+    assert not changed  # pre-activation nodes read routes that other nodes read too
+    assert x.tobytes() == before.tobytes()
+    assert first.tobytes() == second.tobytes()
+    # the kernels give the same bytes when they allocate their results
+    for name in ("batchnorm_forward", "leaky_forward"):
+        kernel = getattr(network, name)
+        monkeypatch.setattr(network, name,
+                            lambda *args, kernel=kernel, out=None, **kw: kernel(*args, **kw))
+    assert net.forward(x, training=False).tobytes() == first.tobytes()
+
+
 def test_forward_drops_each_activation_after_its_last_reader(monkeypatch):
     net = tiny_net()
     refs, alive_at_head = {}, []
