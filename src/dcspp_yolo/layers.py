@@ -22,13 +22,22 @@ Inference batch norm folds the running statistics into one per-channel
 scale gamma / sqrt(var + eps) and shift beta - mean * scale (the folding
 of Jacob et al. 2018), and like leaky ReLU it can write its result into
 `out=`: at inference the network runs both in place on the array the conv
-just allocated. Training batch norm normalizes by the batch statistics.
+just allocated. Training batch norm normalizes by the batch statistics in
+two full-size temporaries: the input centred once and normalized in place
+into xhat, and its square, which gives the variance by numpy's pairwise
+sum and then holds the output. Its backward is the closed form that needs
+only the per-channel sums of g and g * xhat, built in one temporary.
 
 Leaky ReLU has no data-dependent branch: forward is max(x, x / a), and
-backward divides the gradient by a divisor, a or 1, looked up from the
-sign of the cached input. The divisor array is laid out like that input,
-because the gradient's memory layout decides the order of the float32
-sums in batch norm and conv backward, and so the trained bytes.
+backward divides the gradient by a divisor, a times the mask of inputs
+that are not >= 0, raised to at least 1. The divisor array is laid out
+like the cached input, because the gradient's memory layout decides the
+order of the float32 sums in batch norm and conv backward, and so the
+trained bytes.
+
+Max-pool backward finds each window's first maximum again, and scatters
+the gradient to it as the gradient's bits ANDed with an all-ones mask:
+no branch, and an infinite or NaN gradient reaches its own slot only.
 """
 
 from __future__ import annotations
@@ -202,7 +211,9 @@ def conv2d_backward(
     # float32 sums below do not depend on it
     go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3).reshape(p.out_channels, -1))
     grad_b = go.sum(axis=1)
-    grad_w = (go @ cache.cols.T).reshape(p.weights.shape)
+    # the same product as go @ cols.T; OpenBLAS runs this skinny GEMM about
+    # twice as fast with the long (n*oh*ow) axis inside the left operand's rows
+    grad_w = (cache.cols @ go.T).T.reshape(p.weights.shape)
     if not input_grad:
         return None, grad_w, grad_b
 
@@ -221,25 +232,33 @@ def conv2d_backward(
 # ---------------------------------------------------------------------------
 # batch normalization
 
+_BN_AXES = (0, 2, 3)  # every axis but the channel's
+
 
 def batchnorm_forward(
     x: np.ndarray, p: BNParams, training: bool, *, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, BNCache | None]:
     """Training normalizes by the batch statistics and updates the running
-    ones. Inference applies the running statistics as one per-channel scale
-    and shift, written into `out` when given (which may be `x` itself);
-    training does not read `out`."""
+    ones, in two full-size temporaries: x centred once, then normalized in
+    place into xhat, and its square, whose pairwise sum gives the variance
+    (the bytes of `x.var`) and which then holds the output. Inference
+    applies the running statistics as one per-channel scale and shift,
+    written into `out` when given (which may be `x` itself); training does
+    not read `out`."""
     if x.shape[1] != p.channels:
         raise LayerError(f"batchnorm: input has {x.shape[1]} channels, params have {p.channels}")
     if training:
-        mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        mu = x.mean(axis=_BN_AXES)
+        xhat = x - mu[None, :, None, None]
+        sq = np.multiply(xhat, xhat)
+        var = sq.sum(axis=_BN_AXES) / (x.size // x.shape[1])
         inv_std = 1.0 / np.sqrt(var + p.epsilon)
-        xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+        xhat *= inv_std[None, :, None, None]
         m = p.momentum
         p.running_mean[:] = m * p.running_mean + (1.0 - m) * mu
         p.running_var[:] = m * p.running_var + (1.0 - m) * var
-        y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
+        y = np.multiply(xhat, p.gamma[None, :, None, None], out=sq)
+        y += p.beta[None, :, None, None]
         return y, BNCache(xhat=xhat, inv_std=inv_std)
     scale = p.gamma / np.sqrt(p.running_var + p.epsilon)
     shift = p.beta - p.running_mean * scale
@@ -251,17 +270,21 @@ def batchnorm_forward(
 def batchnorm_backward(
     grad_out: np.ndarray, cache: BNCache | None, p: BNParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed form gamma * inv_std * (g - sum(g) / m - xhat * sum(g * xhat) / m)
+    over the m values of each channel (Ioffe & Szegedy 2015): the two sums
+    are the beta and gamma gradients, and the input gradient is built in
+    the one temporary that held g * xhat."""
     if cache is None:
         raise LayerError("batchnorm backward requires the training-mode cache")
     xhat, inv_std = cache.xhat, cache.inv_std
-    n, c, h, w = grad_out.shape
-    m = n * h * w
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-    dxhat = grad_out * p.gamma[None, :, None, None]
-    sum_dxhat = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-    grad_x = (inv_std[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    m = grad_out.size // grad_out.shape[1]
+    grad_beta = grad_out.sum(axis=_BN_AXES)
+    grad_x = np.multiply(grad_out, xhat)
+    grad_gamma = grad_x.sum(axis=_BN_AXES)
+    np.multiply(xhat, (grad_gamma / m)[None, :, None, None], out=grad_x)
+    np.subtract(grad_out, grad_x, out=grad_x)
+    grad_x -= (grad_beta / m)[None, :, None, None]
+    grad_x *= (p.gamma * inv_std)[None, :, None, None]
     return grad_x, grad_gamma, grad_beta
 
 
@@ -276,12 +299,11 @@ def leaky_forward(x: np.ndarray, p: LeakyParams, *, out: np.ndarray | None = Non
 
 
 def leaky_backward(grad_out: np.ndarray, cached_x: np.ndarray, p: LeakyParams) -> np.ndarray:
-    """grad_out divided by a where cached_x < 0 and by 1 elsewhere; the
-    divisor is looked up from the sign mask into an array laid out like
-    cached_x, so the gradient keeps the layout it had before."""
-    lut = np.array([p.a, 1.0], dtype=grad_out.dtype)
-    d = np.empty_like(cached_x, dtype=grad_out.dtype)
-    np.take(lut, (cached_x >= 0).view(np.uint8), out=d)
+    """grad_out divided by a where cached_x < 0 (or NaN) and by 1 elsewhere.
+    The divisor is a times the mask, raised to at least 1: an array laid out
+    like cached_x, so the gradient keeps the layout it had before."""
+    d = np.multiply(~(cached_x >= 0), p.a, dtype=grad_out.dtype)
+    np.maximum(d, 1, out=d)
     return grad_out / d
 
 
@@ -324,7 +346,10 @@ def maxpool_forward(
 def maxpool_backward(grad_out: np.ndarray, cache: MaxPoolCache) -> np.ndarray:
     """Route each output gradient to its window's first maximum. Offsets are
     scattered in reverse scan order, so an input cell sums its windows in
-    window order; adding -0.0 is exact."""
+    window order. Each offset adds the gradient's bits ANDed with an
+    all-ones mask at its hits, and +0.0 elsewhere: exact, since a cell that
+    starts at +0.0 never holds -0.0, and unlike a product with the mask it
+    keeps an infinite gradient from turning into NaN at the other slots."""
     xp, y = cache.xp, cache.y
     if grad_out.shape != y.shape:
         raise LayerError(f"maxpool backward: grad shape {grad_out.shape} != output {y.shape}")
@@ -333,9 +358,13 @@ def maxpool_backward(grad_out: np.ndarray, cache: MaxPoolCache) -> np.ndarray:
     for sl in wins:
         hits.append((xp[sl] == y) & free)  # the first maximum in scan order
         free ^= hits[-1]
+    bits = np.dtype(f"u{grad_out.itemsize}")
+    grad_bits = grad_out.view(bits)
     grad_p = np.zeros(xp.shape, dtype=grad_out.dtype)
     for sl, hit in zip(reversed(wins), reversed(hits)):
-        grad_p[sl] += np.where(hit, grad_out, -0.0)
+        routed = np.negative(hit, dtype=bits)  # all ones at a hit, zero elsewhere
+        routed &= grad_bits
+        grad_p[sl] += routed.view(grad_out.dtype)
     pb, pa = cache.pad
     return grad_p[:, :, pb:xp.shape[2] - pa, pb:xp.shape[3] - pa]
 

@@ -239,6 +239,119 @@ def test_bn_inference_folded_equals_oracle_within_tolerance(dtype, seed, mean_ov
     assert got is inplace and got.tobytes() == y.tobytes()
 
 
+# The training kernels these replaced, kept as oracles: two means and two
+# centrings in the forward, and a backward that scales the gradient by gamma
+# before it sums it.
+
+
+def oracle_bn_training_forward(x, p):
+    mu = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + p.epsilon)
+    xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+    m = p.momentum
+    p.running_mean[:] = m * p.running_mean + (1.0 - m) * mu
+    p.running_var[:] = m * p.running_var + (1.0 - m) * var
+    y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
+    return y, layers.BNCache(xhat=xhat, inv_std=inv_std)
+
+
+def oracle_bn_training_backward(grad_out, cache, p):
+    xhat, inv_std = cache.xhat, cache.inv_std
+    n, c, h, w = grad_out.shape
+    m = n * h * w
+    grad_beta = grad_out.sum(axis=(0, 2, 3))
+    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    dxhat = grad_out * p.gamma[None, :, None, None]
+    sum_dxhat = dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
+    grad_x = (inv_std[None, :, None, None] / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    return grad_x, grad_gamma, grad_beta
+
+
+def _bn_params(rng, c, dtype):
+    return BNParams(gamma=rng.uniform(-3.0, 3.0, c).astype(dtype),
+                    beta=rng.normal(0.0, 2.0, c).astype(dtype),
+                    running_mean=rng.normal(0.0, 1.0, c).astype(dtype),
+                    running_var=rng.uniform(0.5, 2.0, c).astype(dtype))
+
+
+def _bn_copy(p):
+    return BNParams(*(a.copy() for a in (p.gamma, p.beta, p.running_mean, p.running_var)))
+
+
+# The closed-form backward drops the oracle's scaling of g by gamma before
+# its sums, so its input gradient rounds differently. Each form rounds the
+# two per-channel sums, pairwise and at most log2(m) + 1 additions deep, and
+# about four element-wise operations; for the m <= 144 values per channel
+# drawn here 16 eps of the magnitudes of the terms, element by element,
+# bounds the difference. (The largest seen over 3000 draws was 1.8 eps.)
+BN_TRAINING_ULPS = 16
+
+
+@st.composite
+def bn_training_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c, h, w = (draw(st.integers(1, 4)) for _ in range(4))
+    h, w = h + draw(st.integers(0, 2)), w + draw(st.integers(0, 2))
+    std = rng.uniform(0.05, 4.0, c)
+    mean = rng.choice([-1.0, 1.0], c) * draw(st.floats(0.0, 50.0)) * std
+    x = (rng.standard_normal((n, c, h, w)) * std[None, :, None, None]
+         + mean[None, :, None, None]).astype(dtype)
+    g = (rng.standard_normal((n, c, h, w)) * draw(st.floats(1e-3, 1e3))).astype(dtype)
+    x = _channel_major(x) if draw(st.booleans()) else x
+    g = _channel_major(g) if draw(st.booleans()) else g
+    return x, g, _bn_params(rng, c, dtype)
+
+
+@given(bn_training_cases())
+@settings(max_examples=300, deadline=None)
+def test_bn_training_equals_oracle(case):
+    x, g, p = case
+    ref_p = _bn_copy(p)
+    y, cache = batchnorm_forward(x, p, training=True)
+    y_ref, ref_cache = oracle_bn_training_forward(x, ref_p)
+    # one centring, the variance from its square: the oracle's bytes
+    for got, ref in ((y, y_ref), (cache.xhat, ref_cache.xhat), (cache.inv_std, ref_cache.inv_std),
+                     (p.running_mean, ref_p.running_mean), (p.running_var, ref_p.running_var)):
+        assert got.dtype == ref.dtype == x.dtype and got.tobytes() == ref.tobytes()
+
+    grad_x, grad_gamma, grad_beta = batchnorm_backward(g, cache, p)
+    ref_x, ref_gamma, ref_beta = oracle_bn_training_backward(g, cache, p)
+    assert grad_gamma.tobytes() == ref_gamma.tobytes()
+    assert grad_beta.tobytes() == ref_beta.tobytes()
+    assert grad_x.dtype == x.dtype and grad_x.shape == x.shape
+    m = g.size // g.shape[1]
+    per_channel = (p.gamma * cache.inv_std)[None, :, None, None]
+    mean_abs_g = (np.abs(g).sum(axis=(0, 2, 3)) / m)[None, :, None, None]
+    mean_abs_gx = (np.abs(g * cache.xhat).sum(axis=(0, 2, 3)) / m)[None, :, None, None]
+    size = np.abs(per_channel) * (np.abs(g) + mean_abs_g + np.abs(cache.xhat) * mean_abs_gx)
+    assert (np.abs(grad_x - ref_x) <= BN_TRAINING_ULPS * np.finfo(x.dtype).eps * size).all()
+
+
+@pytest.mark.parametrize("seed, channel_major", [(0, True), (1, True), (2, False)])
+def test_bn_training_backward_no_less_accurate_than_oracle(seed, channel_major):
+    # a conv1-sized float32 batch, against the oracle run in float64
+    rng = np.random.default_rng(seed)
+    shape = (16, 8, 96, 96)
+    x = (rng.standard_normal(shape) * rng.uniform(0.1, 3.0, 8)[None, :, None, None]
+         + rng.uniform(-5.0, 5.0, 8)[None, :, None, None]).astype(np.float32)
+    g = (rng.standard_normal(shape) * 1e-3).astype(np.float32)
+    if channel_major:
+        x, g = _channel_major(x), _channel_major(g)
+    p = _bn_params(rng, 8, np.float32)
+    p64 = BNParams(*(a.astype(np.float64) for a in (p.gamma, p.beta, p.running_mean, p.running_var)))
+    _, cache64 = oracle_bn_training_forward(x.astype(np.float64), p64)
+    exact = oracle_bn_training_backward(g.astype(np.float64), cache64, p64)
+    _, cache = batchnorm_forward(x, _bn_copy(p), training=True)
+    got = batchnorm_backward(g, cache, p)
+    old = oracle_bn_training_backward(g, cache, p)
+    for a, b, ref in zip(got, old, exact):
+        scale = np.abs(ref).max()
+        assert np.abs(a - ref).max() / scale <= np.abs(b - ref).max() / scale
+
+
 # -- leaky ReLU --------------------------------------------------------------
 
 
@@ -487,10 +600,14 @@ def test_maxpool_equals_argmax_oracle_bytewise(case, data):
     y_ref, ref_cache = oracle_maxpool_forward(x, size, stride, pad)
     assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
     # 1e-20 vanishes next to 1.0 in either dtype, so a sum over overlapping
-    # windows taken in another order than the oracle's shows in the bytes
-    g = data.draw(arrays(x.dtype, y.shape, elements=st.sampled_from(TIE_VALUES + [0.1, 1e-20])
+    # windows taken in another order than the oracle's shows in the bytes;
+    # an infinite or NaN gradient must reach its own slot and no other
+    g = data.draw(arrays(x.dtype, y.shape,
+                         elements=st.sampled_from(TIE_VALUES + [0.1, 1e-20, np.inf, -np.inf,
+                                                                np.nan, -np.nan])
                          | st.floats(-2, 2, width=32)))
-    gx, gx_ref = maxpool_backward(g, cache), oracle_maxpool_backward(g, ref_cache)
+    with np.errstate(invalid="ignore"):  # inf + -inf in a cell of overlapping windows
+        gx, gx_ref = maxpool_backward(g, cache), oracle_maxpool_backward(g, ref_cache)
     assert gx.shape == x.shape and gx.dtype == gx_ref.dtype
     assert gx.tobytes() == gx_ref.tobytes()
 
