@@ -68,7 +68,7 @@ def openblas_config() -> str | None:
     for suffix in ("64_", ""):  # ILP64 and LP64 builds
         conf = getattr(lib, f"scipy_openblas_get_config{suffix}", None)
         if conf is not None:
-            conf.restype = ctypes.c_char_p
+            conf.argtypes, conf.restype = [], ctypes.c_char_p
             return conf().decode()
     return None
 
