@@ -46,14 +46,15 @@ ITERATIONS = 12
 DETECT_CONF = 0.005
 
 # Tolerances against a fixture recorded under another numpy or OpenBLAS
-# kernel, about three times the largest spread measured between OpenBLAS's
-# SkylakeX, Haswell and Sandybridge kernels on one machine (numpy 2.4.6,
-# OpenBLAS 0.3.31); the measured spread is in the comments:
+# kernel: two to three times the largest spread measured between a fixture
+# recorded under OpenBLAS's SkylakeX kernel and runs under its Haswell,
+# Sandybridge and Nehalem kernels, on one machine (numpy 2.4.6, OpenBLAS
+# 0.3.31). The largest measured spread is in the comments:
 CROSS_KERNEL = {
-    "loss_vs_total": 0.05,  # 0.0164: a loss-log value's difference over its row's total loss
-    "ap": 0.02,             # 0.0067: a class's AP, absolute
+    "loss_vs_total": 0.05,  # 0.0202: a loss-log value's difference over its row's total loss
+    "ap": 0.02,             # 0.0087: a class's AP, absolute
     "detect_count": 0.125,  # 0: the number of detections, relative (2 of the 16 here)
-    "top_score": 0.002,     # 0.00057: the highest detection score, absolute
+    "top_score": 0.002,     # 0.00102: the highest detection score, absolute
 }
 
 
