@@ -142,21 +142,20 @@ def compare(fixture: dict, fresh: dict) -> list[str]:
             for key, diff in differences(fixture, fresh).items() if not diff <= CROSS_KERNEL[key]]
 
 
-def load(path: Path = FIXTURE) -> dict:
-    return json.loads(Path(path).read_text())
+def load() -> dict:
+    return json.loads(FIXTURE.read_text())
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true", help="regenerate the fixture")
-    ap.add_argument("--fixture", type=Path, default=FIXTURE)
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         fresh = seeded_outputs(Path(tmp))
     print(f"weights sha256 {fresh['weights_sha256']}  numpy {fresh['numpy']}  "
           f"openblas {fresh['openblas']!r}")
-    if args.fixture.exists():
-        old = load(args.fixture)
+    if FIXTURE.exists():
+        old = load()
         print("largest differences from the fixture:",
               {k: float(f"{v:.3g}") for k, v in differences(old, fresh).items()})
         problems = compare(old, fresh)
@@ -164,9 +163,9 @@ def main(argv=None) -> int:
     else:
         problems = ["no fixture"]
     if args.write:
-        args.fixture.parent.mkdir(parents=True, exist_ok=True)
-        args.fixture.write_text(json.dumps(fresh, indent=1) + "\n")
-        print(f"wrote {args.fixture}")
+        FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+        FIXTURE.write_text(json.dumps(fresh, indent=1) + "\n")
+        print(f"wrote {FIXTURE}")
         return 0
     return 1 if problems else 0
 
