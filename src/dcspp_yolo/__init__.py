@@ -2,10 +2,10 @@
 stride-1 spatial-pyramid-pooling block, and a reorg passthrough head;
 pure numpy, CPU only, trainable from scratch at desk scale."""
 
-from .anchors import AnchorSet, iou_dist, kmeans_anchors
+from .anchors import AnchorSet, kmeans_anchors
 from .detection import BBox, Detection, Detections, decode, decode_predictions, detect_image, iou_matrix, nms
 from .evaluation import average_precision, evaluate, match_detections
-from .loss import LossWeights, TruthBox, assign_targets, compute_loss
+from .loss import Labels, LossWeights, assign_targets, compute_loss
 from .network import NetworkConfig, NetworkGraph, build_network
 from .training import TrainConfig, adam_step, augment, lr_at, synth_dataset, train
 
@@ -16,11 +16,11 @@ __all__ = [
     "BBox",
     "Detection",
     "Detections",
+    "Labels",
     "LossWeights",
     "NetworkConfig",
     "NetworkGraph",
     "TrainConfig",
-    "TruthBox",
     "adam_step",
     "assign_targets",
     "augment",
@@ -32,7 +32,6 @@ __all__ = [
     "detect_image",
     "evaluate",
     "iou_matrix",
-    "iou_dist",
     "kmeans_anchors",
     "lr_at",
     "match_detections",

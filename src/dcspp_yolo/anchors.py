@@ -53,14 +53,6 @@ def shape_iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / union
 
 
-def iou_dist(box: tuple[float, float], centroid: tuple[float, float]) -> float:
-    """1 - IoU of co-centered boxes; 0 iff the shapes are identical."""
-    if box[0] <= 0 or box[1] <= 0 or centroid[0] <= 0 or centroid[1] <= 0:
-        raise AnchorError(f"boxes must have positive dims, got {box} vs {centroid}")
-    pair = np.asarray([box, centroid], dtype=np.float64)
-    return float(1.0 - shape_iou_matrix(pair[:1], pair[1:])[0, 0])
-
-
 def _dist_matrix(boxes: np.ndarray, cents: np.ndarray) -> np.ndarray:
     """(N, K) matrix of 1 - IoU between boxes and centroids."""
     return 1.0 - shape_iou_matrix(boxes, cents)
@@ -143,8 +135,8 @@ def kmeans_anchors(
     )
 
 
-def load_boxes_from_labels(label_dir: str | Path, grid_size: int) -> list[tuple[float, float]]:
-    """Collect (w, h) pairs from every label file, scaled to grid units.
+def load_boxes_from_labels(label_dir: str | Path, grid_size: int) -> np.ndarray:
+    """(N, 2) (w, h) pairs from every label file, scaled to grid units.
 
     Files are visited in lexicographic order so the result is stable, and
     each is read by `data.read_label_file`, so a file `train` rejects is
@@ -156,14 +148,13 @@ def load_boxes_from_labels(label_dir: str | Path, grid_size: int) -> list[tuple[
     files = sorted(root.glob("*.txt"))
     if not files:
         raise AnchorError(f"no label files found in {root}")
-    out: list[tuple[float, float]] = []
+    sizes = []
     for path in files:
         try:
-            truths = read_label_file(path)
+            sizes.append(read_label_file(path).boxes[:, 2:])
         except LabelError as exc:
             raise AnchorError(str(exc)) from exc
-        out.extend((t.w * grid_size, t.h * grid_size) for t in truths)
-    return out
+    return np.concatenate(sizes) * grid_size
 
 
 def save_anchors(anchors: AnchorSet, path: str | Path) -> None:

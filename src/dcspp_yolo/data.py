@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .detection import BBox, Detection, box_array
-from .loss import TruthBox
+from .detection import BBox, Detections
+from .loss import Labels
 
 
 class LabelError(ValueError):
@@ -20,7 +19,8 @@ class LabelError(ValueError):
 _EDGE_TOL = 1e-6
 
 
-def parse_label_line(line: str, where: str) -> TruthBox:
+def parse_label_line(line: str, where: str) -> Labels:
+    """The one-row `Labels` of a label line; errors name the line by `where`."""
     parts = line.split()
     if len(parts) != 5:
         raise LabelError(f"{where}: expected 'class_id cx cy w h', got {len(parts)} fields")
@@ -42,22 +42,21 @@ def parse_label_line(line: str, where: str) -> TruthBox:
         or cy + h / 2 > 1 + _EDGE_TOL
     ):
         raise LabelError(f"{where}: box ({cx}, {cy}, {w}, {h}) extends outside the image")
-    return TruthBox(cx=cx, cy=cy, w=w, h=h, class_id=cid)
+    return Labels(np.array([cid], dtype=np.int64), np.array([[cx, cy, w, h]], dtype=np.float64))
 
 
-def read_label_file(path: str | Path) -> list[TruthBox]:
+def read_label_file(path: str | Path) -> Labels:
+    """The `Labels` of a label file, one row per non-blank line."""
     path = Path(path)
-    out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        out.append(parse_label_line(line, f"{path}:{lineno}"))
-    return out
+    rows = [parse_label_line(line, f"{path}:{lineno}")
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1) if line.strip()]
+    return Labels(np.concatenate([np.zeros(0, dtype=np.int64)] + [ids for ids, _ in rows]),
+                  np.concatenate([np.zeros((0, 4))] + [boxes for _, boxes in rows]))
 
 
-def write_label_file(path: str | Path, truths: list[TruthBox]) -> None:
-    lines = [f"{t.class_id} {t.cx:.6f} {t.cy:.6f} {t.w:.6f} {t.h:.6f}" for t in truths]
+def write_label_file(path: str | Path, labels: Labels) -> None:
+    lines = [f"{c} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}"
+             for c, (cx, cy, w, h) in zip(labels.class_ids.tolist(), labels.boxes.tolist())]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -126,15 +125,13 @@ def unletterbox_boxes(boxes: np.ndarray, orig_w: int, orig_h: int, target: int) 
 
 def unletterbox_box(box: BBox, orig_w: int, orig_h: int, target: int) -> BBox:
     """`unletterbox_boxes` for one box."""
-    return BBox(*unletterbox_boxes(box_array([box]), orig_w, orig_h, target)[0].tolist())
+    corners = np.array([[box.x_min, box.y_min, box.x_max, box.y_max]], dtype=np.float64)
+    return BBox(*unletterbox_boxes(corners, orig_w, orig_h, target)[0].tolist())
 
 
-def truths_to_pixel_boxes(truths: list[TruthBox], w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """(T,) int64 class ids and (T, 4) corner boxes in image pixels,
-    clipped to the image."""
-    ids = np.array([t.class_id for t in truths], dtype=np.int64)
-    corners = np.clip(box_array(t.corners() for t in truths), 0.0, 1.0)
-    return ids, corners * np.array([w, h, w, h])
+def truths_to_pixel_boxes(labels: Labels, w: int, h: int) -> np.ndarray:
+    """(T, 4) corner boxes of the labels in image pixels, clipped to the image."""
+    return np.clip(labels.corners(), 0.0, 1.0) * np.array([w, h, w, h])
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +145,17 @@ def class_color(class_id: int) -> tuple[int, int, int]:
 
 
 def render_detections(
-    img: np.ndarray, dets: Iterable[Detection], class_names: list[str] | None = None
+    img: np.ndarray, dets: Detections, class_names: list[str] | None = None
 ) -> np.ndarray:
     """Copy of the image with 2-pixel box outlines per detection."""
     out = img.copy()
     h, w = out.shape[:2]
-    for d in dets:
-        color = np.array(class_color(d.class_id), dtype=np.uint8)
-        x0 = int(max(0, min(round(d.box.x_min), w - 1)))
-        x1 = int(max(0, min(round(d.box.x_max), w - 1)))
-        y0 = int(max(0, min(round(d.box.y_min), h - 1)))
-        y1 = int(max(0, min(round(d.box.y_max), h - 1)))
+    for cid, (bx0, by0, bx1, by1) in zip(dets.class_ids.tolist(), dets.boxes.tolist()):
+        color = np.array(class_color(cid), dtype=np.uint8)
+        x0 = int(max(0, min(round(bx0), w - 1)))
+        x1 = int(max(0, min(round(bx1), w - 1)))
+        y0 = int(max(0, min(round(by0), h - 1)))
+        y1 = int(max(0, min(round(by1), h - 1)))
         for t in range(2):
             yt = min(y0 + t, h - 1)
             yb = max(y1 - t, 0)

@@ -5,7 +5,7 @@ evaluation matching and training target assignment share."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +55,6 @@ class Detections:
     def __iter__(self) -> Iterator[Detection]:
         for box, c, v in zip(self.boxes.tolist(), self.class_ids.tolist(), self.scores.tolist()):
             yield Detection(box=BBox(*box), class_id=c, score=v)
-
-
-def box_array(boxes: Iterable[BBox]) -> np.ndarray:
-    """(N, 4) float64 corners (x_min, y_min, x_max, y_max) of N boxes."""
-    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,11 +233,11 @@ def detect_image(
     return nms(dets, nms_thres)
 
 
-def format_detections(dets: Iterable[Detection]) -> str:
+def format_detections(dets: Detections) -> str:
     """One 'class_id score x_min y_min x_max y_max' line per detection."""
     lines = [
-        f"{d.class_id} {d.score:.6f} {d.box.x_min:.6f} {d.box.y_min:.6f} "
-        f"{d.box.x_max:.6f} {d.box.y_max:.6f}"
-        for d in dets
+        f"{c} {v:.6f} {x0:.6f} {y0:.6f} {x1:.6f} {y1:.6f}"
+        for c, v, (x0, y0, x1, y1)
+        in zip(dets.class_ids.tolist(), dets.scores.tolist(), dets.boxes.tolist())
     ]
     return "\n".join(lines) + ("\n" if lines else "")

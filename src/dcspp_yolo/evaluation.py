@@ -103,16 +103,16 @@ def evaluate(
     for img_path, lab_path in manifest.entries:
         img = ppm.ppm_read(img_path)
         h, w = img.shape[:2]
-        truths = read_label_file(lab_path)
-        if (cid := max((t.class_id for t in truths), default=0)) >= net.cfg.num_classes:
+        labels = read_label_file(lab_path)
+        if (cid := labels.class_ids.max(initial=0)) >= net.cfg.num_classes:
             raise EvalError(f"{lab_path}: class id {cid} out of range for {net.cfg.num_classes} classes")
-        ids, truth_boxes = truths_to_pixel_boxes(truths, w, h)
+        truth_boxes = truths_to_pixel_boxes(labels, w, h)
         dets = detect_image(net, image_to_tensor(img, size), conf_thres, nms_thres)
         dets = replace(dets, boxes=unletterbox_boxes(dets.boxes, w, h, size))
-        truth_ids.append(ids)
+        truth_ids.append(labels.class_ids)
         class_ids.append(dets.class_ids)
         scores.append(dets.scores)
-        flags.append(match_detections(dets, ids, truth_boxes, iou_thres))
+        flags.append(match_detections(dets, labels.class_ids, truth_boxes, iou_thres))
     class_ids, scores, flags = (np.concatenate(a) for a in (class_ids, scores, flags))
 
     per_class: dict[int, ClassResult] = {}

@@ -14,7 +14,7 @@ import numpy as np
 from . import layers
 from .anchors import AnchorSet
 from .detection import decode_predictions
-from .loss import LossWeights, TruthBox, assign_targets, compute_loss
+from .loss import Labels, LossWeights, assign_targets, compute_loss
 from .network import NetworkConfig, build_network
 
 STEP = 1e-3
@@ -219,10 +219,7 @@ def check_loss(seed: int = 0) -> float:
     anchors = AnchorSet(dims=[(0.8, 0.9), (1.6, 1.2)])
     k, c, s = 2, 2, 2
     raw = rng.standard_normal((1, k * (5 + c), s, s))
-    truths = [[
-        TruthBox(cx=0.3, cy=0.28, w=0.31, h=0.42, class_id=0),
-        TruthBox(cx=0.74, cy=0.8, w=0.2, h=0.23, class_id=1),
-    ]]
+    truths = [Labels(np.array([0, 1]), np.array([[0.3, 0.28, 0.31, 0.42], [0.74, 0.8, 0.2, 0.23]]))]
     weights = LossWeights(n_prior=10)
     preds = decode_predictions(raw, anchors)
     asg = assign_targets(truths, preds, anchors, weights, images_seen=0)

@@ -32,11 +32,12 @@ the raw pre-activation outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .anchors import AnchorSet, shape_iou_matrix
-from .detection import BBox, PredGrid, box_array, iou_matrix
+from .detection import PredGrid, iou_matrix
 
 
 class LossError(ValueError):
@@ -61,19 +62,17 @@ class LossWeights:
             raise LossError(f"iou_thres must be in (0, 1), got {self.iou_thres}")
 
 
-@dataclass(frozen=True)
-class TruthBox:
-    """Annotated box: center/size normalized to [0, 1], class id from 0."""
+class Labels(NamedTuple):
+    """One image's annotated boxes: (T,) int64 class ids from 0 and (T, 4)
+    float64 `cx cy w h` rows, centre and size normalized to [0, 1]."""
 
-    cx: float
-    cy: float
-    w: float
-    h: float
-    class_id: int
+    class_ids: np.ndarray
+    boxes: np.ndarray
 
-    def corners(self) -> BBox:
-        return BBox(self.cx - self.w / 2, self.cy - self.h / 2,
-                    self.cx + self.w / 2, self.cy + self.h / 2)
+    def corners(self) -> np.ndarray:
+        """(T, 4) float64 corners `x_min y_min x_max y_max`."""
+        cx, cy, w, h = self.boxes.T
+        return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
 
 
 @dataclass
@@ -87,21 +86,33 @@ class Assignment:
     conf_target: np.ndarray   # (B, S, S, K) IoU(pred, truth) for owned slots
 
 
-def _validate_truths(truths: list[list[TruthBox]], b: int) -> None:
+def _batch_labels(truths: list[Labels], b: int) -> Labels:
+    """The batch's truths as one `Labels`, images in order, after checking
+    that there is one `Labels` per image and that each is well formed."""
     if len(truths) != b:
         raise LossError(f"{len(truths)} truth lists for a batch of {b} images")
-    for img, image_truths in enumerate(truths):
-        for idx, t in enumerate(image_truths):
-            if not (0.0 <= t.cx <= 1.0 and 0.0 <= t.cy <= 1.0):
-                raise LossError(f"image {img}, truth {idx}: center ({t.cx}, {t.cy}) outside [0, 1]")
-            if not (0.0 < t.w <= 1.0 and 0.0 < t.h <= 1.0):
-                raise LossError(f"image {img}, truth {idx}: size ({t.w}, {t.h}) outside (0, 1]")
-            if t.class_id < 0:
-                raise LossError(f"image {img}, truth {idx}: negative class id {t.class_id}")
+    for img, (ids, boxes) in enumerate(truths):
+        if np.ndim(ids) != 1:
+            raise LossError(f"image {img}: class_ids must be (T,), got shape {np.shape(ids)}")
+        if np.shape(boxes) != (len(ids), 4):
+            raise LossError(f"image {img}: boxes must be ({len(ids)}, 4), got shape {np.shape(boxes)}")
+        centre_ok = ((0.0 <= boxes[:, :2]) & (boxes[:, :2] <= 1.0)).all(axis=1)
+        size_ok = ((0.0 < boxes[:, 2:]) & (boxes[:, 2:] <= 1.0)).all(axis=1)
+        bad = np.flatnonzero(~(centre_ok & size_ok & (ids >= 0)))
+        if len(bad):
+            idx = int(bad[0])
+            cx, cy, w, h = boxes[idx].tolist()
+            if not centre_ok[idx]:
+                raise LossError(f"image {img}, truth {idx}: center ({cx}, {cy}) outside [0, 1]")
+            if not size_ok[idx]:
+                raise LossError(f"image {img}, truth {idx}: size ({w}, {h}) outside (0, 1]")
+            raise LossError(f"image {img}, truth {idx}: negative class id {ids[idx]}")
+    return Labels(np.concatenate([ids for ids, _ in truths]),
+                  np.concatenate([boxes for _, boxes in truths]))
 
 
 def assign_targets(
-    truths: list[list[TruthBox]],
+    truths: list[Labels],
     preds: PredGrid,
     anchors: AnchorSet,
     weights: LossWeights,
@@ -109,10 +120,10 @@ def assign_targets(
 ) -> Assignment:
     """Choose the responsible slot per truth and the no-object mask.
 
-    `truths` holds one list per image of the batch; `truth_idx` indexes
-    their concatenation in image order. Each truth is owned by the slot
-    in its center cell of its own image whose anchor shape has the
-    highest co-centered IoU with it (the first such anchor on a tie);
+    `truths` holds one `Labels` per image of the batch; `truth_idx`
+    indexes their concatenation in image order. Each truth is owned by
+    the slot in its center cell of its own image whose anchor shape has
+    the highest co-centered IoU with it (the first such anchor on a tie);
     that slot's confidence target is the IoU of the current predicted
     box against the truth. Slots whose predicted box overlaps any truth
     of the same image above iou_thres are exempted from the no-object
@@ -125,15 +136,14 @@ def assign_targets(
     later truth owns it and the earlier one is dropped.
     """
     b, s, k = preds.b, preds.s, preds.k
-    _validate_truths(truths, b)
-    flat = [t for image_truths in truths for t in image_truths]
+    flat = _batch_labels(truths, b)
     obj = np.zeros((b, s, s, k), dtype=bool)
     noobj = np.ones((b, s, s, k), dtype=bool)
     truth_idx = np.full((b, s, s, k), -1, dtype=np.int64)
     conf_target = np.zeros((b, s, s, k), dtype=np.float64)
 
-    if flat:
-        image_of = np.repeat(np.arange(b), [len(ts) for ts in truths])
+    if len(flat.class_ids):
+        image_of = np.repeat(np.arange(b), [len(ids) for ids, _ in truths])
         # predicted boxes in normalized image coordinates
         rows, cols, _ = np.indices((s, s, k))
         cx = (cols + preds.x_off) / s
@@ -141,16 +151,15 @@ def assign_targets(
         w = preds.w / s
         h = preds.h / s
         pred_boxes = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
-        ious = iou_matrix(pred_boxes.reshape(-1, 4), box_array(t.corners() for t in flat))
-        ious = ious.reshape(b, s, s, k, len(flat))
+        ious = iou_matrix(pred_boxes.reshape(-1, 4), flat.corners())
+        ious = ious.reshape(b, s, s, k, len(flat.class_ids))
         same_image = (image_of == np.arange(b)[:, None])[:, None, None, None, :]
         noobj = ~((ious > weights.iou_thres) & same_image).any(axis=-1)
-        shapes = np.array([(t.w * s, t.h * s) for t in flat])
-        best_anchor = shape_iou_matrix(shapes, anchors.as_array()).argmax(axis=1)
+        cell = np.minimum((flat.boxes[:, :2] * s).astype(np.int64), s - 1)
+        best_anchor = shape_iou_matrix(flat.boxes[:, 2:] * s, anchors.as_array()).argmax(axis=1)
         # one truth at a time, so that the later of two colliding truths wins
-        for t_i, (t, img, a) in enumerate(zip(flat, image_of.tolist(), best_anchor.tolist())):
-            j = min(int(t.cx * s), s - 1)
-            i = min(int(t.cy * s), s - 1)
+        for t_i, (img, (j, i), a) in enumerate(zip(image_of.tolist(), cell.tolist(),
+                                                   best_anchor.tolist())):
             obj[img, i, j, a] = True
             noobj[img, i, j, a] = False
             truth_idx[img, i, j, a] = t_i
@@ -196,7 +205,7 @@ def _sq_term_and_grad(residual, s):
 
 def compute_loss(
     preds: PredGrid,
-    truths: list[list[TruthBox]],
+    truths: list[Labels],
     assignment: Assignment,
     weights: LossWeights,
 ) -> tuple[LossParts, np.ndarray]:
@@ -231,13 +240,13 @@ def compute_loss(
     # coordinates and classification on owned slots
     coord_part = 0.0
     cls_part = 0.0
-    flat = [t for image_truths in truths for t in image_truths]
-    if flat:
+    flat = _batch_labels(truths, b)
+    if len(flat.class_ids):
         own = np.nonzero(obj)
         _, i, j, _ = own
         t_idx = assignment.truth_idx[own]
-        t_cx, t_cy, t_w, t_h = np.array([(t.cx, t.cy, t.w, t.h) for t in flat])[t_idx].T
-        t_cls = np.array([t.class_id for t in flat])[t_idx]
+        t_cx, t_cy, t_w, t_h = flat.boxes[t_idx].T
+        t_cls = flat.class_ids[t_idx]
         x_off, y_off, w, h = preds.x_off[own], preds.y_off[own], preds.w[own], preds.h[own]
         vx, gx_grad = _sq_term_and_grad(t_cx * s - j - x_off, x_off)
         vy, gy_grad = _sq_term_and_grad(t_cy * s - i - y_off, y_off)

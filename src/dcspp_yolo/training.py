@@ -3,7 +3,7 @@ synthetic-shapes dataset generator for desk-scale experiments."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -18,7 +18,7 @@ from .data import (
     write_label_file,
 )
 from .detection import decode_predictions
-from .loss import LossParts, LossWeights, TruthBox, assign_targets, compute_loss
+from .loss import Labels, LossParts, LossWeights, assign_targets, compute_loss
 from .network import NetworkGraph, Param
 
 
@@ -151,19 +151,20 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 # augmentation
 
 
-def hflip(image: np.ndarray, truths: list[TruthBox]) -> tuple[np.ndarray, list[TruthBox]]:
-    flipped = [replace(t, cx=1.0 - t.cx) for t in truths]
-    return image[:, ::-1].copy(), flipped
+def hflip(image: np.ndarray, labels: Labels) -> tuple[np.ndarray, Labels]:
+    boxes = labels.boxes.copy()
+    boxes[:, 0] = 1.0 - boxes[:, 0]
+    return image[:, ::-1].copy(), labels._replace(boxes=boxes)
 
 
 def crop_to_window(
     image: np.ndarray,
-    truths: list[TruthBox],
+    labels: Labels,
     ox: int,
     oy: int,
     cw: int,
     ch: int,
-) -> tuple[np.ndarray, list[TruthBox]]:
+) -> tuple[np.ndarray, Labels]:
     """Extract a window (gray-padded where it leaves the image) and map the
     boxes into it, clipping; boxes cropped away entirely are dropped."""
     h, w = image.shape[:2]
@@ -172,35 +173,24 @@ def crop_to_window(
     sy0, sy1 = max(0, oy), min(h, oy + ch)
     if sx1 > sx0 and sy1 > sy0:
         canvas[sy0 - oy:sy1 - oy, sx0 - ox:sx1 - ox] = image[sy0:sy1, sx0:sx1]
-    out: list[TruthBox] = []
-    for t in truths:
-        x0 = (t.cx - t.w / 2) * w - ox
-        x1 = (t.cx + t.w / 2) * w - ox
-        y0 = (t.cy - t.h / 2) * h - oy
-        y1 = (t.cy + t.h / 2) * h - oy
-        x0, x1 = max(x0, 0.0), min(x1, float(cw))
-        y0, y1 = max(y0, 0.0), min(y1, float(ch))
-        if x1 <= x0 or y1 <= y0:
-            continue
-        out.append(
-            TruthBox(
-                cx=(x0 + x1) / 2 / cw,
-                cy=(y0 + y1) / 2 / ch,
-                w=(x1 - x0) / cw,
-                h=(y1 - y0) / ch,
-                class_id=t.class_id,
-            )
-        )
-    return canvas, out
+    cx, cy, bw, bh = labels.boxes.T
+    x0 = np.maximum((cx - bw / 2) * w - ox, 0.0)
+    x1 = np.minimum((cx + bw / 2) * w - ox, float(cw))
+    y0 = np.maximum((cy - bh / 2) * h - oy, 0.0)
+    y1 = np.minimum((cy + bh / 2) * h - oy, float(ch))
+    keep = (x1 > x0) & (y1 > y0)
+    boxes = np.stack([(x0 + x1) / 2 / cw, (y0 + y1) / 2 / ch, (x1 - x0) / cw, (y1 - y0) / ch],
+                     axis=-1)
+    return canvas, Labels(labels.class_ids[keep], boxes[keep])
 
 
 def augment(
     image: np.ndarray,
-    truths: list[TruthBox],
+    labels: Labels,
     rng: np.random.Generator,
     flip: bool = True,
     crop: bool = True,
-) -> tuple[np.ndarray, list[TruthBox]]:
+) -> tuple[np.ndarray, Labels]:
     """Random crop with scale jitter in [0.8, 1.2] plus p=0.5 horizontal
     flip. With both flags off this is the identity."""
     if crop:
@@ -211,23 +201,19 @@ def augment(
         lo_x, hi_x = min(0, w - cw), max(0, w - cw)
         lo_y, hi_y = min(0, h - ch), max(0, h - ch)
         ox, oy = (w - cw) // 2, (h - ch) // 2
+        centres = labels.boxes[:, :2] * (w, h)
         for _ in range(10):
             cand_x = int(rng.integers(lo_x, hi_x + 1))
             cand_y = int(rng.integers(lo_y, hi_y + 1))
-            if not truths:
+            # take the window if it keeps some box's centre, or if there is no box
+            inside = (centres >= (cand_x, cand_y)) & (centres < (cand_x + cw, cand_y + ch))
+            if not len(centres) or inside.all(axis=1).any():
                 ox, oy = cand_x, cand_y
                 break
-            keeps = any(
-                cand_x <= t.cx * w < cand_x + cw and cand_y <= t.cy * h < cand_y + ch
-                for t in truths
-            )
-            if keeps:
-                ox, oy = cand_x, cand_y
-                break
-        image, truths = crop_to_window(image, truths, ox, oy, cw, ch)
+        image, labels = crop_to_window(image, labels, ox, oy, cw, ch)
     if flip and rng.random() < 0.5:
-        image, truths = hflip(image, truths)
-    return image, truths
+        image, labels = hflip(image, labels)
+    return image, labels
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +276,7 @@ def synth_dataset(
         count = int(rng.integers(1, 4))
         centers: list[tuple[int, int]] = []
         cells: set[tuple[int, int]] = set()
-        truths: list[TruthBox] = []
+        class_ids, boxes = [], []
         for _ in range(count):
             placed = False
             for _ in range(40):
@@ -316,21 +302,16 @@ def synth_dataset(
             ys, xs = np.nonzero(mask)
             x0, x1 = int(xs.min()), int(xs.max())
             y0, y1 = int(ys.min()), int(ys.max())
-            truths.append(
-                TruthBox(
-                    cx=(x0 + x1 + 1) / 2 / sz,
-                    cy=(y0 + y1 + 1) / 2 / sz,
-                    w=(x1 - x0 + 1) / sz,
-                    h=(y1 - y0 + 1) / sz,
-                    class_id=cls_idx,
-                )
-            )
+            class_ids.append(cls_idx)
+            boxes.append(((x0 + x1 + 1) / 2 / sz, (y0 + y1 + 1) / 2 / sz,
+                          (x1 - x0 + 1) / sz, (y1 - y0 + 1) / sz))
             centers.append((cx, cy))
             cells.add(cell)
         img_path = out_dir / f"img_{idx:04d}.ppm"
         lab_path = out_dir / f"img_{idx:04d}.txt"
         ppm.ppm_write(img_path, img)
-        write_label_file(lab_path, truths)
+        write_label_file(lab_path, Labels(np.array(class_ids, dtype=np.int64),
+                                          np.array(boxes, dtype=np.float64).reshape(-1, 4)))
         entries.append((img_path, lab_path))
 
     manifest = DatasetManifest(entries=entries, class_names=list(classes))
@@ -400,8 +381,8 @@ def train(
 
     raw_images = [ppm.ppm_read(img) for img, _ in manifest.entries]
     truth_lists = [read_label_file(lab) for _, lab in manifest.entries]
-    for (_, lab), truths in zip(manifest.entries, truth_lists):
-        if (cid := max((t.class_id for t in truths), default=0)) >= net.cfg.num_classes:
+    for (_, lab), labels in zip(manifest.entries, truth_lists):
+        if (cid := labels.class_ids.max(initial=0)) >= net.cfg.num_classes:
             raise TrainingError(f"{lab}: class id {cid} out of range for {net.cfg.num_classes} classes")
     static_inputs = None
     if not cfg.flip and not cfg.crop:

@@ -14,19 +14,20 @@ import numpy as np
 import pytest
 
 from dcspp_yolo import gradcheck
-from dcspp_yolo.anchors import AnchorSet, iou_dist, kmeans_anchors, load_boxes_from_labels
+from dcspp_yolo.anchors import AnchorSet, kmeans_anchors, load_boxes_from_labels
 from dcspp_yolo.cli import main as cli_main
 from dcspp_yolo.data import image_to_tensor
 from dcspp_yolo.detection import BBox, decode_predictions, detect_image, nms
 from dcspp_yolo.evaluation import average_precision, evaluate, match_detections
-from dcspp_yolo.loss import LossWeights, TruthBox, assign_targets, compute_loss
+from dcspp_yolo.loss import LossWeights, assign_targets, compute_loss
 from dcspp_yolo.network import NetworkConfig, REFERENCE_SHAPES_416, build_network
 from dcspp_yolo.ppm import ppm_read, ppm_write
 from dcspp_yolo.training import TrainConfig, synth_dataset, train, write_loss_log
 
+from test_anchors import iou_dist
 from test_detection import as_detections, brute_force_nms, _random_dets
 from test_evaluation import brute_force_match, det, truth_arrays
-from test_loss import straight_line_loss
+from test_loss import make_labels, straight_line_loss
 
 
 def _report(name: str):
@@ -101,10 +102,7 @@ def test_acceptance_loss_oracle():
                 [[-0.2, 0.7], [0.1, -0.25]],
             ]
         )
-        truths = [
-            TruthBox(cx=0.3, cy=0.26, w=0.33, h=0.42, class_id=0),
-            TruthBox(cx=0.77, cy=0.74, w=0.25, h=0.2, class_id=1),
-        ]
+        truths = make_labels((0, 0.3, 0.26, 0.33, 0.42), (1, 0.77, 0.74, 0.25, 0.2))
         w = LossWeights(n_prior=1000)
         preds = decode_predictions(raw[None], anchors)
         for images_seen in (0, 1000):
@@ -120,10 +118,10 @@ def test_acceptance_loss_oracle():
         raw[4, 0, 1] = 800.0
         raw[5, 0, 1] = -800.0
         raw[6, 0, 1] = 800.0
-        truth = TruthBox(cx=0.75, cy=0.25, w=0.7 / 2, h=0.9 / 2, class_id=1)
+        truth = make_labels((1, 0.75, 0.25, 0.7 / 2, 0.9 / 2))
         preds = decode_predictions(raw[None], anchors)
-        asg = assign_targets([[truth]], preds, anchors, w, images_seen=1000)
-        parts, _ = compute_loss(preds, [[truth]], asg, w)
+        asg = assign_targets([truth], preds, anchors, w, images_seen=1000)
+        parts, _ = compute_loss(preds, [truth], asg, w)
         assert parts.total == 0.0
 
 

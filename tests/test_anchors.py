@@ -6,15 +6,25 @@ from hypothesis import strategies as st
 from dcspp_yolo.anchors import (
     AnchorError,
     AnchorSet,
-    iou_dist,
     kmeans_anchors,
     load_anchors,
     load_boxes_from_labels,
     save_anchors,
+    shape_iou_matrix,
 )
 
 
 # -- distance ----------------------------------------------------------------
+
+
+def iou_dist(box: tuple[float, float], centroid: tuple[float, float]) -> float:
+    """Scalar oracle: 1 - IoU of co-centered (w, h) shapes; 0 iff the
+    shapes are identical."""
+    (bw, bh), (cw, ch) = box, centroid
+    if bw <= 0 or bh <= 0 or cw <= 0 or ch <= 0:
+        raise AnchorError(f"boxes must have positive dims, got {box} vs {centroid}")
+    inter = min(bw, cw) * min(bh, ch)
+    return 1.0 - inter / (bw * bh + cw * ch - inter)
 
 
 def test_iou_dist_identical_shapes():
@@ -45,6 +55,14 @@ pos = st.floats(0.01, 100.0, allow_nan=False)
 @settings(max_examples=100)
 def test_iou_dist_symmetry(w1, h1, w2, h2):
     assert iou_dist((w1, h1), (w2, h2)) == pytest.approx(iou_dist((w2, h2), (w1, h1)))
+
+
+@given(st.lists(st.tuples(pos, pos), min_size=1, max_size=4),
+       st.lists(st.tuples(pos, pos), min_size=1, max_size=4))
+@settings(max_examples=100)
+def test_shape_iou_matrix_equals_iou_dist_oracle(a, b):
+    got = 1.0 - shape_iou_matrix(np.array(a), np.array(b))
+    assert got.tolist() == [[iou_dist(x, y) for y in b] for x in a]
 
 
 @given(pos, pos, pos, pos, st.floats(0.1, 10.0))
@@ -131,7 +149,7 @@ def test_deterministic_for_seed():
 def test_load_boxes_scaling(tmp_path):
     (tmp_path / "a.txt").write_text("0 0.5 0.5 0.25 0.5\n")
     boxes = load_boxes_from_labels(tmp_path, 13)
-    assert boxes == [(0.25 * 13, 0.5 * 13)]
+    assert boxes.tolist() == [[0.25 * 13, 0.5 * 13]]
 
 
 def test_load_boxes_empty_dir(tmp_path):
@@ -143,7 +161,7 @@ def test_load_boxes_lexicographic_order(tmp_path):
     (tmp_path / "b.txt").write_text("0 0.5 0.5 0.2 0.2\n")
     (tmp_path / "a.txt").write_text("0 0.5 0.5 0.1 0.1\n")
     boxes = load_boxes_from_labels(tmp_path, 10)
-    assert boxes == [(1.0, 1.0), (2.0, 2.0)]
+    assert boxes.tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
 
 def test_load_boxes_malformed_line_reports_location(tmp_path):

@@ -13,7 +13,6 @@ from dcspp_yolo.detection import (
     Detection,
     DetectionError,
     Detections,
-    box_array,
     decode,
     detect_image,
     format_detections,
@@ -57,6 +56,12 @@ def iou(a: BBox, b: BBox) -> float:
     if union <= 0:
         return 0.0
     return inter / union
+
+
+def box_array(boxes) -> np.ndarray:
+    """(N, 4) float64 corners (x_min, y_min, x_max, y_max) of N `BBox`es."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
 
 
 def _iou_rows(a, b):
@@ -463,5 +468,5 @@ def test_detect_image_conf_one_empty():
 
 def test_format_detections_layout():
     d = Detection(box=BBox(1.25, 2.0, 30.5, 44.125), class_id=2, score=0.875)
-    line = format_detections([d]).strip()
+    line = format_detections(as_detections([d])).strip()
     assert line == "2 0.875000 1.250000 2.000000 30.500000 44.125000"

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_detection import as_detections, boxes, det_lists, iou
+from test_detection import as_detections, box_array, boxes, det_lists, iou
 
 from dcspp_yolo import evaluation
 from dcspp_yolo.anchors import AnchorSet
-from dcspp_yolo.detection import BBox, Detection, box_array
+from dcspp_yolo.detection import BBox, Detection
 from dcspp_yolo.evaluation import (
     EvalError,
     average_precision,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_detection import as_detections
+from test_loss import NO_LABELS, make_labels
 
 from dcspp_yolo.data import (
     LabelError,
@@ -15,7 +17,6 @@ from dcspp_yolo.data import (
     write_label_file,
 )
 from dcspp_yolo.detection import BBox, Detection
-from dcspp_yolo.loss import TruthBox
 from dcspp_yolo.ppm import PPMError, ppm_read, ppm_write
 
 
@@ -83,10 +84,16 @@ def test_ppm_round_trip_property(seed, h, w):
 
 
 def test_label_round_trip(tmp_path):
-    truths = [TruthBox(cx=0.5, cy=0.25, w=0.25, h=0.125, class_id=2)]
     path = tmp_path / "a.txt"
-    write_label_file(path, truths)
-    assert read_label_file(path) == truths
+    for labels in (make_labels((2, 0.5, 0.25, 0.25, 0.125), (0, 0.75, 0.5, 0.5, 1.0)), NO_LABELS):
+        write_label_file(path, labels)
+        back = read_label_file(path)
+        assert back.class_ids.dtype == np.int64 and back.boxes.dtype == np.float64
+        assert np.array_equal(back.class_ids, labels.class_ids)
+        assert np.array_equal(back.boxes, labels.boxes)
+    assert path.read_text() == ""
+    write_label_file(path, make_labels((2, 0.5, 0.25, 0.25, 0.125)))
+    assert path.read_text() == "2 0.500000 0.250000 0.250000 0.125000\n"
 
 
 def test_label_rejects_out_of_range_with_location(tmp_path):
@@ -155,13 +162,13 @@ def test_unletterbox_inverts_mapping():
 def test_render_no_detections_unchanged():
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)
-    assert np.array_equal(render_detections(img, []), img)
+    assert np.array_equal(render_detections(img, as_detections([])), img)
 
 
 def test_render_touches_only_outline():
     img = np.zeros((40, 40, 3), dtype=np.uint8)
     det = Detection(box=BBox(10, 10, 30, 30), class_id=1, score=0.9)
-    out = render_detections(img, [det])
+    out = render_detections(img, as_detections([det]))
     changed = np.argwhere((out != img).any(axis=2))
     assert len(changed)
     for y, x in changed:
@@ -174,7 +181,8 @@ def test_render_deterministic():
     rng = np.random.default_rng(3)
     img = rng.integers(0, 256, (24, 24, 3)).astype(np.uint8)
     det = Detection(box=BBox(2, 2, 20, 20), class_id=4, score=0.5)
-    assert np.array_equal(render_detections(img, [det]), render_detections(img, [det]))
+    dets = as_detections([det])
+    assert np.array_equal(render_detections(img, dets), render_detections(img, dets))
 
 
 def test_class_colors_distinct_for_small_ids():

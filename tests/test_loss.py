@@ -11,14 +11,23 @@ from dcspp_yolo.detection import BBox, DetectionError, decode_predictions
 from dcspp_yolo.gradcheck import check_loss
 from dcspp_yolo.loss import (
     Assignment,
+    Labels,
     LossError,
     LossWeights,
-    TruthBox,
     assign_targets,
     compute_loss,
 )
 
 ANCHORS2 = AnchorSet(dims=[(0.8, 0.9), (1.6, 1.2)])
+
+
+def make_labels(*rows) -> Labels:
+    """The `Labels` of (class_id, cx, cy, w, h) rows."""
+    return Labels(np.array([r[0] for r in rows], dtype=np.int64),
+                  np.array([r[1:] for r in rows], dtype=np.float64).reshape(-1, 4))
+
+
+NO_LABELS = make_labels()
 
 
 def _sig(x: float) -> float:
@@ -67,7 +76,7 @@ def test_decode_predictions_needs_a_batch_axis():
 
 def test_no_truths_all_noobj():
     preds = decode_predictions(_raw(3, 2, 2), ANCHORS2)
-    asg = assign_targets([[]], preds, ANCHORS2, LossWeights())
+    asg = assign_targets([NO_LABELS], preds, ANCHORS2, LossWeights())
     assert not asg.obj.any()
     assert asg.noobj.all()
 
@@ -76,8 +85,8 @@ def test_best_shape_anchor_wins():
     anchors = AnchorSet(dims=[(1.0, 1.0), (3.0, 3.0)])
     s = 13
     preds = decode_predictions(_raw(s, 2, 2), anchors)
-    truth = TruthBox(cx=6.5 / s, cy=6.5 / s, w=3.0 / s, h=3.0 / s, class_id=0)
-    asg = assign_targets([[truth]], preds, anchors, LossWeights())
+    truth = make_labels((0, 6.5 / s, 6.5 / s, 3.0 / s, 3.0 / s))
+    asg = assign_targets([truth], preds, anchors, LossWeights())
     assert asg.obj[0, 6, 6, 1]
     assert not asg.obj[0, 6, 6, 0]
     assert asg.obj.sum() == 1
@@ -86,21 +95,18 @@ def test_best_shape_anchor_wins():
 def test_two_truths_two_obj_slots_match_bruteforce():
     rng = np.random.default_rng(0)
     preds = decode_predictions(_raw(4, 2, 3, rng), ANCHORS2)
-    truths = [
-        TruthBox(cx=0.2, cy=0.3, w=0.2, h=0.25, class_id=0),
-        TruthBox(cx=0.8, cy=0.75, w=0.4, h=0.3, class_id=2),
-    ]
+    truths = make_labels((0, 0.2, 0.3, 0.2, 0.25), (2, 0.8, 0.75, 0.4, 0.3))
     asg = assign_targets([truths], preds, ANCHORS2, LossWeights())
     assert asg.obj.sum() == 2
     # brute-force expectation over all S*S*K slots
     s = 4
     expected = set()
-    for t in truths:
-        j, i = min(int(t.cx * s), s - 1), min(int(t.cy * s), s - 1)
+    for cx, cy, tw, th in truths.boxes.tolist():
+        j, i = min(int(cx * s), s - 1), min(int(cy * s), s - 1)
         best_k, best_v = -1, -1.0
         for k, (aw, ah) in enumerate(ANCHORS2.dims):
-            inter = min(t.w * s, aw) * min(t.h * s, ah)
-            union = t.w * s * t.h * s + aw * ah - inter
+            inter = min(tw * s, aw) * min(th * s, ah)
+            union = tw * s * th * s + aw * ah - inter
             v = inter / union
             if v > best_v:
                 best_k, best_v = k, v
@@ -111,15 +117,14 @@ def test_two_truths_two_obj_slots_match_bruteforce():
 def test_obj_and_noobj_mutually_exclusive():
     rng = np.random.default_rng(1)
     preds = decode_predictions(_raw(4, 2, 3, rng), ANCHORS2)
-    truths = [TruthBox(cx=0.4, cy=0.6, w=0.3, h=0.3, class_id=1)]
+    truths = make_labels((1, 0.4, 0.6, 0.3, 0.3))
     asg = assign_targets([truths], preds, ANCHORS2, LossWeights())
     assert not (asg.obj & asg.noobj).any()
 
 
 def test_truth_out_of_range_rejected_with_index():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
-    bad = [TruthBox(cx=0.5, cy=0.5, w=0.2, h=0.2, class_id=0),
-           TruthBox(cx=1.4, cy=0.5, w=0.2, h=0.2, class_id=0)]
+    bad = make_labels((0, 0.5, 0.5, 0.2, 0.2), (0, 1.4, 0.5, 0.2, 0.2))
     with pytest.raises(LossError, match="truth 1"):
         assign_targets([bad], preds, ANCHORS2, LossWeights())
 
@@ -127,15 +132,35 @@ def test_truth_out_of_range_rejected_with_index():
 def test_truth_list_per_image_required():
     preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
     with pytest.raises(LossError, match="1 truth lists for a batch of 2"):
-        assign_targets([[]], preds, ANCHORS2, LossWeights())
+        assign_targets([NO_LABELS], preds, ANCHORS2, LossWeights())
+
+
+def test_class_ids_not_one_dimensional_rejected_with_image():
+    preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
+    w = LossWeights()
+    good = make_labels((0, 0.5, 0.5, 0.2, 0.2))
+    bad = Labels(good.class_ids[:, None], good.boxes)
+    message = r"^image 1: class_ids must be \(T,\), got shape \(1, 1\)$"
+    with pytest.raises(LossError, match=message):
+        assign_targets([good, bad], preds, ANCHORS2, w)
+    asg = assign_targets([good, good], preds, ANCHORS2, w)
+    with pytest.raises(LossError, match=message):
+        compute_loss(preds, [good, bad], asg, w)
+
+
+def test_boxes_not_t_by_4_rejected_with_image():
+    # (4, 5) holds 20 numbers, as (5, 4) does; it must not be read as five boxes
+    preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
+    bad = Labels(np.zeros(5, dtype=np.int64), np.full((4, 5), 0.25))
+    with pytest.raises(LossError, match=r"^image 0: boxes must be \(5, 4\), got shape \(4, 5\)$"):
+        assign_targets([bad], preds, ANCHORS2, LossWeights())
 
 
 def test_slot_collision_later_truth_owns_slot():
     # both centres fall in cell (1, 1), and both best match anchor 0 (dims 1x1)
     anchors = AnchorSet(dims=[(1.0, 1.0), (2.0, 2.0)])
     preds = decode_predictions(_raw(3, 2, 2), anchors)
-    truths = [TruthBox(cx=0.45, cy=0.45, w=0.2, h=0.2, class_id=0),
-              TruthBox(cx=0.55, cy=0.55, w=0.2, h=0.2, class_id=1)]
+    truths = make_labels((0, 0.45, 0.45, 0.2, 0.2), (1, 0.55, 0.55, 0.2, 0.2))
     asg = assign_targets([truths], preds, anchors, LossWeights())
     assert asg.obj.sum() == 1
     assert asg.obj[0, 1, 1, 0]
@@ -145,10 +170,10 @@ def test_slot_collision_later_truth_owns_slot():
 def test_prior_indicator_follows_images_seen():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
     w = LossWeights(n_prior=100)
-    assert assign_targets([[]], preds, ANCHORS2, w, images_seen=99).prior_active.tolist() == [True]
-    assert assign_targets([[]], preds, ANCHORS2, w, images_seen=100).prior_active.tolist() == [False]
+    assert assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=99).prior_active.tolist() == [True]
+    assert assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=100).prior_active.tolist() == [False]
     batch = decode_predictions(np.zeros((3, 14, 2, 2)), ANCHORS2)
-    asg = assign_targets([[], [], []], batch, ANCHORS2, w, images_seen=98)
+    asg = assign_targets([NO_LABELS] * 3, batch, ANCHORS2, w, images_seen=98)
     assert asg.prior_active.tolist() == [True, True, False]
 
 
@@ -165,8 +190,8 @@ def _perfect_instance():
     raw[0, 4, i, j] = 800.0        # conf -> exactly 1 on the object slot
     raw[0, 5, i, j] = -800.0
     raw[0, 6, i, j] = 800.0        # true class (1) prob -> exactly 1
-    truth = TruthBox(cx=(j + 0.5) / s, cy=(i + 0.5) / s, w=0.7 / s, h=0.9 / s, class_id=1)
-    return raw, [truth], anchors
+    truth = make_labels((1, (j + 0.5) / s, (i + 0.5) / s, 0.7 / s, 0.9 / s))
+    return raw, truth, anchors
 
 
 def test_perfect_prediction_loss_exactly_zero():
@@ -185,8 +210,8 @@ def test_empty_image_all_conf_zero_loss_zero():
     raw[0, 4] = -800.0
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets([[]], preds, anchors, w, images_seen=w.n_prior)
-    parts, _ = compute_loss(preds, [[]], asg, w)
+    asg = assign_targets([NO_LABELS], preds, anchors, w, images_seen=w.n_prior)
+    parts, _ = compute_loss(preds, [NO_LABELS], asg, w)
     assert parts.total == 0.0
 
 
@@ -195,8 +220,8 @@ def test_loss_nonnegative():
     w = LossWeights(n_prior=10)
     for _ in range(20):
         preds = decode_predictions(_raw(3, 2, 2, rng), ANCHORS2)
-        truths = [TruthBox(cx=rng.uniform(0.1, 0.9), cy=rng.uniform(0.1, 0.9),
-                           w=rng.uniform(0.05, 0.5), h=rng.uniform(0.05, 0.5), class_id=0)]
+        truths = make_labels((0, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
+                              rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)))
         asg = assign_targets([truths], preds, ANCHORS2, w, images_seen=0)
         parts, _ = compute_loss(preds, [truths], asg, w)
         assert parts.total >= 0.0
@@ -207,7 +232,7 @@ def test_loss_nonnegative():
 def test_class_weight_monotonicity():
     rng = np.random.default_rng(3)
     raw = _raw(2, 2, 2, rng)
-    truths = [TruthBox(cx=0.3, cy=0.3, w=0.3, h=0.3, class_id=1)]
+    truths = make_labels((1, 0.3, 0.3, 0.3, 0.3))
     preds = decode_predictions(raw, ANCHORS2)
     lo = LossWeights(cls=1.0)
     hi = LossWeights(cls=2.0)
@@ -219,7 +244,7 @@ def test_zero_class_probability_is_clamped():
     anchors = AnchorSet(dims=[(1.0, 1.0)])
     raw = np.zeros((1, 6, 2, 2))
     raw[0, 5] = -800.0  # true-class probability exactly 0
-    truths = [TruthBox(cx=0.25, cy=0.25, w=0.4, h=0.4, class_id=0)]
+    truths = make_labels((0, 0.25, 0.25, 0.4, 0.4))
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
     asg = assign_targets([truths], preds, anchors, w, images_seen=w.n_prior)
@@ -234,9 +259,9 @@ def test_zero_class_probability_is_clamped():
 def test_prior_term_zero_at_priors():
     preds = decode_predictions(_raw(3, 2, 2, fill=0.0), ANCHORS2)
     w = LossWeights()
-    asg = assign_targets([[]], preds, ANCHORS2, w, images_seen=0)
+    asg = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=0)
     assert asg.prior_active.all()
-    assert compute_loss(preds, [[]], asg, w)[0].prior == 0.0
+    assert compute_loss(preds, [NO_LABELS], asg, w)[0].prior == 0.0
 
 
 def test_prior_contributes_nothing_after_warmup():
@@ -244,10 +269,10 @@ def test_prior_contributes_nothing_after_warmup():
     raw = _raw(2, 2, 2, rng)
     preds = decode_predictions(raw, ANCHORS2)
     w = LossWeights(n_prior=5)
-    asg_on = assign_targets([[]], preds, ANCHORS2, w, images_seen=0)
-    asg_off = assign_targets([[]], preds, ANCHORS2, w, images_seen=5)
-    assert compute_loss(preds, [[]], asg_on, w)[0].prior > 0.0
-    assert compute_loss(preds, [[]], asg_off, w)[0].prior == 0.0
+    asg_on = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=0)
+    asg_off = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=5)
+    assert compute_loss(preds, [NO_LABELS], asg_on, w)[0].prior > 0.0
+    assert compute_loss(preds, [NO_LABELS], asg_off, w)[0].prior == 0.0
 
 
 def test_prior_single_cell_scalar_recomputation():
@@ -258,8 +283,8 @@ def test_prior_single_cell_scalar_recomputation():
     raw[0, 0, 0, 0] = math.log(off / (1 - off))  # sigmoid -> 0.6
     preds = decode_predictions(raw, anchors)
     w = LossWeights()
-    asg = assign_targets([[]], preds, anchors, w, images_seen=0)
-    got = compute_loss(preds, [[]], asg, w)[0].prior
+    asg = assign_targets([NO_LABELS], preds, anchors, w, images_seen=0)
+    got = compute_loss(preds, [NO_LABELS], asg, w)[0].prior
     expected = w.prior * (0.5 - off) ** 2
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -270,8 +295,9 @@ def test_prior_single_cell_scalar_recomputation():
 def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: AnchorSet):
     """Independent scalar recomputation: plain loops, plain floats.
 
-    `raw` is one image's (K*(5+C), S, S) volume and `truths` its truth
-    list; `asg` is the assignment of a batch whose image 0 it is."""
+    `raw` is one image's (K*(5+C), S, S) volume and `truths` its
+    `Labels`, read a row at a time; `asg` is the assignment of a batch
+    whose image 0 it is."""
     k = anchors.k
     c = raw.shape[0] // k - 5
     s = raw.shape[1]
@@ -290,9 +316,10 @@ def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: An
                 if asg.obj[0, i, j, a]:
                     g_c = asg.conf_target[0, i, j, a]
                     total += w.obj * (g_c - bc) ** 2
-                    t = truths[asg.truth_idx[0, i, j, a]]
-                    gx, gy = t.cx * s - j, t.cy * s - i
-                    gw, gh = t.w * s, t.h * s
+                    t_i = asg.truth_idx[0, i, j, a]
+                    cx, cy, tw, th = truths.boxes[t_i].tolist()
+                    gx, gy = cx * s - j, cy * s - i
+                    gw, gh = tw * s, th * s
                     total += w.coord * (
                         (gx - sx) ** 2
                         + (gy - sy) ** 2
@@ -301,7 +328,7 @@ def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: An
                     )
                     for l in range(c):
                         p_l = _sig(raw[base + 5 + l, i, j])
-                        if l == t.class_id:
+                        if l == truths.class_ids[t_i]:
                             total += w.cls * -math.log(max(p_l, 1e-15))
                         else:
                             total += w.cls * -math.log(max(1.0 - p_l, 1e-15))
@@ -330,10 +357,7 @@ def test_loss_matches_straight_line_oracle():
         ]
     )
     assert raw.shape == (k * (5 + c), s, s)
-    truths = [
-        TruthBox(cx=0.3, cy=0.26, w=0.33, h=0.42, class_id=0),
-        TruthBox(cx=0.77, cy=0.74, w=0.25, h=0.2, class_id=1),
-    ]
+    truths = make_labels((0, 0.3, 0.26, 0.33, 0.42), (1, 0.77, 0.74, 0.25, 0.2))
     w = LossWeights(n_prior=1000)
     preds = decode_predictions(raw[None], anchors)
 
@@ -363,8 +387,9 @@ def triple_loop_assignment(truths, preds, anchors, weights):
     noobj = np.ones((s, s, k), dtype=bool)
     truth_idx = np.full((s, s, k), -1, dtype=np.int64)
     conf_target = np.zeros((s, s, k), dtype=np.float64)
-    if truths:
-        truth_boxes = [t.corners() for t in truths]
+    if len(truths.class_ids):
+        truth_boxes = [BBox(cx - tw / 2, cy - th / 2, cx + tw / 2, cy + th / 2)
+                       for cx, cy, tw, th in truths.boxes.tolist()]
         for i in range(s):
             for j in range(s):
                 for a in range(k):
@@ -372,10 +397,10 @@ def triple_loop_assignment(truths, preds, anchors, weights):
                     best = max(iou(pb, tb) for tb in truth_boxes)
                     if best > weights.iou_thres:
                         noobj[i, j, a] = False
-        for t_i, t in enumerate(truths):
-            j = min(int(t.cx * s), s - 1)
-            i = min(int(t.cy * s), s - 1)
-            tw, th = t.w * s, t.h * s
+        for t_i, (cx, cy, tw, th) in enumerate(truths.boxes.tolist()):
+            j = min(int(cx * s), s - 1)
+            i = min(int(cy * s), s - 1)
+            tw, th = tw * s, th * s
             ious = []
             for aw, ah in anchors.dims[:k]:
                 inter = min(tw, aw) * min(th, ah)
@@ -389,8 +414,7 @@ def triple_loop_assignment(truths, preds, anchors, weights):
 
 
 _centre = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
-_truth = st.builds(TruthBox, cx=_centre, cy=_centre, w=st.floats(0.01, 1), h=st.floats(0.01, 1),
-                   class_id=st.integers(0, 2))
+_truth = st.tuples(st.integers(0, 2), _centre, _centre, st.floats(0.01, 1), st.floats(0.01, 1))
 
 
 @given(
@@ -405,8 +429,8 @@ _truth = st.builds(TruthBox, cx=_centre, cy=_centre, w=st.floats(0.01, 1), h=st.
 @settings(max_examples=200, deadline=None)
 def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, iou_thres, images_seen):
     if collide and len(truths) >= 2:  # the last truth claims the first one's slot
-        first = truths[0]
-        truths[-1] = TruthBox(first.cx, first.cy, first.w, first.h, truths[-1].class_id)
+        truths[-1] = (truths[-1][0], *truths[0][1:])
+    truths = make_labels(*truths)
     rng = np.random.default_rng(seed)
     c = 3
     anchors = AnchorSet(dims=[tuple(d) for d in rng.uniform(0.2, 4.0, (k, 2))])
@@ -438,8 +462,8 @@ def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, iou_t
 def test_batch_equals_batch_of_one_calls(seed, b, s, k, truths, collide, images_seen):
     truths = truths[:b]
     if collide:  # in every image with two truths, the last claims the first one's slot
-        truths = [ts[:-1] + [TruthBox(ts[0].cx, ts[0].cy, ts[0].w, ts[0].h, ts[-1].class_id)]
-                  if len(ts) >= 2 else ts for ts in truths]
+        truths = [ts[:-1] + [(ts[-1][0], *ts[0][1:])] if len(ts) >= 2 else ts for ts in truths]
+    truths = [make_labels(*ts) for ts in truths]
     rng = np.random.default_rng(seed)
     c = 3
     anchors = AnchorSet(dims=[tuple(d) for d in rng.uniform(0.2, 4.0, (k, 2))])
@@ -464,7 +488,7 @@ def test_batch_equals_batch_of_one_calls(seed, b, s, k, truths, collide, images_
         assert np.array_equal(asg.truth_idx[i], np.where(local >= 0, local + offset, -1))
         assert grad[i].tobytes() == (one_grad[0] / b).tobytes()
         single_parts.append(one_parts.as_tuple())
-        offset += len(truths[i])
+        offset += len(truths[i].class_ids)
     for got, want in zip(parts.as_tuple(), np.mean(single_parts, axis=0)):
         assert abs(got - want) <= 1e-12 * abs(want)
 

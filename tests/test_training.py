@@ -1,12 +1,15 @@
 import re
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_loss import make_labels
 
 from dcspp_yolo.anchors import kmeans_anchors, load_boxes_from_labels
-from dcspp_yolo.loss import TruthBox
 from dcspp_yolo.network import NetworkConfig, Param, build_network
 from dcspp_yolo.training import (
     AdamState,
@@ -102,51 +105,179 @@ def test_lr_schedule_default_drops():
 # -- augmentation --------------------------------------------------------------------
 
 
+class Truth(NamedTuple):
+    """One annotated box, the unit of the per-box augmentation oracle."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+    class_id: int
+
+
+def oracle_hflip(image, truths):
+    return image[:, ::-1].copy(), [t._replace(cx=1.0 - t.cx) for t in truths]
+
+
+def oracle_crop_to_window(image, truths, ox, oy, cw, ch):
+    """Scalar oracle of `crop_to_window`, one box at a time."""
+    h, w = image.shape[:2]
+    canvas = np.full((ch, cw, 3), 128, dtype=np.uint8)
+    sx0, sx1 = max(0, ox), min(w, ox + cw)
+    sy0, sy1 = max(0, oy), min(h, oy + ch)
+    if sx1 > sx0 and sy1 > sy0:
+        canvas[sy0 - oy:sy1 - oy, sx0 - ox:sx1 - ox] = image[sy0:sy1, sx0:sx1]
+    out = []
+    for t in truths:
+        x0 = (t.cx - t.w / 2) * w - ox
+        x1 = (t.cx + t.w / 2) * w - ox
+        y0 = (t.cy - t.h / 2) * h - oy
+        y1 = (t.cy + t.h / 2) * h - oy
+        x0, x1 = max(x0, 0.0), min(x1, float(cw))
+        y0, y1 = max(y0, 0.0), min(y1, float(ch))
+        if x1 <= x0 or y1 <= y0:
+            continue
+        out.append(Truth(cx=(x0 + x1) / 2 / cw, cy=(y0 + y1) / 2 / ch,
+                         w=(x1 - x0) / cw, h=(y1 - y0) / ch, class_id=t.class_id))
+    return canvas, out
+
+
+def oracle_augment(image, truths, rng, flip, crop):
+    """Scalar oracle of `augment`: the same random draws, one box at a time."""
+    if crop:
+        h, w = image.shape[:2]
+        s = rng.uniform(0.8, 1.2)
+        cw = max(1, round(w / s))
+        ch = max(1, round(h / s))
+        lo_x, hi_x = min(0, w - cw), max(0, w - cw)
+        lo_y, hi_y = min(0, h - ch), max(0, h - ch)
+        ox, oy = (w - cw) // 2, (h - ch) // 2
+        for _ in range(10):
+            cand_x = int(rng.integers(lo_x, hi_x + 1))
+            cand_y = int(rng.integers(lo_y, hi_y + 1))
+            if not truths or any(cand_x <= t.cx * w < cand_x + cw and cand_y <= t.cy * h < cand_y + ch
+                                 for t in truths):
+                ox, oy = cand_x, cand_y
+                break
+        image, truths = oracle_crop_to_window(image, truths, ox, oy, cw, ch)
+    if flip and rng.random() < 0.5:
+        image, truths = oracle_hflip(image, truths)
+    return image, truths
+
+
+def _labels(truths):
+    return make_labels(*[(t.class_id, t.cx, t.cy, t.w, t.h) for t in truths])
+
+
+def _assert_same(image, labels, want_image, want_truths):
+    """Byte-equal images, boxes and class ids, with the `Labels` dtypes."""
+    assert image.shape == want_image.shape and image.tobytes() == want_image.tobytes()
+    want = _labels(want_truths)
+    assert labels.class_ids.dtype == np.int64 and labels.boxes.dtype == np.float64
+    assert labels.class_ids.shape == want.class_ids.shape and labels.boxes.shape == want.boxes.shape
+    assert labels.class_ids.tobytes() == want.class_ids.tobytes()
+    assert labels.boxes.tobytes() == want.boxes.tobytes()
+
+
+@st.composite
+def labelled_images(draw):
+    """A small image and 0-4 boxes inside it. Edges fall on the pixel grid
+    half the time, so that they meet the edges of integer windows."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    image = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
+        0, 256, (h, w, 3), dtype=np.uint8)
+    truths = []
+    for _ in range(draw(st.integers(0, 4))):
+        edges = []
+        for size in (w, h):
+            on_grid = st.integers(0, size).map(lambda v, n=size: v / n)
+            lo, hi = sorted(draw(on_grid | st.floats(0, 1)) for _ in range(2))
+            edges.append((lo, hi) if hi > lo else (0.0, 1.0))
+        (x0, x1), (y0, y1) = edges
+        truths.append(Truth(cx=(x0 + x1) / 2, cy=(y0 + y1) / 2, w=x1 - x0, h=y1 - y0,
+                            class_id=draw(st.integers(0, 2))))
+    return image, truths
+
+
+@given(case=labelled_images(), window=st.data())
+@settings(max_examples=300, deadline=None)
+def test_crop_to_window_equals_per_box_oracle(case, window):
+    # windows reach past every side of the image: boxes are cropped away,
+    # clipped, or kept whole, and grid edges meet the window's edges
+    image, truths = case
+    h, w = image.shape[:2]
+    ox, oy = window.draw(st.integers(-w, w)), window.draw(st.integers(-h, h))
+    cw, ch = window.draw(st.integers(1, 2 * w)), window.draw(st.integers(1, 2 * h))
+    got = crop_to_window(image, _labels(truths), ox, oy, cw, ch)
+    _assert_same(*got, *oracle_crop_to_window(image, truths, ox, oy, cw, ch))
+
+
+_EDGE_IMAGE = np.arange(300, dtype=np.uint8).reshape(10, 10, 3)
+
+
+@given(case=labelled_images(), seed=st.integers(0, 2 ** 32 - 1),
+       flags=st.sampled_from([(True, False), (False, True), (True, True)]))
+# a box centre on the right, then the left, edge of the first candidate window
+@example(case=(_EDGE_IMAGE, [Truth(0.9, 0.5, 0.2, 0.2, 1)]), seed=5, flags=(False, True))
+@example(case=(_EDGE_IMAGE, [Truth(0.1, 0.5, 0.2, 0.2, 1)]), seed=0, flags=(False, True))
+@settings(max_examples=300, deadline=None)
+def test_augment_equals_per_box_oracle(case, seed, flags):
+    image, truths = case
+    flip, crop = flags
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = augment(image, _labels(truths), rng, flip=flip, crop=crop)
+    _assert_same(*got, *oracle_augment(image, truths, oracle_rng, flip, crop))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_augment_all_flags_off_is_identity():
     rng = np.random.default_rng(0)
     img = rng.integers(0, 255, (32, 48, 3)).astype(np.uint8)
-    truths = [TruthBox(cx=0.5, cy=0.5, w=0.2, h=0.2, class_id=1)]
+    truths = make_labels((1, 0.5, 0.5, 0.2, 0.2))
     out_img, out_truths = augment(img, truths, rng, flip=False, crop=False)
     assert np.array_equal(out_img, img)
-    assert out_truths == truths
+    assert np.array_equal(out_truths.class_ids, truths.class_ids)
+    assert np.array_equal(out_truths.boxes, truths.boxes)
 
 
 def test_hflip_is_involution():
     rng = np.random.default_rng(1)
     img = rng.integers(0, 255, (16, 24, 3)).astype(np.uint8)
-    truths = [TruthBox(cx=0.3, cy=0.6, w=0.2, h=0.3, class_id=0)]
+    truths = make_labels((0, 0.3, 0.6, 0.2, 0.3))
     img2, truths2 = hflip(*hflip(img, truths))
     assert np.array_equal(img2, img)
-    assert truths2[0].cx == pytest.approx(truths[0].cx)
+    assert truths2.boxes[0, 0] == pytest.approx(truths.boxes[0, 0])
 
 
 def test_crop_to_window_affine_oracle():
     img = np.zeros((40, 60, 3), dtype=np.uint8)
     # box at pixels x [12, 36], y [8, 24]
-    t = TruthBox(cx=24 / 60, cy=16 / 40, w=24 / 60, h=16 / 40, class_id=2)
-    out_img, out = crop_to_window(img, [t], ox=10, oy=4, cw=30, ch=20)
+    t = make_labels((2, 24 / 60, 16 / 40, 24 / 60, 16 / 40))
+    out_img, out = crop_to_window(img, t, ox=10, oy=4, cw=30, ch=20)
     assert out_img.shape == (20, 30, 3)
+    cx, cy, w, h = out.boxes[0]
     # hand-computed affine image of the box: x' = x - 10, y' = y - 4
-    assert out[0].cx == pytest.approx(((12 - 10) + (36 - 10)) / 2 / 30)
-    assert out[0].cy == pytest.approx(((8 - 4) + (24 - 4)) / 2 / 20)
-    assert out[0].w == pytest.approx(24 / 30)
-    assert out[0].h == pytest.approx(16 / 20)
+    assert cx == pytest.approx(((12 - 10) + (36 - 10)) / 2 / 30)
+    assert cy == pytest.approx(((8 - 4) + (24 - 4)) / 2 / 20)
+    assert w == pytest.approx(24 / 30)
+    assert h == pytest.approx(16 / 20)
 
 
 def test_crop_drops_boxes_fully_outside():
     img = np.zeros((40, 40, 3), dtype=np.uint8)
-    t = TruthBox(cx=0.9, cy=0.9, w=0.1, h=0.1, class_id=0)
-    _, out = crop_to_window(img, [t], ox=0, oy=0, cw=20, ch=20)
-    assert out == []
+    t = make_labels((0, 0.9, 0.9, 0.1, 0.1))
+    _, out = crop_to_window(img, t, ox=0, oy=0, cw=20, ch=20)
+    assert out.class_ids.shape == (0,) and out.boxes.shape == (0, 4)
 
 
 def test_augment_deterministic_under_seed():
     img = np.random.default_rng(3).integers(0, 255, (32, 32, 3)).astype(np.uint8)
-    truths = [TruthBox(cx=0.5, cy=0.5, w=0.3, h=0.3, class_id=0)]
+    truths = make_labels((0, 0.5, 0.5, 0.3, 0.3))
     a = augment(img, truths, np.random.default_rng(5), flip=True, crop=True)
     b = augment(img, truths, np.random.default_rng(5), flip=True, crop=True)
     assert np.array_equal(a[0], b[0])
-    assert a[1] == b[1]
+    assert np.array_equal(a[1].class_ids, b[1].class_ids)
+    assert np.array_equal(a[1].boxes, b[1].boxes)
 
 
 # -- synthetic dataset ------------------------------------------------------------------
@@ -166,11 +297,11 @@ def test_synth_boxes_in_range(tmp_path):
 
     count = 0
     for _, lab in manifest.entries:
-        for t in read_label_file(lab):
+        for cx, cy, w, h in read_label_file(lab).boxes.tolist():
             count += 1
-            assert 0.0 < t.cx < 1.0 and 0.0 < t.cy < 1.0
-            assert t.w * 96 >= 4 and t.h * 96 >= 4
-            assert t.cx - t.w / 2 >= 0 and t.cx + t.w / 2 <= 1
+            assert 0.0 < cx < 1.0 and 0.0 < cy < 1.0
+            assert w * 96 >= 4 and h * 96 >= 4
+            assert cx - w / 2 >= 0 and cx + w / 2 <= 1
     assert count >= 12
 
 
@@ -180,8 +311,8 @@ def test_synth_class_histogram_roughly_uniform(tmp_path):
 
     counts = [0, 0, 0]
     for _, lab in manifest.entries:
-        for t in read_label_file(lab):
-            counts[t.class_id] += 1
+        for cid in read_label_file(lab).class_ids.tolist():
+            counts[cid] += 1
     total = sum(counts)
     for c in counts:
         assert abs(c - total / 3) / (total / 3) < 0.2
