@@ -77,8 +77,7 @@ def main() -> None:
     for img_path, _ in manifest.entries[:4]:
         img = ppm.ppm_read(img_path)
         dets = detect_image(net, image_to_tensor(img, cfg.input_size), 0.25, 0.45)
-        ppm.ppm_write(rendered / Path(img_path).name,
-                      render_detections(img, dets, manifest.class_names))
+        ppm.ppm_write(rendered / Path(img_path).name, render_detections(img, dets))
     print(f"annotated samples in {rendered}")
 
 

@@ -12,14 +12,9 @@ from pathlib import Path
 
 from . import gradcheck as gc
 from . import ppm
-from .anchors import AnchorError, kmeans_anchors, load_anchors, load_boxes_from_labels, save_anchors
-from .data import (
-    LabelError,
-    image_to_tensor,
-    read_class_names,
-    render_detections,
-    unletterbox_boxes,
-)
+from .anchors import (AnchorError, AnchorSet, kmeans_anchors, load_anchors, load_boxes_from_labels,
+                      save_anchors)
+from .data import LabelError, image_to_tensor, render_detections, unletterbox_boxes
 from .detection import DetectionError, detect_image, format_detections
 from .evaluation import EvalError, evaluate, format_report, report_csv
 from .layers import LayerError
@@ -98,13 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="loss log CSV to write")
     p.add_argument("--input-size", type=int, default=96)
     p.add_argument("--channel-scale", type=_parse_scale, default=Fraction(1, 8))
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr0)
     p.add_argument("--lr-drop", type=_parse_drop, action="append", default=None,
                    metavar="EPOCH:FACTOR")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-prior", type=int, default=12800)
+    p.add_argument("--n-prior", type=int, default=TrainConfig.n_prior)
     p.add_argument("--max-iterations", type=int, default=0)
     p.add_argument("--flip", action="store_true")
     p.add_argument("--crop", action="store_true")
@@ -113,18 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run detection on one image")
     p.add_argument("--model", required=True)
-    p.add_argument("--anchors", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--conf", type=float, default=0.25)
     p.add_argument("--nms", type=float, default=0.45)
     p.add_argument("--out", help="detections text file (default: stdout)")
     p.add_argument("--render", help="annotated PPM to write")
-    p.add_argument("--classes", help="class names file, for rendering")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="mAP over a labeled dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--anchors", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--classes", required=True)
     p.add_argument("--conf", type=float, default=0.005)
@@ -174,7 +166,7 @@ def cmd_train(args) -> int:
     )
     net = build_network(cfg)
     net.init_weights(args.seed)
-    drops = tuple(args.lr_drop) if args.lr_drop else ((400, 0.1), (500, 0.1))
+    drops = tuple(args.lr_drop) if args.lr_drop else TrainConfig.lr_drops
     tcfg = TrainConfig(
         batch_size=args.batch_size,
         epochs=args.epochs,
@@ -209,14 +201,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(model_path: str, anchors_path: str):
+def _load_model(model_path: str):
+    """The network a weight file describes, its anchors included, loaded from it."""
     header = read_weight_header(model_path)
-    anchors = load_anchors(anchors_path)
+    if header.anchors is None:
+        raise NetworkError(f"{model_path}: weight file records no anchors to decode boxes with")
     cfg = NetworkConfig(
         input_size=header.input_size,
         num_classes=header.num_classes,
         num_anchors=header.num_anchors,
-        anchors=anchors,
+        anchors=AnchorSet(list(header.anchors)),
         channel_scale=header.channel_scale,
     )
     net = build_network(cfg)
@@ -225,7 +219,7 @@ def _load_model(model_path: str, anchors_path: str):
 
 
 def cmd_detect(args) -> int:
-    net = _load_model(args.model, args.anchors)
+    net = _load_model(args.model)
     img = ppm.ppm_read(args.image)
     h, w = img.shape[:2]
     size = net.cfg.input_size
@@ -237,14 +231,13 @@ def cmd_detect(args) -> int:
     else:
         sys.stdout.write(text)
     if args.render:
-        names = read_class_names(args.classes) if args.classes else None
-        ppm.ppm_write(args.render, render_detections(img, dets, names))
+        ppm.ppm_write(args.render, render_detections(img, dets))
     print(f"{len(dets)} detections", file=sys.stderr)
     return 0
 
 
 def cmd_eval(args) -> int:
-    net = _load_model(args.model, args.anchors)
+    net = _load_model(args.model)
     manifest = load_manifest(args.manifest, args.classes)
     result = evaluate(net, manifest, args.conf, args.nms, args.iou)
     sys.stdout.write(format_report(result, manifest.class_names))

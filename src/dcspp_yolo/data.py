@@ -144,9 +144,7 @@ def class_color(class_id: int) -> tuple[int, int, int]:
     return (64 + (x & 0x7F), 64 + ((x >> 8) & 0x7F), 64 + ((x >> 16) & 0x7F))
 
 
-def render_detections(
-    img: np.ndarray, dets: Detections, class_names: list[str] | None = None
-) -> np.ndarray:
+def render_detections(img: np.ndarray, dets: Detections) -> np.ndarray:
     """Copy of the image with 2-pixel box outlines per detection."""
     out = img.copy()
     h, w = out.shape[:2]

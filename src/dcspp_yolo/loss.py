@@ -86,9 +86,10 @@ class Assignment:
     conf_target: np.ndarray   # (B, S, S, K) IoU(pred, truth) for owned slots
 
 
-def _batch_labels(truths: list[Labels], b: int) -> Labels:
-    """The batch's truths as one `Labels`, images in order, after checking
-    that there is one `Labels` per image and that each is well formed."""
+def _batch_labels(truths: list[Labels], preds: PredGrid) -> Labels:
+    """The batch's truths as one `Labels`, images in order, after checking that there
+    is one `Labels` per image of `preds`, well formed, with class ids in [0, preds.c)."""
+    b, c = preds.b, preds.c
     if len(truths) != b:
         raise LossError(f"{len(truths)} truth lists for a batch of {b} images")
     for img, (ids, boxes) in enumerate(truths):
@@ -98,7 +99,7 @@ def _batch_labels(truths: list[Labels], b: int) -> Labels:
             raise LossError(f"image {img}: boxes must be ({len(ids)}, 4), got shape {np.shape(boxes)}")
         centre_ok = ((0.0 <= boxes[:, :2]) & (boxes[:, :2] <= 1.0)).all(axis=1)
         size_ok = ((0.0 < boxes[:, 2:]) & (boxes[:, 2:] <= 1.0)).all(axis=1)
-        bad = np.flatnonzero(~(centre_ok & size_ok & (ids >= 0)))
+        bad = np.flatnonzero(~(centre_ok & size_ok & (ids >= 0) & (ids < c)))
         if len(bad):
             idx = int(bad[0])
             cx, cy, w, h = boxes[idx].tolist()
@@ -106,7 +107,7 @@ def _batch_labels(truths: list[Labels], b: int) -> Labels:
                 raise LossError(f"image {img}, truth {idx}: center ({cx}, {cy}) outside [0, 1]")
             if not size_ok[idx]:
                 raise LossError(f"image {img}, truth {idx}: size ({w}, {h}) outside (0, 1]")
-            raise LossError(f"image {img}, truth {idx}: negative class id {ids[idx]}")
+            raise LossError(f"image {img}, truth {idx}: class id {ids[idx]} out of range for {c} classes")
     return Labels(np.concatenate([ids for ids, _ in truths]),
                   np.concatenate([boxes for _, boxes in truths]))
 
@@ -136,7 +137,7 @@ def assign_targets(
     later truth owns it and the earlier one is dropped.
     """
     b, s, k = preds.b, preds.s, preds.k
-    flat = _batch_labels(truths, b)
+    flat = _batch_labels(truths, preds)
     obj = np.zeros((b, s, s, k), dtype=bool)
     noobj = np.ones((b, s, s, k), dtype=bool)
     truth_idx = np.full((b, s, s, k), -1, dtype=np.int64)
@@ -240,7 +241,7 @@ def compute_loss(
     # coordinates and classification on owned slots
     coord_part = 0.0
     cls_part = 0.0
-    flat = _batch_labels(truths, b)
+    flat = _batch_labels(truths, preds)
     if len(flat.class_ids):
         own = np.nonzero(obj)
         _, i, j, _ = own

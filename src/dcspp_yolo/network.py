@@ -44,9 +44,9 @@ from .layers import (
 )
 
 WEIGHT_MAGIC = b"DCSY"
-WEIGHT_VERSION = 1
-_HEADER_STRUCT = struct.Struct("<7I")
-_HEADER_SIZE = 4 + _HEADER_STRUCT.size
+WEIGHT_VERSION = 2
+_FIELDS_STRUCT = struct.Struct("<7I")
+_FIELDS_SIZE = 4 + _FIELDS_STRUCT.size
 
 
 class NetworkError(ValueError):
@@ -487,100 +487,105 @@ class NetworkGraph:
 
     # -- serialization --------------------------------------------------------
 
-    def _param_arrays(self, node: LayerNode) -> list[np.ndarray]:
-        arrs = []
-        if node.bn is not None:
-            arrs += [node.bn.gamma, node.bn.beta, node.bn.running_mean, node.bn.running_var]
-        arrs += [node.conv.bias, node.conv.weights]
-        return arrs
+    def _serialized_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
+        """(node name, array) for every array the weight file holds, in file order."""
+        for node in self.conv_nodes():
+            if node.bn is not None:
+                for arr in (node.bn.gamma, node.bn.beta, node.bn.running_mean, node.bn.running_var):
+                    yield node.name, arr
+            yield node.name, node.conv.bias
+            yield node.name, node.conv.weights
 
-    def _serialized_float_count(self) -> int:
-        return sum(a.size for n in self.conv_nodes() for a in self._param_arrays(n))
+    def weight_header(self) -> WeightHeader:
+        """The header this network writes, and expects of a file it loads."""
+        cfg = self.cfg
+        anchors = None if cfg.anchors is None else tuple(map(tuple, cfg.anchors.as_array().tolist()))
+        return WeightHeader(WEIGHT_VERSION, cfg.input_size, cfg.num_classes, cfg.num_anchors,
+                            cfg.channel_scale, sum(1 for _ in self.conv_nodes()), anchors)
 
     def save_weights(self, path: str | Path) -> None:
-        cfg = self.cfg
-        header = WEIGHT_MAGIC + _HEADER_STRUCT.pack(
-            WEIGHT_VERSION,
-            cfg.input_size,
-            cfg.num_classes,
-            cfg.num_anchors,
-            cfg.channel_scale.numerator,
-            cfg.channel_scale.denominator,
-            sum(1 for _ in self.conv_nodes()),
-        )
-        chunks = [header]
-        for node in self.conv_nodes():
-            for arr in self._param_arrays(node):
-                chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        chunks = [self.weight_header().pack()]
+        for _, arr in self._serialized_arrays():
+            chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
         Path(path).write_bytes(b"".join(chunks))
 
     def load_weights(self, path: str | Path) -> None:
         """Read a weight file straight into the parameter arrays. The header
         and the file size are checked before any array is touched."""
-        header = read_weight_header(path)
+        found = read_weight_header(path)
+        expected = self.weight_header()
         with open(path, "rb") as f:
-            body = os.fstat(f.fileno()).st_size - _HEADER_SIZE
+            body = os.fstat(f.fileno()).st_size - found.size
             if body % 4:
                 raise NetworkError(f"{path}: body of {body} bytes is not a whole number of floats")
-            found = body // 4
-            expected = self._serialized_float_count()
-            cfg = self.cfg
-            n_conv = sum(1 for _ in self.conv_nodes())
-            mismatches = []
-            if header.input_size != cfg.input_size:
-                mismatches.append(f"input_size {header.input_size} != {cfg.input_size}")
-            if header.num_classes != cfg.num_classes:
-                mismatches.append(f"num_classes {header.num_classes} != {cfg.num_classes}")
-            if header.num_anchors != cfg.num_anchors:
-                mismatches.append(f"num_anchors {header.num_anchors} != {cfg.num_anchors}")
-            if header.channel_scale != cfg.channel_scale:
-                mismatches.append(f"channel_scale {header.channel_scale} != {cfg.channel_scale}")
-            if header.conv_layers != n_conv:
-                mismatches.append(f"conv layer count {header.conv_layers} != {n_conv}")
-            if mismatches or found != expected:
+            n_found = body // 4
+            n_expected = sum(arr.size for _, arr in self._serialized_arrays())
+            mismatches = [f"{field} {got} != {want}"
+                          for field, got, want in zip(WeightHeader._fields, found, expected)
+                          if got != want]
+            if mismatches or n_found != n_expected:
                 detail = "; ".join(mismatches) if mismatches else "same config header"
                 raise NetworkError(
                     f"{path}: weight file does not match this network ({detail}); "
-                    f"expected {expected} parameters, file contains {found}"
+                    f"expected {n_expected} parameters, file contains {n_found}"
                 )
-            f.seek(_HEADER_SIZE)
-            for node in self.conv_nodes():
-                for arr in self._param_arrays(node):
-                    # the arrays are C-contiguous native float32; the file is little-endian
-                    got = f.readinto(arr)
-                    if got != arr.nbytes:
-                        raise NetworkError(f"{path}: short read, {got} of {arr.nbytes} bytes "
-                                           f"for {node.name}")
-                    if sys.byteorder == "big":
-                        arr.byteswap(inplace=True)
+            f.seek(found.size)
+            for name, arr in self._serialized_arrays():
+                # the arrays are C-contiguous native float32; the file is little-endian
+                got = f.readinto(arr)
+                if got != arr.nbytes:
+                    raise NetworkError(f"{path}: short read, {got} of {arr.nbytes} bytes for {name}")
+                if sys.byteorder == "big":
+                    arr.byteswap(inplace=True)
             trailing = os.fstat(f.fileno()).st_size - f.tell()
             if trailing:
                 raise NetworkError(f"{path}: {trailing} trailing bytes after parameters")
 
 
 class WeightHeader(NamedTuple):
+    """The magic, seven little-endian u32 fields (channel_scale takes two), then K
+    (w, h) anchors as little-endian float64 pairs, all zero for a network without anchors."""
+
     version: int
     input_size: int
     num_classes: int
     num_anchors: int
     channel_scale: Fraction
     conv_layers: int
+    anchors: tuple[tuple[float, float], ...] | None
+
+    @property
+    def size(self) -> int:
+        return _FIELDS_SIZE + 16 * self.num_anchors
+
+    def pack(self) -> bytes:
+        scale = self.channel_scale
+        fields = _FIELDS_STRUCT.pack(*self[:4], scale.numerator, scale.denominator, self.conv_layers)
+        dims = self.anchors or [(0.0, 0.0)] * self.num_anchors
+        return WEIGHT_MAGIC + fields + np.asarray(dims, dtype="<f8").tobytes()
 
 
 def read_weight_header(path: str | Path) -> WeightHeader:
-    """Parse just the header so a matching network can be constructed."""
+    """Parse just the header, so that a matching network can be built from it."""
     with open(path, "rb") as f:
-        blob = f.read(_HEADER_SIZE)
-    if len(blob) < _HEADER_SIZE:
-        raise NetworkError(f"{path}: truncated weight file ({len(blob)} bytes, header needs {_HEADER_SIZE})")
-    if blob[:4] != WEIGHT_MAGIC:
-        raise NetworkError(f"{path}: bad magic {blob[:4]!r}, expected {WEIGHT_MAGIC!r}")
-    version, in_size, c, k, num, den, n_layers = _HEADER_STRUCT.unpack_from(blob, 4)
-    if version != WEIGHT_VERSION:
-        raise NetworkError(f"{path}: unsupported weight format version {version}")
-    if den == 0:
-        raise NetworkError(f"{path}: channel scale {num}/{den} has a zero denominator")
-    return WeightHeader(version, in_size, c, k, Fraction(num, den), n_layers)
+        file_size = os.fstat(f.fileno()).st_size
+        blob = f.read(_FIELDS_SIZE)
+        if len(blob) < _FIELDS_SIZE:
+            raise NetworkError(f"{path}: truncated weight file ({len(blob)} bytes, "
+                               f"header needs {_FIELDS_SIZE})")
+        if blob[:4] != WEIGHT_MAGIC:
+            raise NetworkError(f"{path}: bad magic {blob[:4]!r}, expected {WEIGHT_MAGIC!r}")
+        version, in_size, c, k, num, den, n_layers = _FIELDS_STRUCT.unpack_from(blob, 4)
+        if version != WEIGHT_VERSION:
+            raise NetworkError(f"{path}: unsupported weight format version {version}")
+        if den == 0:
+            raise NetworkError(f"{path}: channel scale {num}/{den} has a zero denominator")
+        header = WeightHeader(version, in_size, c, k, Fraction(num, den), n_layers, None)
+        if file_size < header.size:
+            raise NetworkError(f"{path}: truncated weight file ({file_size} bytes, "
+                               f"header needs {header.size})")
+        dims = np.frombuffer(f.read(16 * k), dtype="<f8").reshape(k, 2)
+    return header._replace(anchors=tuple(map(tuple, dims.tolist()))) if dims.any() else header
 
 
 # Expected per-layer output shapes for the reference 416-input build at

@@ -34,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from dcspp_yolo.anchors import save_anchors
 from dcspp_yolo.cli import main as cli_main
 from dcspp_yolo.evaluation import evaluate
 from dcspp_yolo.training import write_loss_log
@@ -79,14 +78,12 @@ def seeded_outputs(workdir: Path) -> dict:
     and return its outputs in the fixture's layout."""
     workdir = Path(workdir)
     net, manifest, result = _train_tiny(workdir, iterations=ITERATIONS)
-    weights, anchors, log, dets = (workdir / name for name in
-                                   ("w.weights", "anchors.txt", "loss.csv", "dets.txt"))
+    weights, log, dets = (workdir / name for name in ("w.weights", "loss.csv", "dets.txt"))
     net.save_weights(weights)
-    save_anchors(net.cfg.anchors, anchors)
     write_loss_log(result.rows, log)
     image = manifest.entries[0][0]
-    cli_main(["detect", "--model", str(weights), "--anchors", str(anchors),
-              "--image", str(image), "--conf", str(DETECT_CONF), "--out", str(dets)])
+    cli_main(["detect", "--model", str(weights), "--image", str(image),
+              "--conf", str(DETECT_CONF), "--out", str(dets)])
     ev = evaluate(net, manifest)
     return {
         "numpy": np.__version__,

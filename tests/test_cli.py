@@ -1,11 +1,19 @@
 import re
 import shutil
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_acceptance import _train_tiny
 
+from dcspp_yolo import cli
 from dcspp_yolo.cli import main
+from dcspp_yolo.data import image_to_tensor, unletterbox_boxes
+from dcspp_yolo.detection import detect_image, format_detections
+from dcspp_yolo.network import NetworkConfig, build_network
 from dcspp_yolo.ppm import ppm_read
+from dcspp_yolo.training import TrainConfig
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -42,7 +50,7 @@ def test_shapecheck_invalid_size_exits_1(capsys):
 
 def test_missing_file_reports_one_line_error(capsys, tmp_path):
     rc = main(["detect", "--model", str(tmp_path / "no.weights"),
-               "--anchors", str(tmp_path / "no.txt"), "--image", str(tmp_path / "no.ppm")])
+               "--image", str(tmp_path / "no.ppm")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -79,10 +87,9 @@ def test_detect_writes_text_and_render(pipeline, capsys):
     root, data, anchors, weights, _ = pipeline
     out_txt = root / "dets.txt"
     render = root / "annotated.ppm"
-    rc = main(["detect", "--model", str(weights), "--anchors", str(anchors),
+    rc = main(["detect", "--model", str(weights),
                "--image", str(data / "img_0000.ppm"), "--conf", "0.001",
-               "--out", str(out_txt), "--render", str(render),
-               "--classes", str(data / "classes.names")])
+               "--out", str(out_txt), "--render", str(render)])
     assert rc == 0
     for line in out_txt.read_text().splitlines():
         assert re.fullmatch(r"\d+ \d\.\d{6}( \d+\.\d{6}){4}", line)
@@ -90,11 +97,66 @@ def test_detect_writes_text_and_render(pipeline, capsys):
     assert img.shape == (96, 96, 3)
 
 
+def test_detect_text_equals_in_process_detection(tmp_path):
+    # trained with unrounded k-means anchors, which the weight file carries
+    net, manifest, _ = _train_tiny(tmp_path, iterations=2)
+    weights, out_txt = tmp_path / "model.weights", tmp_path / "dets.txt"
+    net.save_weights(weights)
+    image = manifest.entries[0][0]
+    assert main(["detect", "--model", str(weights), "--image", str(image),
+                 "--conf", "0.005", "--out", str(out_txt)]) == 0
+    img = ppm_read(image)
+    h, w = img.shape[:2]
+    size = net.cfg.input_size
+    dets = detect_image(net, image_to_tensor(img, size), 0.005, 0.45)
+    dets = replace(dets, boxes=unletterbox_boxes(dets.boxes, w, h, size))
+    assert len(dets) > 0
+    assert out_txt.read_text() == format_detections(dets)
+
+
+def test_detect_without_anchors_in_the_weight_file_is_an_error(pipeline, tmp_path, capsys):
+    _, data, _, _, _ = pipeline
+    weights = tmp_path / "plain.weights"
+    build_network(NetworkConfig(input_size=96, num_classes=3, num_anchors=2,
+                                channel_scale=Fraction(1, 8))).save_weights(weights)
+    capsys.readouterr()
+    assert main(["detect", "--model", str(weights), "--image", str(data / "img_0000.ppm")]) == 1
+    assert capsys.readouterr().err == f"error: {weights}: weight file records no anchors to decode boxes with\n"
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_detect_and_eval_take_no_anchors_option(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--anchors" not in out
+    if command == "detect":
+        assert "--classes" not in out
+
+
+def test_train_defaults_come_from_train_config(pipeline, tmp_path, monkeypatch):
+    _, data, anchors, _, _ = pipeline
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def fake_train(net, manifest, cfg, **kwargs):
+        seen.append(cfg)
+        raise Stop
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    with pytest.raises(Stop):
+        main(["train", "--manifest", str(data / "manifest.tsv"),
+              "--classes", str(data / "classes.names"), "--anchors", str(anchors),
+              "--out", str(tmp_path / "w.weights")])
+    assert seen == [TrainConfig()]
+
+
 def test_detect_deterministic(pipeline):
     root, data, anchors, weights, _ = pipeline
     a, b = root / "a.txt", root / "b.txt"
     for path in (a, b):
-        assert main(["detect", "--model", str(weights), "--anchors", str(anchors),
+        assert main(["detect", "--model", str(weights),
                      "--image", str(data / "img_0001.ppm"), "--conf", "0.001",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -103,7 +165,7 @@ def test_detect_deterministic(pipeline):
 def test_eval_reports_map(pipeline, capsys):
     root, data, anchors, weights, _ = pipeline
     csv = root / "eval.csv"
-    rc = main(["eval", "--model", str(weights), "--anchors", str(anchors),
+    rc = main(["eval", "--model", str(weights),
                "--manifest", str(data / "manifest.tsv"),
                "--classes", str(data / "classes.names"), "--csv", str(csv)])
     assert rc == 0
@@ -112,21 +174,15 @@ def test_eval_reports_map(pipeline, capsys):
     assert csv.read_text().startswith("class,truths,ap")
 
 
-@pytest.mark.parametrize("command", ["train", "detect", "eval"])
+@pytest.mark.parametrize("command", ["train"])
 @pytest.mark.parametrize("text", ["1.0 abc\n", "# mean_iou=oops\n1.0 2.0\n"])
 def test_malformed_anchor_file_reports_one_line_error(pipeline, tmp_path, capsys, command, text):
-    _, data, _, weights, _ = pipeline
+    _, data, _, _, _ = pipeline
     bad = tmp_path / "anchors.txt"
     bad.write_text(text)
-    args = {
-        "train": ["--manifest", str(data / "manifest.tsv"), "--classes", str(data / "classes.names"),
-                  "--out", str(tmp_path / "w.weights")],
-        "detect": ["--model", str(weights), "--image", str(data / "img_0000.ppm")],
-        "eval": ["--model", str(weights), "--manifest", str(data / "manifest.tsv"),
-                 "--classes", str(data / "classes.names")],
-    }[command]
     capsys.readouterr()
-    assert main([command, "--anchors", str(bad)] + args) == 1
+    assert main([command, "--anchors", str(bad), "--manifest", str(data / "manifest.tsv"),
+                 "--classes", str(data / "classes.names"), "--out", str(tmp_path / "w.weights")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: malformed number")
     assert err.count("\n") == 1
@@ -166,12 +222,12 @@ def test_out_of_range_class_id_reports_one_line_error(pipeline, tmp_path, capsys
     label = copy / (copy / "manifest.tsv").read_text().splitlines()[0].split("\t")[1]
     label.write_text(label.read_text() + "7 0.5 0.5 0.2 0.2\n")
     args = {
-        "train": ["--out", str(tmp_path / "w.weights"), "--input-size", "96",
-                  "--channel-scale", "1/8"],
+        "train": ["--anchors", str(anchors), "--out", str(tmp_path / "w.weights"),
+                  "--input-size", "96", "--channel-scale", "1/8"],
         "eval": ["--model", str(weights)],
     }[command]
     capsys.readouterr()
-    assert main([command, "--anchors", str(anchors), "--manifest", str(copy / "manifest.tsv"),
+    assert main([command, "--manifest", str(copy / "manifest.tsv"),
                  "--classes", str(copy / "classes.names")] + args) == 1
     err = capsys.readouterr().err
     assert err == f"error: {label}: class id 7 out of range for 3 classes\n"

@@ -129,6 +129,19 @@ def test_truth_out_of_range_rejected_with_index():
         assign_targets([bad], preds, ANCHORS2, LossWeights())
 
 
+def test_class_id_out_of_range_rejected_with_image_and_truth():
+    preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
+    w = LossWeights()
+    good = make_labels((1, 0.5, 0.5, 0.2, 0.2))
+    bad = make_labels((0, 0.5, 0.5, 0.2, 0.2), (2, 0.3, 0.3, 0.2, 0.2))
+    message = r"^image 1, truth 1: class id 2 out of range for 2 classes$"
+    with pytest.raises(LossError, match=message):
+        assign_targets([good, bad], preds, ANCHORS2, w)
+    asg = assign_targets([good, good], preds, ANCHORS2, w)
+    with pytest.raises(LossError, match=message):
+        compute_loss(preds, [good, bad], asg, w)
+
+
 def test_truth_list_per_image_required():
     preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
     with pytest.raises(LossError, match="1 truth lists for a batch of 2"):

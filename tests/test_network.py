@@ -1,4 +1,5 @@
 import os
+import struct
 import weakref
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from dcspp_yolo import network
+from dcspp_yolo.anchors import AnchorSet
 from dcspp_yolo.gradcheck import check_network
 from dcspp_yolo.network import (
     NetworkConfig,
@@ -456,6 +458,15 @@ def test_header_truncation_is_an_error(tmp_path):
         build_network(NetworkConfig(**TINY)).load_weights(path)
 
 
+def test_truncation_inside_the_anchors_is_an_error(tmp_path):
+    path = tmp_path / "w.weights"
+    net = build_network(NetworkConfig(**TINY, anchors=AnchorSet([(1.0, 1.0), (2.0, 2.0)])))
+    net.save_weights(path)
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(NetworkError, match=r"truncated weight file \(40 bytes, header needs 64\)"):
+        net.load_weights(path)
+
+
 def test_bad_magic_is_an_error(tmp_path):
     path = tmp_path / "w.weights"
     path.write_bytes(b"\x00" * 64)
@@ -483,3 +494,49 @@ def test_read_weight_header(tmp_path):
     assert h.num_classes == 3
     assert h.num_anchors == 2
     assert h.channel_scale == Fraction(1, 8)
+    assert h.anchors is None
+
+
+def test_read_weight_header_returns_the_anchors(tmp_path):
+    dims = [(0.625, 0.8125), (1.3, 2.7)]
+    net = build_network(NetworkConfig(**TINY, anchors=AnchorSet(dims)))
+    path = tmp_path / "w.weights"
+    net.save_weights(path)
+    h = read_weight_header(path)
+    assert h.anchors == tuple(dims)
+    assert h == net.weight_header()
+
+
+A_DIMS = [(0.5, 0.75), (1.5, 1.25)]
+B_DIMS = [(0.5, 0.75), (1.5, 1.2500001)]
+
+
+@pytest.mark.parametrize("saved, loaded", [(A_DIMS, B_DIMS), (A_DIMS, None), (None, A_DIMS)],
+                         ids=["other-anchors", "into-no-anchors", "from-no-anchors"])
+def test_anchor_mismatch_is_an_error_before_any_array_is_written(tmp_path, saved, loaded):
+    def net_with(dims, seed):
+        net = build_network(NetworkConfig(**TINY, anchors=None if dims is None else AnchorSet(dims)))
+        net.init_weights(seed)
+        return net
+
+    path = tmp_path / "w.weights"
+    net_with(saved, 1).save_weights(path)
+    other = net_with(loaded, 2)
+    before = [p.array.copy() for p in other.parameters()]
+    with pytest.raises(NetworkError, match=r"\(anchors .* != .*\); expected (\d+) parameters, "
+                                           r"file contains \1$"):
+        other.load_weights(path)
+    for b, p in zip(before, other.parameters()):
+        assert np.array_equal(b, p.array), p.name
+
+
+def test_version_1_header_is_rejected(tmp_path):
+    # version 1 had no anchors: the magic, seven u32 fields, then the parameters
+    net = tiny_net()
+    path = tmp_path / "w.weights"
+    net.save_weights(path)
+    h = net.weight_header()
+    v1 = struct.pack("<7I", 1, 96, 3, 2, 1, 8, h.conv_layers)
+    path.write_bytes(b"DCSY" + v1 + path.read_bytes()[h.size:])
+    with pytest.raises(NetworkError, match="unsupported weight format version 1$"):
+        build_network(NetworkConfig(**TINY)).load_weights(path)
