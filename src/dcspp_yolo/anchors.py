@@ -9,6 +9,7 @@ of this metric, so that guard keeps the recorded cost non-increasing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,12 @@ import numpy as np
 
 class AnchorError(ValueError):
     pass
+
+
+def _valid_dims(w: float, h: float) -> bool:
+    """Positive and finite: NaN would also never equal itself in the anchors
+    a weight file records."""
+    return w > 0 and h > 0 and math.isfinite(w) and math.isfinite(h)
 
 
 @dataclass
@@ -33,8 +40,8 @@ class AnchorSet:
         if not self.dims:
             raise AnchorError("an anchor set needs at least one (w, h) pair")
         for w, h in self.dims:
-            if w <= 0 or h <= 0:
-                raise AnchorError(f"anchor dims must be positive, got ({w}, {h})")
+            if not _valid_dims(w, h):
+                raise AnchorError(f"anchor dims must be positive and finite, got ({w}, {h})")
 
     @property
     def k(self) -> int:
@@ -182,10 +189,14 @@ def load_anchors(path: str | Path) -> AnchorSet:
                     elif tok.startswith("seed="):
                         seed = int(tok.split("=", 1)[1])
             else:
-                w, h = line.split()
-                dims.append((float(w), float(h)))
+                w, h = (float(v) for v in line.split())
         except ValueError as exc:
             raise AnchorError(f"{path}:{lineno}: malformed number: {exc}") from exc
+        if not comment:
+            if not _valid_dims(w, h):
+                raise AnchorError(f"{path}:{lineno}: anchor dims must be positive and finite, "
+                                  f"got {line!r}")
+            dims.append((w, h))
     if not dims:
         raise AnchorError(f"{path}: no anchor rows found")
     return AnchorSet(dims=dims, seed=seed, mean_iou=mean_iou)

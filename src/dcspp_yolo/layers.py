@@ -6,17 +6,24 @@ the input dtype, so the same code runs in float32 for training and in
 float64 for finite-difference verification.
 
 Convolution folds the batch into the GEMM (the im2col lowering of
-Chellapilla et al. 2006): `_im2col` lays the padded input out as one
-(c*k*k, n*oh*ow) patch matrix, a single `W @ cols` gives the output as
-(out_c, n, oh, ow), and the caller sees it as an (n, out_c, oh, ow)
-view, so activations may be stored channel-major. For a 1x1 stride-1
-kernel the patch matrix is the input reshaped. Like batch norm and max
+Chellapilla et al. 2006) with the batch innermost in memory (the CHWN
+layout of Li et al. 2016): the input is padded into a (c, hp, wp, n)
+buffer, `_im2col` lays it out as one (c*k*k, oh*ow*n) patch matrix whose
+window copies each run over ow*n contiguous elements, a single
+`W @ cols` gives the output as (out_c, oh, ow, n), and the caller sees it
+as an (n, out_c, oh, ow) view. At batch 1 this is the plain C order. For
+a 1x1 stride-1 kernel the patch matrix is the input reshaped, with no
+copy when the input is already batch-innermost. Like batch norm and max
 pooling, the forward returns a cache, `ConvCache`: the patch matrix,
 which backward multiplies by the output gradient for the weight
 gradient, and the input shape. A caller that will not run backward drops
-it. Backward sums the weight and bias gradients over a C-contiguous copy
-of the output gradient, so their float32 bytes do not depend on the
-layout the caller passes.
+it. Backward sums the weight gradient over a C-contiguous (out_c, oh*ow*n)
+copy of the output gradient and the bias gradient over an (out_c, n*oh*ow)
+one, so their float32 bytes do not depend on the layout the caller
+passes, and scatters the column gradient back into a (c, hp, wp, n)
+buffer. Batch norm, leaky ReLU, max pooling and route concatenation keep
+the layout of their input, so in training the activations and gradients
+that pass between convs stay batch-innermost (reorg aside).
 
 Inference batch norm folds the running statistics into one per-channel
 scale gamma / sqrt(var + eps) and shift beta - mean * scale (the folding
@@ -38,6 +45,9 @@ trained bytes.
 Max-pool backward finds each window's first maximum again, and scatters
 the gradient to it as the gradient's bits ANDed with an all-ones mask:
 no branch, and an infinite or NaN gradient reaches its own slot only.
+When the windows tile the padded input (stride equal to size, nothing
+left over), as in the 2x2 stride-2 pools, each input cell is written
+once, with no zero fill and no read-modify-write.
 """
 
 from __future__ import annotations
@@ -114,7 +124,7 @@ class LeakyParams:
 
 @dataclass
 class ConvCache:
-    cols: np.ndarray                      # (c*k*k, n*oh*ow) patch matrix of the padded input
+    cols: np.ndarray                      # (c*k*k, oh*ow*n) patch matrix of the padded input
     in_shape: tuple[int, int, int, int]   # (n, c, h, w) of the unpadded input
 
 
@@ -137,34 +147,28 @@ class MaxPoolCache:
 # convolution
 
 
-def _pad_hw(x: np.ndarray, before: int, after: int, value: float = 0.0) -> np.ndarray:
-    if before == 0 and after == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (before, after), (before, after)), constant_values=value)
-
-
-def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple]:
-    """Per window offset (dy, dx), in row-major scan order: the index of the
-    (..., oh, ow) strided view of a padded input at that offset in every window."""
+def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple[slice, slice]]:
+    """Per window offset (dy, dx), in row-major scan order: the (row, column)
+    slices that take that offset of every window from the spatial axes of a
+    padded input, oh by ow long. Conv applies them to axes 1-2 of its
+    (c, hp, wp, n) buffer, the pools to the last two axes."""
     for dy in range(size):
         for dx in range(size):
-            yield np.s_[..., dy:dy + stride * (oh - 1) + 1:stride,
-                        dx:dx + stride * (ow - 1) + 1:stride]
+            yield (slice(dy, dy + stride * (oh - 1) + 1, stride),
+                   slice(dx, dx + stride * (ow - 1) + 1, stride))
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(n, c, hp, wp) -> (c*k*k, n*oh*ow) patch matrix of the whole batch. Rows
-    follow weights.reshape(out_c, in_c*k*k): channel, kernel row, kernel
-    column; columns follow image, output row, output column."""
-    xt = xp.transpose(1, 0, 2, 3)  # (c, n, hp, wp)
-    c, n = xt.shape[:2]
+    """C-contiguous (c, hp, wp, n) -> (c*k*k, oh*ow*n) patch matrix of the
+    whole batch. Rows follow weights.reshape(out_c, in_c*k*k): channel,
+    kernel row, kernel column; columns follow output row, output column,
+    image, so each window copy runs over ow*n contiguous elements."""
+    c, n = xp.shape[0], xp.shape[3]
     if k == 1 and stride == 1:
-        return xt.reshape(c, -1)
-    # filled in place: np.stack follows the memory order of its inputs, so
-    # for channel-major activations the reshape below would copy again
-    cols = np.empty((c, k * k, n, oh, ow), dtype=xp.dtype)
-    for o, sl in enumerate(_windows(k, stride, oh, ow)):
-        cols[:, o] = xt[sl]
+        return xp.reshape(c, -1)
+    cols = np.empty((c, k * k, oh, ow, n), dtype=xp.dtype)
+    for o, (rows, columns) in enumerate(_windows(k, stride, oh, ow)):
+        cols[:, o] = xp[:, rows, columns]
     return cols.reshape(c * k * k, -1)
 
 
@@ -174,7 +178,7 @@ def conv2d_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, i
 
 def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]:
     """One GEMM over the batch. The output is an (n, out_c, oh, ow) view of
-    the channel-major (out_c, n, oh, ow) product."""
+    the batch-innermost (out_c, oh, ow, n) product."""
     n, c, h, w = x.shape
     if c != p.in_channels:
         raise LayerError(f"conv: input has {c} channels, kernel expects {p.in_channels}")
@@ -182,10 +186,16 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]
     oh, ow = conv2d_out_hw(h, w, k, s, p.pad)
     if oh < 1 or ow < 1:
         raise LayerError(f"conv: input {h}x{w} too small for kernel {k} stride {s} pad {p.pad}")
-    cols = _im2col(_pad_hw(x, p.pad, p.pad), k, s, oh, ow)
+    xt = x.transpose(1, 2, 3, 0)
+    if p.pad == 0:
+        xp = np.ascontiguousarray(xt)  # free when x is batch-innermost
+    else:
+        xp = np.zeros((c, h + 2 * p.pad, w + 2 * p.pad, n), dtype=x.dtype)
+        xp[:, p.pad:p.pad + h, p.pad:p.pad + w] = xt
+    cols = _im2col(xp, k, s, oh, ow)
     y = p.weights.reshape(p.out_channels, -1) @ cols
     y += p.bias[:, None]
-    return y.reshape(p.out_channels, n, oh, ow).transpose(1, 0, 2, 3), ConvCache(cols, x.shape)
+    return y.reshape(p.out_channels, oh, ow, n).transpose(3, 0, 1, 2), ConvCache(cols, x.shape)
 
 
 def conv2d_backward(
@@ -207,12 +217,16 @@ def conv2d_backward(
             f"conv backward: grad shape {grad_out.shape} does not match forward output "
             f"{(n, p.out_channels, oh, ow)}"
         )
-    # (out_c, n*oh*ow), contiguous whatever grad_out's layout, so that the
-    # float32 sums below do not depend on it
-    go = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3).reshape(p.out_channels, -1))
-    grad_b = go.sum(axis=1)
+    # (out_c, oh*ow*n), the patch matrix's column order, contiguous whatever
+    # grad_out's layout, so that the float32 sums below do not depend on it
+    go = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).reshape(p.out_channels, -1)
+    # the bias gradient sums an (out_c, n*oh*ow) copy, image by image as the
+    # per-image form does: go's order is as accurate, but where the sum
+    # cancels it can differ from the per-image sum by over 1e-5 of the result
+    by_image = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(p.out_channels, -1)
+    grad_b = by_image.sum(axis=1)
     # the same product as go @ cols.T; OpenBLAS runs this skinny GEMM about
-    # twice as fast with the long (n*oh*ow) axis inside the left operand's rows
+    # twice as fast with the long (oh*ow*n) axis inside the left operand's rows
     grad_w = (cache.cols @ go.T).T.reshape(p.weights.shape)
     if not input_grad:
         return None, grad_w, grad_b
@@ -220,13 +234,13 @@ def conv2d_backward(
     grad_cols = p.weights.reshape(p.out_channels, -1).T @ go
     hp, wp = h + 2 * pad, w + 2 * pad
     if k == 1 and s == 1:
-        grad_xp = grad_cols.reshape(c, n, hp, wp)
+        grad_xp = grad_cols.reshape(c, hp, wp, n)
     else:
-        grad_cols = grad_cols.reshape(c, k * k, n, oh, ow)
-        grad_xp = np.zeros((c, n, hp, wp), dtype=grad_cols.dtype)
-        for o, sl in enumerate(_windows(k, s, oh, ow)):
-            grad_xp[sl] += grad_cols[:, o]
-    return grad_xp.transpose(1, 0, 2, 3)[:, :, pad:pad + h, pad:pad + w], grad_w, grad_b
+        grad_cols = grad_cols.reshape(c, k * k, oh, ow, n)
+        grad_xp = np.zeros((c, hp, wp, n), dtype=grad_cols.dtype)
+        for o, (rows, columns) in enumerate(_windows(k, s, oh, ow)):
+            grad_xp[:, rows, columns] += grad_cols[:, o]
+    return grad_xp.transpose(3, 0, 1, 2)[:, :, pad:pad + h, pad:pad + w], grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +325,17 @@ def leaky_backward(grad_out: np.ndarray, cached_x: np.ndarray, p: LeakyParams) -
 # max pooling
 
 
+def _pad_hw(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Zero-pad the last two axes, keeping the memory layout of x (np.pad
+    returns C order)."""
+    if before == 0 and after == 0:
+        return x
+    h, w = x.shape[-2:]
+    xp = np.zeros_like(x, shape=(*x.shape[:-2], h + before + after, w + before + after))
+    xp[..., before:before + h, before:before + w] = x
+    return xp
+
+
 def _normalize_pad(pad: int | tuple[int, int]) -> tuple[int, int]:
     if isinstance(pad, tuple):
         return pad
@@ -330,14 +355,14 @@ def maxpool_forward(
     """Max pool with zero padding; `pad` is one symmetric amount or
     (before, after). A running max over the window offsets in scan order:
     on a tie the earlier element stays, signed zeros included, and NaN
-    propagates. No index is kept."""
+    propagates. No index is kept. The output is laid out like x."""
     pb, pa = _normalize_pad(pad)
     if size < 1 or stride < 1 or size > min(x.shape[2], x.shape[3]) + pb + pa:
         raise LayerError(f"maxpool: size {size}, stride {stride}, pad {pad} do not fit {x.shape}")
     xp = _pad_hw(x, pb, pa)
     oh, ow = maxpool_out_hw(x.shape[2], x.shape[3], size, stride, (pb, pa))
-    wins = _windows(size, stride, oh, ow)
-    y = xp[next(wins)].copy()
+    wins = ((..., *sl) for sl in _windows(size, stride, oh, ow))
+    y = xp[next(wins)].copy(order="K")
     for sl in wins:
         np.maximum(xp[sl], y, out=y)  # a tie returns the second operand, the earlier one
     return y, MaxPoolCache(xp=xp, y=y, size=size, stride=stride, pad=(pb, pa))
@@ -349,22 +374,29 @@ def maxpool_backward(grad_out: np.ndarray, cache: MaxPoolCache) -> np.ndarray:
     window order. Each offset adds the gradient's bits ANDed with an
     all-ones mask at its hits, and +0.0 elsewhere: exact, since a cell that
     starts at +0.0 never holds -0.0, and unlike a product with the mask it
-    keeps an infinite gradient from turning into NaN at the other slots."""
+    keeps an infinite gradient from turning into NaN at the other slots.
+    When the windows tile the padded input, each cell is written once as
+    the routed value plus +0.0: the same bytes, with no zero fill. The
+    gradient is laid out like the padded input."""
     xp, y = cache.xp, cache.y
     if grad_out.shape != y.shape:
         raise LayerError(f"maxpool backward: grad shape {grad_out.shape} != output {y.shape}")
-    wins = list(_windows(cache.size, cache.stride, y.shape[2], y.shape[3]))
-    hits, free = [], np.ones(y.shape, dtype=bool)
+    size, stride = cache.size, cache.stride
+    oh, ow = y.shape[2], y.shape[3]
+    wins = [(..., *sl) for sl in _windows(size, stride, oh, ow)]
+    hits, free = [], np.ones_like(y, dtype=bool)
     for sl in wins:
         hits.append((xp[sl] == y) & free)  # the first maximum in scan order
         free ^= hits[-1]
     bits = np.dtype(f"u{grad_out.itemsize}")
     grad_bits = grad_out.view(bits)
-    grad_p = np.zeros(xp.shape, dtype=grad_out.dtype)
+    tiled = stride == size and xp.shape[2:] == (size * oh, size * ow)
+    grad_p = (np.empty_like if tiled else np.zeros_like)(xp, dtype=grad_out.dtype)
     for sl, hit in zip(reversed(wins), reversed(hits)):
         routed = np.negative(hit, dtype=bits)  # all ones at a hit, zero elsewhere
         routed &= grad_bits
-        grad_p[sl] += routed.view(grad_out.dtype)
+        # tiling windows write each cell once: +0.0 plus its routed value
+        np.add(0.0 if tiled else grad_p[sl], routed.view(grad_out.dtype), out=grad_p[sl])
     pb, pa = cache.pad
     return grad_p[:, :, pb:xp.shape[2] - pa, pb:xp.shape[3] - pa]
 

@@ -84,6 +84,7 @@ class Assignment:
     prior_active: np.ndarray  # (B,) bool, True while image b is in warm-up
     truth_idx: np.ndarray     # (B, S, S, K) int into the batch's truths, -1 when unassigned
     conf_target: np.ndarray   # (B, S, S, K) IoU(pred, truth) for owned slots
+    collisions: int           # truths dropped because a later truth took their slot
 
 
 def _batch_labels(truths: list[Labels], preds: PredGrid) -> Labels:
@@ -134,7 +135,8 @@ def assign_targets(
     warm-up while images_seen + b < n_prior.
 
     When two truths of one image claim the same (cell, anchor) slot, the
-    later truth owns it and the earlier one is dropped.
+    later truth owns it and the earlier one is dropped; `collisions`
+    counts the dropped truths of the batch.
     """
     b, s, k = preds.b, preds.s, preds.k
     flat = _batch_labels(truths, preds)
@@ -172,6 +174,7 @@ def assign_targets(
         prior_active=images_seen + np.arange(b) < weights.n_prior,
         truth_idx=truth_idx,
         conf_target=conf_target,
+        collisions=len(flat.class_ids) - int(obj.sum()),
     )
 
 

@@ -196,6 +196,22 @@ def test_load_anchors_rejects_garbage(tmp_path):
         load_anchors(path)
 
 
+@pytest.mark.parametrize("dims", [(0.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (np.inf, 2.0),
+                                  (1.0, -np.inf)])
+def test_anchor_set_rejects_nonpositive_and_nonfinite_dims(dims):
+    with pytest.raises(AnchorError, match="positive and finite"):
+        AnchorSet(dims=[(1.0, 1.0), dims])
+
+
+@pytest.mark.parametrize("row", ["nan 1.0", "inf 2"])
+def test_load_anchors_nonfinite_row_reports_location(tmp_path, row):
+    path = tmp_path / "anchors.txt"
+    path.write_text(f"# mean_iou=0.5 seed=0\n1.0 2.0\n{row}\n")
+    with pytest.raises(AnchorError, match=r"anchors\.txt:3: anchor dims must be positive and finite") as exc:
+        load_anchors(path)
+    assert "\n" not in str(exc.value)
+
+
 @pytest.mark.parametrize("text, lineno", [
     ("# mean_iou=0.5 seed=0\n1.0 abc\n", 2),
     ("# mean_iou=oops seed=0\n1.0 2.0\n", 1),

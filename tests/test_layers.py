@@ -95,11 +95,11 @@ def test_conv_backward_shape_mismatch():
 
 
 def test_conv_1x1_patch_matrix_is_the_input_reshaped():
-    # a channel-major input, as a conv's output is, needs no copy at all
-    x = np.ascontiguousarray(RNG.standard_normal((3, 2, 4, 5))).transpose(1, 0, 2, 3)
+    # a batch-innermost input, as a conv's output is, needs no copy at all
+    x = _batch_innermost(RNG.standard_normal((2, 3, 4, 5)))
     _, cache = conv2d_forward(x, _conv(4, 3, 1))
     assert np.shares_memory(cache.cols, x)
-    assert np.array_equal(cache.cols, x.transpose(1, 0, 2, 3).reshape(3, 2 * 4 * 5))
+    assert np.array_equal(cache.cols, x.transpose(1, 2, 3, 0).reshape(3, 4 * 5 * 2))
 
 
 @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 1, 1), (3, 2, 1)])
@@ -112,11 +112,13 @@ def test_conv_param_grads_do_not_depend_on_grad_layout(k, stride, pad):
     g = rng.standard_normal(y.shape).astype(np.float32)
     _, ref_w, ref_b = conv2d_backward(g, cache, p)
     channel_last = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    for layout in (channel_last, _channel_major(g)):
-        assert np.array_equal(layout, g)
-        _, grad_w, grad_b = conv2d_backward(layout, cache, p)
-        assert grad_w.tobytes() == ref_w.tobytes()
-        assert grad_b.tobytes() == ref_b.tobytes()
+    for x_layout in (x, _batch_innermost(x)):
+        _, cache = conv2d_forward(x_layout, p)
+        for layout in (g, channel_last, _channel_major(g), _batch_innermost(g)):
+            assert np.array_equal(layout, g)
+            _, grad_w, grad_b = conv2d_backward(layout, cache, p)
+            assert grad_w.tobytes() == ref_w.tobytes()
+            assert grad_b.tobytes() == ref_b.tobytes()
 
 
 def test_conv_gradcheck():
@@ -413,8 +415,13 @@ def _special_values(dtype):
 
 
 def _channel_major(a):
-    """The same values laid out (c, n, h, w) in memory, as conv outputs are."""
+    """The same values laid out (c, n, h, w) in memory."""
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def _batch_innermost(a):
+    """The same values laid out (c, h, w, n) in memory, as conv outputs are."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
 @st.composite
@@ -596,6 +603,7 @@ def pool_cases(draw, values=st.sampled_from(TIE_VALUES)):
 @settings(max_examples=300, deadline=None)
 def test_maxpool_equals_argmax_oracle_bytewise(case, data):
     x, size, stride, pad = case
+    x = _batch_innermost(x) if data.draw(st.booleans()) else x
     y, cache = maxpool_forward(x, size, stride, pad)
     y_ref, ref_cache = oracle_maxpool_forward(x, size, stride, pad)
     assert y.dtype == y_ref.dtype and y.tobytes() == y_ref.tobytes()
@@ -606,6 +614,7 @@ def test_maxpool_equals_argmax_oracle_bytewise(case, data):
                          elements=st.sampled_from(TIE_VALUES + [0.1, 1e-20, np.inf, -np.inf,
                                                                 np.nan, -np.nan])
                          | st.floats(-2, 2, width=32)))
+    g = _batch_innermost(g) if data.draw(st.booleans()) else g
     with np.errstate(invalid="ignore"):  # inf + -inf in a cell of overlapping windows
         gx, gx_ref = maxpool_backward(g, cache), oracle_maxpool_backward(g, ref_cache)
     assert gx.shape == x.shape and gx.dtype == gx_ref.dtype
@@ -627,13 +636,13 @@ def test_maxpool_forward_puts_nan_where_oracle_does(case):
 @given(pool_cases())
 @settings(max_examples=100, deadline=None)
 def test_im2col_equals_sliding_window_oracle(case):
-    # the batch folds into the columns: (c*k*k, n*oh*ow), image-major
+    # the batch folds into the columns, innermost: (c*k*k, oh*ow*n)
     x, k, stride, (pb, pa) = case
     xp = np.pad(x, ((0, 0), (0, 0), (pb, pa), (pb, pa)))
     oh, ow = layers.maxpool_out_hw(x.shape[2], x.shape[3], k, stride, (pb, pa))
-    cols = layers._im2col(xp, k, stride, oh, ow)
+    cols = layers._im2col(np.ascontiguousarray(xp.transpose(1, 2, 3, 0)), k, stride, oh, ow)
     per_image = oracle_im2col(xp, k, stride)
-    ref = per_image.transpose(1, 0, 2).reshape(per_image.shape[1], -1)
+    ref = per_image.transpose(1, 2, 0).reshape(per_image.shape[1], -1)
     assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
 
 
@@ -655,7 +664,9 @@ def conv_cases(draw):
     p = ConvParams(weights=rng.standard_normal((out_c, c, k, k)).astype(dtype),
                    bias=rng.standard_normal(out_c).astype(dtype), stride=stride, pad=pad)
     g = rng.standard_normal((n, out_c, *layers.conv2d_out_hw(h, w, k, stride, pad)))
-    return x, p, g.astype(dtype)
+    x_layout, g_layout = (draw(st.sampled_from([np.ascontiguousarray, _batch_innermost]))
+                          for _ in range(2))
+    return x_layout(x), p, g_layout(g.astype(dtype))
 
 
 @given(conv_cases())
@@ -664,7 +675,9 @@ def test_conv_equals_per_image_oracle_within_tolerance(case):
     x, p, g = case
     y, cache = conv2d_forward(x, p)
     got = [y, *conv2d_backward(g, cache, p)]
-    ref = [oracle_conv2d_forward(x, p), *oracle_conv2d_backward(g, x, p)]
+    # the oracle's sums follow the memory order of its inputs, so it gets them in C order
+    xc, gc = np.ascontiguousarray(x), np.ascontiguousarray(g)
+    ref = [oracle_conv2d_forward(xc, p), *oracle_conv2d_backward(gc, xc, p)]
     for name, a, b in zip(("y", "grad_x", "grad_w", "grad_b"), got, ref):
         assert a.shape == b.shape and a.dtype == b.dtype == x.dtype, name
         err = np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(x.dtype).tiny)

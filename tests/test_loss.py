@@ -178,6 +178,11 @@ def test_slot_collision_later_truth_owns_slot():
     assert asg.obj.sum() == 1
     assert asg.obj[0, 1, 1, 0]
     assert asg.truth_idx[0, 1, 1, 0] == 1
+    assert asg.collisions == 1
+    # the same two truths in two images of a batch do not collide
+    batch = decode_predictions(np.zeros((2, 14, 3, 3)), anchors)
+    split = [make_labels((0, 0.45, 0.45, 0.2, 0.2)), make_labels((1, 0.55, 0.55, 0.2, 0.2))]
+    assert assign_targets(split, batch, anchors, LossWeights()).collisions == 0
 
 
 def test_prior_indicator_follows_images_seen():

@@ -228,6 +228,24 @@ def test_forward_drops_each_activation_after_its_last_reader(monkeypatch):
     assert alive_at_head == head.inputs
 
 
+def test_training_forward_keeps_conv_and_pool_outputs_batch_innermost(monkeypatch):
+    # the conv lowering copies runs of ow*n elements only while the batch
+    # is the innermost axis; a C-order copy anywhere would undo that
+    net = tiny_net()
+    layouts = {}
+    for node in net.nodes:
+        if isinstance(node, (network.ConvNode, network.MaxPoolNode)):
+            def recording(ins, training, forward=node.forward, name=node.name):
+                out, cache = forward(ins, training)
+                layouts[name] = out.transpose(1, 2, 3, 0).flags.c_contiguous
+                return out, cache
+            monkeypatch.setattr(node, "forward", recording)
+    x = np.random.default_rng(3).standard_normal((4, 3, 96, 96)).astype(np.float32)
+    net.forward(x, training=True)
+    assert len(layouts) == sum(n.kind in ("conv", "maxpool") for n in net.nodes)
+    assert [name for name, inner in layouts.items() if not inner] == []
+
+
 def test_second_backward_raises():
     net = tiny_net()
     rng = np.random.default_rng(9)
