@@ -84,11 +84,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PredGrid:
-    """Decoded predictions for a batch, anchor-major arrays of (B, S, S, K).
+    """Decoded predictions for a batch, (B, K, S, S) arrays in the slot
+    order of the raw output.
 
     x_off/y_off are sigmoid intra-cell offsets; w/h are decoded box dims
     in grid units (anchor * exp(raw)); conf is the sigmoid objectness;
-    cls is (B, S, S, K, C) per-class sigmoid probabilities.
+    cls is a (B, K, S, S, C) view of the per-class sigmoid probabilities.
     """
 
     x_off: np.ndarray
@@ -104,12 +105,12 @@ class PredGrid:
         return self.x_off.shape[0]
 
     @property
-    def s(self) -> int:
+    def k(self) -> int:
         return self.x_off.shape[1]
 
     @property
-    def k(self) -> int:
-        return self.x_off.shape[3]
+    def s(self) -> int:
+        return self.x_off.shape[2]
 
     @property
     def c(self) -> int:
@@ -133,16 +134,15 @@ def decode_predictions(raw: np.ndarray, anchors: AnchorSet) -> PredGrid:
             f"channel count {channels} does not factor as K*(5+C) with K={k} and C >= 1"
         )
     c = channels // k - 5
-    # (B, K, 5+C, S, S) -> (B, S, S, K, 5+C)
-    vol = raw.astype(np.float64).reshape(b, k, 5 + c, s, s).transpose(0, 3, 4, 1, 2)
+    vol = raw.astype(np.float64).reshape(b, k, 5 + c, s, s)
     dims = anchors.as_array()
     return PredGrid(
-        x_off=sigmoid(vol[..., 0]),
-        y_off=sigmoid(vol[..., 1]),
-        w=dims[:, 0] * np.exp(vol[..., 2]),
-        h=dims[:, 1] * np.exp(vol[..., 3]),
-        conf=sigmoid(vol[..., 4]),
-        cls=sigmoid(vol[..., 5:]),
+        x_off=sigmoid(vol[:, :, 0]),
+        y_off=sigmoid(vol[:, :, 1]),
+        w=dims[:, 0, None, None] * np.exp(vol[:, :, 2]),
+        h=dims[:, 1, None, None] * np.exp(vol[:, :, 3]),
+        conf=sigmoid(vol[:, :, 4]),
+        cls=sigmoid(vol[:, :, 5:]).transpose(0, 1, 3, 4, 2),
         anchor_dims=dims,
     )
 
@@ -168,7 +168,7 @@ def decode(
         raise DetectionError(f"decode expects a single image, got batch of {p.b}")
     cell_w = img_w / p.s
     cell_h = img_h / p.s
-    rows, cols, _ = np.indices(p.conf.shape[1:])
+    _, rows, cols = np.indices(p.conf.shape[1:])
     bx = (cols + p.x_off[0]) * cell_w
     by = (rows + p.y_off[0]) * cell_h
     bw = p.w[0] * cell_w
@@ -178,11 +178,9 @@ def decode(
         np.minimum(np.maximum(by - bh / 2, 0.0), img_h),
         np.minimum(np.maximum(bx + bw / 2, 0.0), img_w),
         np.minimum(np.maximum(by + bh / 2, 0.0), img_h),
-    ], axis=-1)
-    # (S, S, K) -> (K, S, S): slots in (anchor, row, column) order
-    boxes = boxes.transpose(2, 0, 1, 3).reshape(-1, 4)
-    class_id = p.cls[0].argmax(axis=-1).transpose(2, 0, 1).ravel().astype(np.int64)
-    score = (p.conf[0] * p.cls[0].max(axis=-1)).transpose(2, 0, 1).ravel()
+    ], axis=-1).reshape(-1, 4)
+    class_id = p.cls[0].argmax(axis=-1).ravel().astype(np.int64)
+    score = (p.conf[0] * p.cls[0].max(axis=-1)).ravel()
     keep = np.flatnonzero(~(score <= conf_thres))  # a NaN score is kept, not dropped
     keep = keep[np.argsort(-score[keep], kind="stable")]
     return Detections(boxes=boxes[keep], scores=score[keep], class_ids=class_id[keep])

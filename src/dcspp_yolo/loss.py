@@ -77,14 +77,16 @@ class Labels(NamedTuple):
 
 @dataclass
 class Assignment:
-    """Per-slot indicators plus the targets frozen at assignment time."""
+    """Per-slot indicators plus the targets frozen at assignment time,
+    (B, K, S, S) arrays in the slot order of `PredGrid`."""
 
-    obj: np.ndarray           # (B, S, S, K) bool
-    noobj: np.ndarray         # (B, S, S, K) bool
+    obj: np.ndarray           # (B, K, S, S) bool
+    noobj: np.ndarray         # (B, K, S, S) bool
     prior_active: np.ndarray  # (B,) bool, True while image b is in warm-up
-    truth_idx: np.ndarray     # (B, S, S, K) int into the batch's truths, -1 when unassigned
-    conf_target: np.ndarray   # (B, S, S, K) IoU(pred, truth) for owned slots
+    truth_idx: np.ndarray     # (B, K, S, S) int into `labels`, -1 when unassigned
+    conf_target: np.ndarray   # (B, K, S, S) IoU(pred, truth) for owned slots
     collisions: int           # truths dropped because a later truth took their slot
+    labels: Labels            # the batch's truths, concatenated in image order
 
 
 def _batch_labels(truths: list[Labels], preds: PredGrid) -> Labels:
@@ -123,16 +125,16 @@ def assign_targets(
     """Choose the responsible slot per truth and the no-object mask.
 
     `truths` holds one `Labels` per image of the batch; `truth_idx`
-    indexes their concatenation in image order. Each truth is owned by
-    the slot in its center cell of its own image whose anchor shape has
-    the highest co-centered IoU with it (the first such anchor on a tie);
-    that slot's confidence target is the IoU of the current predicted
-    box against the truth. Slots whose predicted box overlaps any truth
-    of the same image above iou_thres are exempted from the no-object
-    penalty; everything else is a no-object slot. Both come from one
-    (B*S*S*K, T) IoU matrix of every predicted box against every truth
-    of the batch, masked to each slot's own image. Image b is in prior
-    warm-up while images_seen + b < n_prior.
+    indexes their concatenation in image order, kept as `labels`. Each
+    truth is owned by the slot in its center cell of its own image whose
+    anchor shape has the highest co-centered IoU with it (the first such
+    anchor on a tie); that slot's confidence target is the IoU of the
+    current predicted box against the truth. Slots whose predicted box
+    overlaps any truth of the same image above iou_thres are exempted
+    from the no-object penalty; everything else is a no-object slot.
+    Both come from one (B*K*S*S, T) IoU matrix of every predicted box
+    against every truth of the batch, masked to each slot's own image.
+    Image b is in prior warm-up while images_seen + b < n_prior.
 
     When two truths of one image claim the same (cell, anchor) slot, the
     later truth owns it and the earlier one is dropped; `collisions`
@@ -140,22 +142,22 @@ def assign_targets(
     """
     b, s, k = preds.b, preds.s, preds.k
     flat = _batch_labels(truths, preds)
-    obj = np.zeros((b, s, s, k), dtype=bool)
-    noobj = np.ones((b, s, s, k), dtype=bool)
-    truth_idx = np.full((b, s, s, k), -1, dtype=np.int64)
-    conf_target = np.zeros((b, s, s, k), dtype=np.float64)
+    obj = np.zeros((b, k, s, s), dtype=bool)
+    noobj = np.ones((b, k, s, s), dtype=bool)
+    truth_idx = np.full((b, k, s, s), -1, dtype=np.int64)
+    conf_target = np.zeros((b, k, s, s), dtype=np.float64)
 
     if len(flat.class_ids):
         image_of = np.repeat(np.arange(b), [len(ids) for ids, _ in truths])
         # predicted boxes in normalized image coordinates
-        rows, cols, _ = np.indices((s, s, k))
+        _, rows, cols = np.indices((k, s, s))
         cx = (cols + preds.x_off) / s
         cy = (rows + preds.y_off) / s
         w = preds.w / s
         h = preds.h / s
         pred_boxes = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
         ious = iou_matrix(pred_boxes.reshape(-1, 4), flat.corners())
-        ious = ious.reshape(b, s, s, k, len(flat.class_ids))
+        ious = ious.reshape(b, k, s, s, len(flat.class_ids))
         same_image = (image_of == np.arange(b)[:, None])[:, None, None, None, :]
         noobj = ~((ious > weights.iou_thres) & same_image).any(axis=-1)
         cell = np.minimum((flat.boxes[:, :2] * s).astype(np.int64), s - 1)
@@ -163,10 +165,10 @@ def assign_targets(
         # one truth at a time, so that the later of two colliding truths wins
         for t_i, (img, (j, i), a) in enumerate(zip(image_of.tolist(), cell.tolist(),
                                                    best_anchor.tolist())):
-            obj[img, i, j, a] = True
-            noobj[img, i, j, a] = False
-            truth_idx[img, i, j, a] = t_i
-            conf_target[img, i, j, a] = ious[img, i, j, a, t_i]
+            obj[img, a, i, j] = True
+            noobj[img, a, i, j] = False
+            truth_idx[img, a, i, j] = t_i
+            conf_target[img, a, i, j] = ious[img, a, i, j, t_i]
 
     return Assignment(
         obj=obj,
@@ -175,6 +177,7 @@ def assign_targets(
         truth_idx=truth_idx,
         conf_target=conf_target,
         collisions=len(flat.class_ids) - int(obj.sum()),
+        labels=flat,
     )
 
 
@@ -194,76 +197,62 @@ class LossParts:
         return (self.total, self.noobj, self.obj, self.coord, self.cls, self.prior)
 
 
-def _dsig(s: np.ndarray) -> np.ndarray:
-    """Sigmoid derivative at the logit, from the post-sigmoid value."""
-    return s * (1.0 - s)
-
-
-def _sq_term_and_grad(residual, s):
-    """Value and d/d(raw logit) of (target - sigmoid(raw))**2, treating the
-    target as a constant. `residual` is target - s with s the sigmoid value."""
-    val = residual ** 2
-    grad = -2.0 * residual * _dsig(s)
-    return val, grad
-
-
 def compute_loss(
     preds: PredGrid,
-    truths: list[Labels],
     assignment: Assignment,
     weights: LossWeights,
 ) -> tuple[LossParts, np.ndarray]:
     """Batch-mean weighted loss parts and the gradient of their total
     w.r.t. the raw output volume.
 
-    `truths` and `assignment` are those given to and returned by
-    `assign_targets`. The returned gradient has shape (B, K*(5+C), S, S)
-    in float64 and matches central finite differences of the mean total
-    for a fixed assignment.
+    `assignment` is what `assign_targets` returned for `preds`. The
+    returned gradient has shape (B, K*(5+C), S, S) in float64 and matches
+    central finite differences of the mean total for a fixed assignment.
     """
     b, s, k, c = preds.b, preds.s, preds.k, preds.c
     lam = weights
     obj = assignment.obj
     noobj = assignment.noobj
 
-    d_tx = np.zeros((b, s, s, k))
-    d_ty = np.zeros((b, s, s, k))
-    d_tw = np.zeros((b, s, s, k))
-    d_th = np.zeros((b, s, s, k))
-    d_tc = np.zeros((b, s, s, k))
-    d_cls = np.zeros((b, s, s, k, c))
+    # every term adds into its channels of one C-contiguous (B, K, 5+C, S, S)
+    # array, laid out like the raw output: backward's float32 sums follow the layout
+    grad = np.zeros((b, k, 5 + c, s, s))
+    d_tx, d_ty, d_tw, d_th, d_tc = (grad[:, :, ch] for ch in range(5))
+    d_cls = grad[:, :, 5:].transpose(0, 1, 3, 4, 2)
 
-    # confidence: target 0 on no-object slots, stored IoU on owned slots
-    conf_res = np.where(obj, assignment.conf_target, 0.0) - preds.conf
-    conf_val, conf_grad = _sq_term_and_grad(conf_res, preds.conf)
+    # confidence: target 0 on no-object slots, stored IoU on owned slots;
+    # squared errors on the sigmoid values carry the sigmoid slope
+    conf = preds.conf
+    conf_res = np.where(obj, assignment.conf_target, 0.0) - conf
+    conf_val = conf_res ** 2
     slot_lam = np.where(obj, lam.obj, 0.0) + np.where(noobj, lam.noobj, 0.0)
     noobj_part = lam.noobj * float(conf_val[noobj].sum())
     obj_part = lam.obj * float(conf_val[obj].sum())
-    d_tc += slot_lam * conf_grad
+    d_tc += slot_lam * (-2.0 * conf_res * (conf * (1.0 - conf)))
+
+    def box_term(sel, scale, tx, ty, tw, th) -> float:
+        """`scale` times the squared x, y, w, h residuals of the slots `sel`
+        against the targets, with their gradient added into `grad`."""
+        x_off, y_off, w, h = preds.x_off[sel], preds.y_off[sel], preds.w[sel], preds.h[sel]
+        rx, ry, rw, rh = tx - x_off, ty - y_off, tw - w, th - h
+        d_tx[sel] += scale * (-2.0 * rx * (x_off * (1.0 - x_off)))
+        d_ty[sel] += scale * (-2.0 * ry * (y_off * (1.0 - y_off)))
+        d_tw[sel] += scale * 2.0 * rw * (-w)
+        d_th[sel] += scale * 2.0 * rh * (-h)
+        return scale * float((rx ** 2 + ry ** 2 + rw ** 2 + rh ** 2).sum())
 
     # coordinates and classification on owned slots
     coord_part = 0.0
     cls_part = 0.0
-    flat = _batch_labels(truths, preds)
-    if len(flat.class_ids):
+    if obj.any():
         own = np.nonzero(obj)
-        _, i, j, _ = own
+        _, _, i, j = own
         t_idx = assignment.truth_idx[own]
-        t_cx, t_cy, t_w, t_h = flat.boxes[t_idx].T
-        t_cls = flat.class_ids[t_idx]
-        x_off, y_off, w, h = preds.x_off[own], preds.y_off[own], preds.w[own], preds.h[own]
-        vx, gx_grad = _sq_term_and_grad(t_cx * s - j - x_off, x_off)
-        vy, gy_grad = _sq_term_and_grad(t_cy * s - i - y_off, y_off)
-        rw = t_w * s - w
-        rh = t_h * s - h
-        coord_part = lam.coord * float((vx + vy + rw ** 2 + rh ** 2).sum())
-        d_tx[own] += lam.coord * gx_grad
-        d_ty[own] += lam.coord * gy_grad
-        d_tw[own] += lam.coord * 2.0 * rw * (-w)
-        d_th[own] += lam.coord * 2.0 * rh * (-h)
+        t_cx, t_cy, t_w, t_h = assignment.labels.boxes[t_idx].T
+        coord_part = box_term(own, lam.coord, t_cx * s - j, t_cy * s - i, t_w * s, t_h * s)
 
         p = preds.cls[own]
-        onehot = np.eye(c)[t_cls]
+        onehot = np.eye(c)[assignment.labels.class_ids[t_idx]]
         log_p = np.log(np.maximum(np.where(onehot > 0, p, 1.0 - p), 1e-15))
         cls_part = lam.cls * -float(log_p.sum(axis=1).sum())
         d_cls[own] += lam.cls * (p - onehot)
@@ -272,28 +261,9 @@ def compute_loss(
     prior_part = 0.0
     warm = assignment.prior_active
     if lam.prior > 0 and warm.any():
-        x_off, y_off, w, h = preds.x_off[warm], preds.y_off[warm], preds.w[warm], preds.h[warm]
-        vx, gx_grad = _sq_term_and_grad(0.5 - x_off, x_off)
-        vy, gy_grad = _sq_term_and_grad(0.5 - y_off, y_off)
-        rw = preds.anchor_dims[:, 0] - w
-        rh = preds.anchor_dims[:, 1] - h
-        prior_part = lam.prior * float((vx + vy + rw ** 2 + rh ** 2).sum())
-        d_tx[warm] += lam.prior * gx_grad
-        d_ty[warm] += lam.prior * gy_grad
-        d_tw[warm] += lam.prior * 2.0 * rw * (-w)
-        d_th[warm] += lam.prior * 2.0 * rh * (-h)
+        dims = preds.anchor_dims[:, :, None, None]
+        prior_part = box_term(warm, lam.prior, 0.5, 0.5, dims[:, 0], dims[:, 1])
 
     parts = LossParts(noobj=noobj_part / b, obj=obj_part / b, coord=coord_part / b,
                       cls=cls_part / b, prior=prior_part / b)
-
-    # assemble (B,S,S,K,5+C), fold into the raw channel layout, and copy it
-    # C-contiguous like the raw output: backward's float32 sums follow the layout
-    grad_slots = np.concatenate(
-        [
-            d_tx[..., None], d_ty[..., None], d_tw[..., None], d_th[..., None],
-            d_tc[..., None], d_cls,
-        ],
-        axis=-1,
-    )
-    grad = np.ascontiguousarray(grad_slots.transpose(0, 3, 4, 1, 2)).reshape(b, k * (5 + c), s, s)
-    return parts, grad / b
+    return parts, grad.reshape(b, k * (5 + c), s, s) / b

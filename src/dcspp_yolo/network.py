@@ -2,7 +2,7 @@
 four-unit dense-connection block, the stride-1 pyramid-pooling block, the
 reorg passthrough, and the linear detection convolution.
 
-The graph is a flat list of nodes in topological order. Each node kind
+The graph is a flat list of nodes in topological order. Each node class
 gives `forward(ins, training) -> (out, cache)`, `backward(grad, cache,
 param_grads) -> input grads` and `out_shape(in_shapes)`. Forward caches
 per-node activations (for a conv, its patch matrix) when training;
@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import ClassVar, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class LayerNode:
 
     name: str
     inputs: list[str]
-    kind: ClassVar[str]
 
 
 @dataclass
@@ -113,7 +112,6 @@ class ConvNode(LayerNode):
     bn: BNParams | None = None
     act: LeakyParams | None = None
     pre_activation: bool = False
-    kind: ClassVar[str] = "conv"
 
     def out_shape(self, ins: list[Shape]) -> Shape:
         _, h, w = ins[0]
@@ -174,7 +172,6 @@ class MaxPoolNode(LayerNode):
     pool_size: int
     pool_stride: int
     pool_pad: tuple[int, int] = (0, 0)
-    kind: ClassVar[str] = "maxpool"
 
     def out_shape(self, ins: list[Shape]) -> Shape:
         c, h, w = ins[0]
@@ -191,8 +188,6 @@ class MaxPoolNode(LayerNode):
 class RouteNode(LayerNode):
     """Channel concatenation of the inputs, in input order."""
 
-    kind: ClassVar[str] = "route"
-
     def out_shape(self, ins: list[Shape]) -> Shape:
         return (sum(s[0] for s in ins), ins[0][1], ins[0][2])
 
@@ -206,7 +201,6 @@ class RouteNode(LayerNode):
 @dataclass
 class ReorgNode(LayerNode):
     stride: int
-    kind: ClassVar[str] = "reorg"
 
     def out_shape(self, ins: list[Shape]) -> Shape:
         c, h, w = ins[0]
@@ -459,9 +453,6 @@ class NetworkGraph:
                 out.append(Param(f"{node.name}.gamma", "bn_gamma", node.bn.gamma))
                 out.append(Param(f"{node.name}.beta", "bn_beta", node.bn.beta))
         return out
-
-    def num_parameters(self) -> int:
-        return sum(p.array.size for p in self.parameters())
 
     def init_weights(self, seed: int = 0) -> None:
         """He-style uniform conv weights, zero biases, identity batch norm."""

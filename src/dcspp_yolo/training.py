@@ -414,7 +414,7 @@ def train(
             preds = decode_predictions(raw, anchors)
             asg = assign_targets(batch_truths, preds, anchors, weights, images_seen=images_seen)
             images_seen += len(batch)
-            parts, grad = compute_loss(preds, batch_truths, asg, weights)
+            parts, grad = compute_loss(preds, asg, weights)
             if not np.isfinite(parts.as_tuple()).all():
                 raise TrainingError(f"non-finite loss at iteration {iteration}")
 

@@ -20,7 +20,7 @@ from dcspp_yolo.data import image_to_tensor
 from dcspp_yolo.detection import BBox, decode_predictions, detect_image, nms
 from dcspp_yolo.evaluation import average_precision, evaluate, match_detections
 from dcspp_yolo.loss import LossWeights, assign_targets, compute_loss
-from dcspp_yolo.network import NetworkConfig, REFERENCE_SHAPES_416, build_network
+from dcspp_yolo.network import MaxPoolNode, NetworkConfig, REFERENCE_SHAPES_416, build_network
 from dcspp_yolo.ppm import ppm_read, ppm_write
 from dcspp_yolo.training import TrainConfig, synth_dataset, train, write_loss_log
 
@@ -107,7 +107,7 @@ def test_acceptance_loss_oracle():
         preds = decode_predictions(raw[None], anchors)
         for images_seen in (0, 1000):
             asg = assign_targets([truths], preds, anchors, w, images_seen=images_seen)
-            parts, _ = compute_loss(preds, [truths], asg, w)
+            parts, _ = compute_loss(preds, asg, w)
             expected = straight_line_loss(raw, truths, asg, w, anchors)
             assert abs(parts.total - expected) <= 1e-10
 
@@ -121,7 +121,7 @@ def test_acceptance_loss_oracle():
         truth = make_labels((1, 0.75, 0.25, 0.7 / 2, 0.9 / 2))
         preds = decode_predictions(raw[None], anchors)
         asg = assign_targets([truth], preds, anchors, w, images_seen=1000)
-        parts, _ = compute_loss(preds, [truth], asg, w)
+        parts, _ = compute_loss(preds, asg, w)
         assert parts.total == 0.0
 
 
@@ -132,7 +132,7 @@ def test_acceptance_spp_windows():
     with _report("pyramid windows at feature size 13 are 5, 7, 13 and preserve dims"):
         net = build_network(NetworkConfig(input_size=416, num_classes=20, num_anchors=5))
         windows = {n.name: n.pool_size for n in net.nodes if n.name.startswith("spp_")
-                   and n.kind == "maxpool"}
+                   and isinstance(n, MaxPoolNode)}
         assert windows == {"spp_a": 5, "spp_b": 7, "spp_c": 13}
         shapes = dict(net.infer_shapes())
         for tag in ("spp_a", "spp_b", "spp_c"):

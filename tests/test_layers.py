@@ -618,7 +618,11 @@ def test_maxpool_equals_argmax_oracle_bytewise(case, data):
     with np.errstate(invalid="ignore"):  # inf + -inf in a cell of overlapping windows
         gx, gx_ref = maxpool_backward(g, cache), oracle_maxpool_backward(g, ref_cache)
     assert gx.shape == x.shape and gx.dtype == gx_ref.dtype
-    assert gx.tobytes() == gx_ref.tobytes()
+    # IEEE 754 leaves the sign of a NaN made from NaN or inf operands open, so
+    # where two or more non-finite gradients meet only NaN-ness is compared
+    met = oracle_maxpool_backward((~np.isfinite(g)).astype(g.dtype), ref_cache) >= 2
+    assert np.array_equal(np.isnan(gx[met]), np.isnan(gx_ref[met]))
+    assert gx[~met].tobytes() == gx_ref[~met].tobytes()
 
 
 @given(pool_cases(values=st.sampled_from(TIE_VALUES + [np.nan])))

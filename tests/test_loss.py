@@ -54,11 +54,23 @@ def test_decode_predictions_values():
     anchors = AnchorSet(dims=[(0.7, 0.9)])
     g = decode_predictions(raw, anchors)
     assert g.b == 2 and g.s == 2 and g.k == 1 and g.c == 2
-    assert g.cls.shape == (2, 2, 2, 1, 2)
-    assert g.x_off[1, 0, 1, 0] == pytest.approx(_sig(0.4))
-    assert g.x_off[0, 0, 1, 0] == 0.5
-    assert g.w[1, 1, 0, 0] == pytest.approx(0.7 * math.exp(0.25))
+    assert g.cls.shape == (2, 1, 2, 2, 2)
+    assert g.x_off[1, 0, 0, 1] == pytest.approx(_sig(0.4))
+    assert g.x_off[0, 0, 0, 1] == 0.5
+    assert g.w[1, 0, 1, 0] == pytest.approx(0.7 * math.exp(0.25))
     assert g.conf[1, 0, 0, 0] == pytest.approx(0.5)
+
+
+def test_decode_predictions_keeps_raw_slot_order():
+    rng = np.random.default_rng(7)
+    b, k, c, s = 2, 3, 2, 4
+    raw = rng.standard_normal((b, k * (5 + c), s, s))
+    g = decode_predictions(raw, AnchorSet(dims=[(1, 1), (2, 1), (1, 2)]))
+    assert g.x_off.shape == (b, k, s, s) and g.cls.shape == (b, k, s, s, c)
+    for bi, a, i, j in np.ndindex(b, k, s, s):
+        base = a * (5 + c)
+        assert g.x_off[bi, a, i, j] == pytest.approx(_sig(raw[bi, base, i, j]), rel=1e-14)
+        assert g.cls[bi, a, i, j, 1] == pytest.approx(_sig(raw[bi, base + 6, i, j]), rel=1e-14)
 
 
 def test_decode_predictions_channel_mismatch():
@@ -87,8 +99,8 @@ def test_best_shape_anchor_wins():
     preds = decode_predictions(_raw(s, 2, 2), anchors)
     truth = make_labels((0, 6.5 / s, 6.5 / s, 3.0 / s, 3.0 / s))
     asg = assign_targets([truth], preds, anchors, LossWeights())
-    assert asg.obj[0, 6, 6, 1]
-    assert not asg.obj[0, 6, 6, 0]
+    assert asg.obj[0, 1, 6, 6]
+    assert not asg.obj[0, 0, 6, 6]
     assert asg.obj.sum() == 1
 
 
@@ -110,7 +122,7 @@ def test_two_truths_two_obj_slots_match_bruteforce():
             v = inter / union
             if v > best_v:
                 best_k, best_v = k, v
-        expected.add((i, j, best_k))
+        expected.add((best_k, i, j))
     assert {tuple(idx) for idx in np.argwhere(asg.obj[0])} == expected
 
 
@@ -131,15 +143,11 @@ def test_truth_out_of_range_rejected_with_index():
 
 def test_class_id_out_of_range_rejected_with_image_and_truth():
     preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
-    w = LossWeights()
     good = make_labels((1, 0.5, 0.5, 0.2, 0.2))
     bad = make_labels((0, 0.5, 0.5, 0.2, 0.2), (2, 0.3, 0.3, 0.2, 0.2))
     message = r"^image 1, truth 1: class id 2 out of range for 2 classes$"
     with pytest.raises(LossError, match=message):
-        assign_targets([good, bad], preds, ANCHORS2, w)
-    asg = assign_targets([good, good], preds, ANCHORS2, w)
-    with pytest.raises(LossError, match=message):
-        compute_loss(preds, [good, bad], asg, w)
+        assign_targets([good, bad], preds, ANCHORS2, LossWeights())
 
 
 def test_truth_list_per_image_required():
@@ -150,15 +158,11 @@ def test_truth_list_per_image_required():
 
 def test_class_ids_not_one_dimensional_rejected_with_image():
     preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
-    w = LossWeights()
     good = make_labels((0, 0.5, 0.5, 0.2, 0.2))
     bad = Labels(good.class_ids[:, None], good.boxes)
     message = r"^image 1: class_ids must be \(T,\), got shape \(1, 1\)$"
     with pytest.raises(LossError, match=message):
-        assign_targets([good, bad], preds, ANCHORS2, w)
-    asg = assign_targets([good, good], preds, ANCHORS2, w)
-    with pytest.raises(LossError, match=message):
-        compute_loss(preds, [good, bad], asg, w)
+        assign_targets([good, bad], preds, ANCHORS2, LossWeights())
 
 
 def test_boxes_not_t_by_4_rejected_with_image():
@@ -176,8 +180,8 @@ def test_slot_collision_later_truth_owns_slot():
     truths = make_labels((0, 0.45, 0.45, 0.2, 0.2), (1, 0.55, 0.55, 0.2, 0.2))
     asg = assign_targets([truths], preds, anchors, LossWeights())
     assert asg.obj.sum() == 1
-    assert asg.obj[0, 1, 1, 0]
-    assert asg.truth_idx[0, 1, 1, 0] == 1
+    assert asg.obj[0, 0, 1, 1]
+    assert asg.truth_idx[0, 0, 1, 1] == 1
     assert asg.collisions == 1
     # the same two truths in two images of a batch do not collide
     batch = decode_predictions(np.zeros((2, 14, 3, 3)), anchors)
@@ -217,7 +221,7 @@ def test_perfect_prediction_loss_exactly_zero():
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
     asg = assign_targets([truths], preds, anchors, w, images_seen=w.n_prior)
-    parts, grad = compute_loss(preds, [truths], asg, w)
+    parts, grad = compute_loss(preds, asg, w)
     assert parts.total == 0.0
     assert parts.as_tuple() == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -229,7 +233,7 @@ def test_empty_image_all_conf_zero_loss_zero():
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
     asg = assign_targets([NO_LABELS], preds, anchors, w, images_seen=w.n_prior)
-    parts, _ = compute_loss(preds, [NO_LABELS], asg, w)
+    parts, _ = compute_loss(preds, asg, w)
     assert parts.total == 0.0
 
 
@@ -241,7 +245,7 @@ def test_loss_nonnegative():
         truths = make_labels((0, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
                               rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)))
         asg = assign_targets([truths], preds, ANCHORS2, w, images_seen=0)
-        parts, _ = compute_loss(preds, [truths], asg, w)
+        parts, _ = compute_loss(preds, asg, w)
         assert parts.total >= 0.0
         for v in parts.as_tuple():
             assert v >= 0.0
@@ -255,7 +259,7 @@ def test_class_weight_monotonicity():
     lo = LossWeights(cls=1.0)
     hi = LossWeights(cls=2.0)
     asg = assign_targets([truths], preds, ANCHORS2, lo, images_seen=lo.n_prior)
-    assert compute_loss(preds, [truths], asg, hi)[0].total > compute_loss(preds, [truths], asg, lo)[0].total
+    assert compute_loss(preds, asg, hi)[0].total > compute_loss(preds, asg, lo)[0].total
 
 
 def test_zero_class_probability_is_clamped():
@@ -266,9 +270,25 @@ def test_zero_class_probability_is_clamped():
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
     asg = assign_targets([truths], preds, anchors, w, images_seen=w.n_prior)
-    parts, grad = compute_loss(preds, [truths], asg, w)
+    parts, grad = compute_loss(preds, asg, w)
     assert math.isfinite(parts.total)
     assert np.isfinite(grad).all()
+
+
+def test_owned_slot_gradient_stays_in_its_anchor_channels_at_its_cell():
+    anchors = AnchorSet(dims=[(1.0, 1.0), (3.0, 3.0)])
+    s, k, c = 5, 2, 2
+    raw = np.random.default_rng(8).standard_normal((2, k * (5 + c), s, s))
+    preds = decode_predictions(raw, anchors)
+    # image 1's one truth is centred in row 3, column 1 and best fits anchor 1
+    truths = [NO_LABELS, make_labels((1, 1.5 / s, 3.5 / s, 3.0 / s, 3.0 / s))]
+    obj_only = LossWeights(noobj=0.0, coord=0.0, cls=0.0, prior=0.0)
+    asg = assign_targets(truths, preds, anchors, obj_only)
+    assert asg.truth_idx[1, 1, 3, 1] == 0
+    _, grad = compute_loss(preds, asg, obj_only)
+    assert np.argwhere(grad).tolist() == [[1, 1 * (5 + c) + 4, 3, 1]]
+    _, grad = compute_loss(preds, asg, LossWeights(noobj=0.0, prior=0.0))
+    assert np.argwhere(grad).tolist() == [[1, ch, 3, 1] for ch in range(5 + c, 2 * (5 + c))]
 
 
 # -- prior term --------------------------------------------------------------------
@@ -279,7 +299,7 @@ def test_prior_term_zero_at_priors():
     w = LossWeights()
     asg = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=0)
     assert asg.prior_active.all()
-    assert compute_loss(preds, [NO_LABELS], asg, w)[0].prior == 0.0
+    assert compute_loss(preds, asg, w)[0].prior == 0.0
 
 
 def test_prior_contributes_nothing_after_warmup():
@@ -289,8 +309,8 @@ def test_prior_contributes_nothing_after_warmup():
     w = LossWeights(n_prior=5)
     asg_on = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=0)
     asg_off = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=5)
-    assert compute_loss(preds, [NO_LABELS], asg_on, w)[0].prior > 0.0
-    assert compute_loss(preds, [NO_LABELS], asg_off, w)[0].prior == 0.0
+    assert compute_loss(preds, asg_on, w)[0].prior > 0.0
+    assert compute_loss(preds, asg_off, w)[0].prior == 0.0
 
 
 def test_prior_single_cell_scalar_recomputation():
@@ -302,7 +322,7 @@ def test_prior_single_cell_scalar_recomputation():
     preds = decode_predictions(raw, anchors)
     w = LossWeights()
     asg = assign_targets([NO_LABELS], preds, anchors, w, images_seen=0)
-    got = compute_loss(preds, [NO_LABELS], asg, w)[0].prior
+    got = compute_loss(preds, asg, w)[0].prior
     expected = w.prior * (0.5 - off) ** 2
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -329,12 +349,12 @@ def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: An
                 bw = anchors.dims[a][0] * math.exp(raw[base + 2, i, j])
                 bh = anchors.dims[a][1] * math.exp(raw[base + 3, i, j])
                 bc = _sig(raw[base + 4, i, j])
-                if asg.noobj[0, i, j, a]:
+                if asg.noobj[0, a, i, j]:
                     total += w.noobj * (0.0 - bc) ** 2
-                if asg.obj[0, i, j, a]:
-                    g_c = asg.conf_target[0, i, j, a]
+                if asg.obj[0, a, i, j]:
+                    g_c = asg.conf_target[0, a, i, j]
                     total += w.obj * (g_c - bc) ** 2
-                    t_i = asg.truth_idx[0, i, j, a]
+                    t_i = asg.truth_idx[0, a, i, j]
                     cx, cy, tw, th = truths.boxes[t_i].tolist()
                     gx, gy = cx * s - j, cy * s - i
                     gw, gh = tw * s, th * s
@@ -381,7 +401,7 @@ def test_loss_matches_straight_line_oracle():
 
     for images_seen in (0, 1000):  # prior on and off
         asg = assign_targets([truths], preds, anchors, w, images_seen=images_seen)
-        parts, _ = compute_loss(preds, [truths], asg, w)
+        parts, _ = compute_loss(preds, asg, w)
         expected = straight_line_loss(raw, truths, asg, w, anchors)
         assert parts.total == pytest.approx(expected, abs=1e-10)
 
@@ -389,10 +409,10 @@ def test_loss_matches_straight_line_oracle():
 def _pred_box(preds, i, j, a) -> BBox:
     """Predicted box of slot (i, j, a) of image 0 in normalized image coordinates."""
     s = preds.s
-    cx = (j + preds.x_off[0, i, j, a]) / s
-    cy = (i + preds.y_off[0, i, j, a]) / s
-    w = preds.w[0, i, j, a] / s
-    h = preds.h[0, i, j, a] / s
+    cx = (j + preds.x_off[0, a, i, j]) / s
+    cy = (i + preds.y_off[0, a, i, j]) / s
+    w = preds.w[0, a, i, j] / s
+    h = preds.h[0, a, i, j] / s
     return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
@@ -401,10 +421,10 @@ def triple_loop_assignment(truths, preds, anchors, weights):
     from one IoU call per (slot, truth) pair, the later truth winning a
     shared slot."""
     s, k = preds.s, preds.k
-    obj = np.zeros((s, s, k), dtype=bool)
-    noobj = np.ones((s, s, k), dtype=bool)
-    truth_idx = np.full((s, s, k), -1, dtype=np.int64)
-    conf_target = np.zeros((s, s, k), dtype=np.float64)
+    obj = np.zeros((k, s, s), dtype=bool)
+    noobj = np.ones((k, s, s), dtype=bool)
+    truth_idx = np.full((k, s, s), -1, dtype=np.int64)
+    conf_target = np.zeros((k, s, s), dtype=np.float64)
     if len(truths.class_ids):
         truth_boxes = [BBox(cx - tw / 2, cy - th / 2, cx + tw / 2, cy + th / 2)
                        for cx, cy, tw, th in truths.boxes.tolist()]
@@ -414,7 +434,7 @@ def triple_loop_assignment(truths, preds, anchors, weights):
                     pb = _pred_box(preds, i, j, a)
                     best = max(iou(pb, tb) for tb in truth_boxes)
                     if best > weights.iou_thres:
-                        noobj[i, j, a] = False
+                        noobj[a, i, j] = False
         for t_i, (cx, cy, tw, th) in enumerate(truths.boxes.tolist()):
             j = min(int(cx * s), s - 1)
             i = min(int(cy * s), s - 1)
@@ -424,10 +444,10 @@ def triple_loop_assignment(truths, preds, anchors, weights):
                 inter = min(tw, aw) * min(th, ah)
                 ious.append(inter / (tw * th + aw * ah - inter))
             a_best = int(np.argmax(ious))
-            obj[i, j, a_best] = True
-            noobj[i, j, a_best] = False
-            truth_idx[i, j, a_best] = t_i
-            conf_target[i, j, a_best] = iou(_pred_box(preds, i, j, a_best), truth_boxes[t_i])
+            obj[a_best, i, j] = True
+            noobj[a_best, i, j] = False
+            truth_idx[a_best, i, j] = t_i
+            conf_target[a_best, i, j] = iou(_pred_box(preds, i, j, a_best), truth_boxes[t_i])
     return obj, noobj, truth_idx, conf_target
 
 
@@ -461,7 +481,7 @@ def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, iou_t
     assert np.array_equal(asg.noobj[0], noobj)
     assert np.array_equal(asg.truth_idx[0], truth_idx)
     assert np.array_equal(asg.conf_target[0], conf_target)
-    parts, _ = compute_loss(preds, [truths], asg, w)
+    parts, _ = compute_loss(preds, asg, w)
     expected = straight_line_loss(raw, truths, asg, w, anchors)
     assert parts.total == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
@@ -489,7 +509,7 @@ def test_batch_equals_batch_of_one_calls(seed, b, s, k, truths, collide, images_
     w = LossWeights(n_prior=6)  # images_seen in [0, 12] puts warm-up before, in and after the batch
     preds = decode_predictions(raw, anchors)
     asg = assign_targets(truths, preds, anchors, w, images_seen=images_seen)
-    parts, grad = compute_loss(preds, truths, asg, w)
+    parts, grad = compute_loss(preds, asg, w)
     assert grad.shape == raw.shape and grad.dtype == np.float64 and grad.flags.c_contiguous
 
     offset = 0
@@ -497,7 +517,7 @@ def test_batch_equals_batch_of_one_calls(seed, b, s, k, truths, collide, images_
     for i in range(b):
         one = decode_predictions(raw[i:i + 1], anchors)
         one_asg = assign_targets([truths[i]], one, anchors, w, images_seen=images_seen + i)
-        one_parts, one_grad = compute_loss(one, [truths[i]], one_asg, w)
+        one_parts, one_grad = compute_loss(one, one_asg, w)
         assert np.array_equal(asg.obj[i], one_asg.obj[0])
         assert np.array_equal(asg.noobj[i], one_asg.noobj[0])
         assert np.array_equal(asg.conf_target[i], one_asg.conf_target[0])

@@ -233,8 +233,9 @@ def test_training_forward_keeps_conv_and_pool_outputs_batch_innermost(monkeypatc
     # is the innermost axis; a C-order copy anywhere would undo that
     net = tiny_net()
     layouts = {}
+    recorded = (network.ConvNode, network.MaxPoolNode)
     for node in net.nodes:
-        if isinstance(node, (network.ConvNode, network.MaxPoolNode)):
+        if isinstance(node, recorded):
             def recording(ins, training, forward=node.forward, name=node.name):
                 out, cache = forward(ins, training)
                 layouts[name] = out.transpose(1, 2, 3, 0).flags.c_contiguous
@@ -242,7 +243,7 @@ def test_training_forward_keeps_conv_and_pool_outputs_batch_innermost(monkeypatc
             monkeypatch.setattr(node, "forward", recording)
     x = np.random.default_rng(3).standard_normal((4, 3, 96, 96)).astype(np.float32)
     net.forward(x, training=True)
-    assert len(layouts) == sum(n.kind in ("conv", "maxpool") for n in net.nodes)
+    assert len(layouts) == sum(isinstance(n, recorded) for n in net.nodes)
     assert [name for name, inner in layouts.items() if not inner] == []
 
 
@@ -352,7 +353,7 @@ def test_layer_kernels_called_through_network_module(monkeypatch):
     out = net.forward(rng.standard_normal((2, 3, 96, 96)).astype(np.float32), training=True)
     net.backward(rng.standard_normal(out.shape).astype(np.float32))
     n_conv = sum(1 for _ in net.conv_nodes())
-    n_pool = sum(1 for n in net.nodes if n.kind == "maxpool")
+    n_pool = sum(1 for n in net.nodes if isinstance(n, network.MaxPoolNode))
     assert len(calls["conv2d_forward"]) == len(calls["conv2d_backward"]) == n_conv
     assert len(calls["maxpool_forward"]) == len(calls["maxpool_backward"]) == n_pool
     for name in kernels:
