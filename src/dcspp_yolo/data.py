@@ -90,18 +90,12 @@ def letterbox_params(w: int, h: int, target: int) -> LetterboxParams:
     return LetterboxParams(scale, (target - new_w) // 2, (target - new_h) // 2, new_w, new_h)
 
 
-def _resize_nearest(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    h, w = img.shape[:2]
-    rows = np.minimum((np.arange(new_h) + 0.5) * h / new_h, h - 1).astype(np.intp)
-    cols = np.minimum((np.arange(new_w) + 0.5) * w / new_w, w - 1).astype(np.intp)
-    return img[rows][:, cols]
-
-
 def image_to_tensor(img: np.ndarray, target: int) -> np.ndarray:
     """Aspect-preserving resize onto a target x target gray canvas.
 
     Output is a C-contiguous (1, 3, target, target) float32 array in
     [0, 1] with channel planes R, G, B; padding bands hold exactly 0.5.
+    The image is divided by 255 in float32 straight into the canvas planes.
     """
     if target % 32 != 0:
         raise LabelError(f"target size must be a multiple of 32, got {target}")
@@ -109,10 +103,14 @@ def image_to_tensor(img: np.ndarray, target: int) -> np.ndarray:
         raise LabelError(f"image must be (h, w, 3), got {img.shape}")
     h, w = img.shape[:2]
     p = letterbox_params(w, h, target)
-    resized = _resize_nearest(img, p.new_h, p.new_w).astype(np.float32) / 255.0
-    canvas = np.full((target, target, 3), 0.5, dtype=np.float32)
-    canvas[p.pad_y:p.pad_y + p.new_h, p.pad_x:p.pad_x + p.new_w] = resized
-    return np.ascontiguousarray(canvas.transpose(2, 0, 1)[None])
+    if (p.new_h, p.new_w) != (h, w):  # nearest-neighbour resize
+        rows = np.minimum((np.arange(p.new_h) + 0.5) * h / p.new_h, h - 1).astype(np.intp)
+        cols = np.minimum((np.arange(p.new_w) + 0.5) * w / p.new_w, w - 1).astype(np.intp)
+        img = img[rows][:, cols]
+    canvas = np.full((1, 3, target, target), 0.5, dtype=np.float32)
+    np.divide(img.transpose(2, 0, 1), 255, dtype=np.float32,
+              out=canvas[0, :, p.pad_y:p.pad_y + p.new_h, p.pad_x:p.pad_x + p.new_w])
+    return canvas
 
 
 def unletterbox_boxes(boxes: np.ndarray, orig_w: int, orig_h: int, target: int) -> np.ndarray:

@@ -28,21 +28,23 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(a - n).max(initial=0.0) / scale)
 
 
+def _central_diff(f: Callable[[], float], flat: np.ndarray, i: int, step: float) -> float:
+    """(f(+step) - f(-step)) / (2 step) at flat[i], over the step as stored."""
+    orig = float(flat[i])
+    flat[i] = orig + step
+    hi_w = float(flat[i])  # storage may quantize the step
+    hi = f()
+    flat[i] = orig - step
+    lo_w = float(flat[i])
+    lo = f()
+    flat[i] = orig
+    return (hi - lo) / (hi_w - lo_w)
+
+
 def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray, step: float = STEP) -> np.ndarray:
-    g = np.zeros_like(x, dtype=np.float64)
     flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi_w = float(flat[i])  # storage may quantize the step
-        hi = f(x)
-        flat[i] = orig - step
-        lo_w = float(flat[i])
-        lo = f(x)
-        flat[i] = orig
-        gf[i] = (hi - lo) / (hi_w - lo_w)
-    return g
+    g = [_central_diff(lambda: f(x), flat, i, step) for i in range(flat.size)]
+    return np.array(g, dtype=np.float64).reshape(x.shape)
 
 
 def _conv_err(rng: np.random.Generator, x_shape: tuple, out_c: int, k: int, stride: int,
@@ -198,15 +200,7 @@ def check_network(seed: int = 0, samples: int = 20) -> float:
         p = candidates[rng.choice(len(candidates), p=weights)]
         flat = p.array.reshape(-1)
         i = int(rng.integers(flat.size))
-        orig = float(flat[i])
-        flat[i] = orig + NETWORK_STEP
-        hi_w = float(flat[i])
-        hi = loss()
-        flat[i] = orig - NETWORK_STEP
-        lo_w = float(flat[i])
-        lo = loss()
-        flat[i] = orig
-        numeric = (hi - lo) / (hi_w - lo_w)
+        numeric = _central_diff(loss, flat, i, NETWORK_STEP)
         analytic = float(grads[p.name].reshape(-1)[i])
         scale = max(abs(analytic), abs(numeric), 1e-12)
         worst = max(worst, abs(analytic - numeric) / scale)

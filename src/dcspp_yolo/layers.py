@@ -7,23 +7,24 @@ float64 for finite-difference verification.
 
 Convolution folds the batch into the GEMM (the im2col lowering of
 Chellapilla et al. 2006) with the batch innermost in memory (the CHWN
-layout of Li et al. 2016): the input is padded into a (c, hp, wp, n)
-buffer, `_im2col` lays it out as one (c*k*k, oh*ow*n) patch matrix whose
-window copies each run over ow*n contiguous elements, a single
-`W @ cols` gives the output as (out_c, oh, ow, n), and the caller sees it
-as an (n, out_c, oh, ow) view. At batch 1 this is the plain C order. For
-a 1x1 stride-1 kernel the patch matrix is the input reshaped, with no
-copy when the input is already batch-innermost. Like batch norm and max
-pooling, the forward returns a cache, `ConvCache`: the patch matrix,
-which backward multiplies by the output gradient for the weight
-gradient, and the input shape. A caller that will not run backward drops
-it. Backward sums the weight gradient over a C-contiguous (out_c, oh*ow*n)
-copy of the output gradient and the bias gradient over an (out_c, n*oh*ow)
-one, so their float32 bytes do not depend on the layout the caller
-passes, and scatters the column gradient back into a (c, hp, wp, n)
-buffer. Batch norm, leaky ReLU, max pooling and route concatenation keep
-the layout of their input, so in training the activations and gradients
-that pass between convs stay batch-innermost (reorg aside).
+layout of Li et al. 2016). The input is padded into a (c, hp, wp, n)
+buffer, the cache that backward reads (`ConvCache`). `_im2col` lays out
+a band of output rows at a time as a (c*k*k, rows*ow*n) patch matrix in
+one reused buffer, each window copy running over ow*n contiguous
+elements, and one `W @ band` writes those rows of the (out_c, oh, ow, n)
+output, seen as an (n, out_c, oh, ow) view (plain C order at batch 1).
+No whole matrix is held, the memory cost of im2col (Cho & Brand 2017);
+backward rebuilds it once for the weight-gradient GEMM (the
+compute-for-memory trade of Chen et al. 2016). A 1x1 stride-1 kernel's
+patch matrix is the input reshaped, with no copy when the input is
+batch-innermost. Backward sums the weight gradient over a C-contiguous
+(out_c, oh*ow*n) copy of the output gradient and the bias gradient over
+an (out_c, n*oh*ow) one, so their float32 bytes do not depend on the
+layout the caller passes, and scatters the column gradient back into a
+(c, hp, wp, n) buffer. Batch norm, leaky ReLU, max pooling and route
+concatenation keep the layout of their input, so in training the
+activations and gradients that pass between convs stay batch-innermost
+(reorg aside).
 
 Inference batch norm folds the running statistics into one per-channel
 scale gamma / sqrt(var + eps) and shift beta - mean * scale (the folding
@@ -52,6 +53,7 @@ once, with no zero fill and no read-modify-write.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -124,7 +126,7 @@ class LeakyParams:
 
 @dataclass
 class ConvCache:
-    cols: np.ndarray                      # (c*k*k, oh*ow*n) patch matrix of the padded input
+    xp: np.ndarray                        # (c, hp, wp, n) padded input, batch innermost
     in_shape: tuple[int, int, int, int]   # (n, c, h, w) of the unpadded input
 
 
@@ -146,6 +148,13 @@ class MaxPoolCache:
 # ---------------------------------------------------------------------------
 # convolution
 
+# Forward bands: at most _BAND_BYTES of patch matrix, but no fewer than
+# _BAND_COLUMNS columns (narrower GEMMs are slow), in whole _BAND_ALIGN-column
+# blocks of OpenBLAS's x86 GEMM kernels, so the bands do not change the bytes.
+_BAND_BYTES = 1 << 19
+_BAND_COLUMNS = 2048
+_BAND_ALIGN = 16
+
 
 def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple[slice, slice]]:
     """Per window offset (dy, dx), in row-major scan order: the (row, column)
@@ -158,15 +167,19 @@ def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple[slice, 
                    slice(dx, dx + stride * (ow - 1) + 1, stride))
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int,
+            r0: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """C-contiguous (c, hp, wp, n) -> (c*k*k, oh*ow*n) patch matrix of the
-    whole batch. Rows follow weights.reshape(out_c, in_c*k*k): channel,
-    kernel row, kernel column; columns follow output row, output column,
-    image, so each window copy runs over ow*n contiguous elements."""
+    whole batch's output rows r0 to r0+oh, in the front of the flat `out` when
+    given. Rows follow weights.reshape(out_c, in_c*k*k): channel, kernel row,
+    kernel column; columns follow output row, output column, image, so each
+    window copy runs over ow*n contiguous elements."""
     c, n = xp.shape[0], xp.shape[3]
+    xp = xp[:, stride * r0:stride * (r0 + oh - 1) + k]
     if k == 1 and stride == 1:
         return xp.reshape(c, -1)
-    cols = np.empty((c, k * k, oh, ow, n), dtype=xp.dtype)
+    size = c * k * k * oh * ow * n
+    cols = (np.empty(size, xp.dtype) if out is None else out)[:size].reshape(c, k * k, oh, ow, n)
     for o, (rows, columns) in enumerate(_windows(k, stride, oh, ow)):
         cols[:, o] = xp[:, rows, columns]
     return cols.reshape(c * k * k, -1)
@@ -177,12 +190,13 @@ def conv2d_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, i
 
 
 def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]:
-    """One GEMM over the batch. The output is an (n, out_c, oh, ow) view of
-    the batch-innermost (out_c, oh, ow, n) product."""
+    """One GEMM per band of output rows, each into its rows of the
+    batch-innermost (out_c, oh, ow, n) product, of which the output is an
+    (n, out_c, oh, ow) view. The cache is the padded input."""
     n, c, h, w = x.shape
     if c != p.in_channels:
         raise LayerError(f"conv: input has {c} channels, kernel expects {p.in_channels}")
-    k, s = p.kernel, p.stride
+    k, s, oc = p.kernel, p.stride, p.out_channels
     oh, ow = conv2d_out_hw(h, w, k, s, p.pad)
     if oh < 1 or ow < 1:
         raise LayerError(f"conv: input {h}x{w} too small for kernel {k} stride {s} pad {p.pad}")
@@ -192,16 +206,24 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]
     else:
         xp = np.zeros((c, h + 2 * p.pad, w + 2 * p.pad, n), dtype=x.dtype)
         xp[:, p.pad:p.pad + h, p.pad:p.pad + w] = xt
-    cols = _im2col(xp, k, s, oh, ow)
-    y = p.weights.reshape(p.out_channels, -1) @ cols
-    y += p.bias[:, None]
-    return y.reshape(p.out_channels, oh, ow, n).transpose(3, 0, 1, 2), ConvCache(cols, x.shape)
+    row = c * k * k * ow * n  # patch-matrix elements per output row
+    rows = max(_BAND_BYTES // (row * x.itemsize), -(-_BAND_COLUMNS // (ow * n)))
+    step = _BAND_ALIGN // math.gcd(ow * n, _BAND_ALIGN)
+    rows = oh if k == 1 and s == 1 else min(oh, -(-rows // step) * step)
+    buf = None if rows == oh else np.empty(rows * row, dtype=x.dtype)
+    wm = p.weights.reshape(oc, -1)
+    y = np.empty((oc, oh, ow, n), dtype=np.result_type(wm, xp))
+    for r0 in range(0, oh, rows):
+        r = min(rows, oh - r0)
+        np.matmul(wm, _im2col(xp, k, s, r, ow, r0, buf), out=y[:, r0:r0 + r].reshape(oc, -1))
+    y += p.bias[:, None, None, None]
+    return y.transpose(3, 0, 1, 2), ConvCache(xp, x.shape)
 
 
 def conv2d_backward(
     grad_out: np.ndarray, cache: ConvCache, p: ConvParams, *, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input, weights and bias, from the forward's patch matrix.
+    """Gradients w.r.t. input, weights and bias, from the forward's padded input.
 
     The input gradient is the correlation of the output gradient with the
     180-degree-rotated kernel, realized here by scattering the column
@@ -225,9 +247,9 @@ def conv2d_backward(
     # cancels it can differ from the per-image sum by over 1e-5 of the result
     by_image = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(p.out_channels, -1)
     grad_b = by_image.sum(axis=1)
-    # the same product as go @ cols.T; OpenBLAS runs this skinny GEMM about
-    # twice as fast with the long (oh*ow*n) axis inside the left operand's rows
-    grad_w = (cache.cols @ go.T).T.reshape(p.weights.shape)
+    # go @ cols.T, over the patch matrix rebuilt from the cache; OpenBLAS runs this
+    # skinny GEMM about twice as fast with the long (oh*ow*n) axis inside the left operand's rows
+    grad_w = (_im2col(cache.xp, k, s, oh, ow) @ go.T).T.reshape(p.weights.shape)
     if not input_grad:
         return None, grad_w, grad_b
 

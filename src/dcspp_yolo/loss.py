@@ -132,8 +132,8 @@ def assign_targets(
     current predicted box against the truth. Slots whose predicted box
     overlaps any truth of the same image above iou_thres are exempted
     from the no-object penalty; everything else is a no-object slot.
-    Both come from one (B*K*S*S, T) IoU matrix of every predicted box
-    against every truth of the batch, masked to each slot's own image.
+    Both come from one (K*S*S, T_b) IoU matrix per image b, of its
+    predicted boxes against its own T_b truths.
     Image b is in prior warm-up while images_seen + b < n_prior.
 
     When two truths of one image claim the same (cell, anchor) slot, the
@@ -148,7 +148,8 @@ def assign_targets(
     conf_target = np.zeros((b, k, s, s), dtype=np.float64)
 
     if len(flat.class_ids):
-        image_of = np.repeat(np.arange(b), [len(ids) for ids, _ in truths])
+        first = np.cumsum([0, *(len(ids) for ids, _ in truths)])  # image b's: first[b]:first[b+1]
+        image_of = np.repeat(np.arange(b), np.diff(first))
         # predicted boxes in normalized image coordinates
         _, rows, cols = np.indices((k, s, s))
         cx = (cols + preds.x_off) / s
@@ -156,10 +157,10 @@ def assign_targets(
         w = preds.w / s
         h = preds.h / s
         pred_boxes = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
-        ious = iou_matrix(pred_boxes.reshape(-1, 4), flat.corners())
-        ious = ious.reshape(b, k, s, s, len(flat.class_ids))
-        same_image = (image_of == np.arange(b)[:, None])[:, None, None, None, :]
-        noobj = ~((ious > weights.iou_thres) & same_image).any(axis=-1)
+        corners = flat.corners()
+        ious = [iou_matrix(pred_boxes[img].reshape(-1, 4), corners[first[img]:first[img + 1]])
+                .reshape(k, s, s, -1) for img in range(b)]
+        noobj = ~np.array([(iou > weights.iou_thres).any(axis=-1) for iou in ious])
         cell = np.minimum((flat.boxes[:, :2] * s).astype(np.int64), s - 1)
         best_anchor = shape_iou_matrix(flat.boxes[:, 2:] * s, anchors.as_array()).argmax(axis=1)
         # one truth at a time, so that the later of two colliding truths wins
@@ -168,7 +169,7 @@ def assign_targets(
             obj[img, a, i, j] = True
             noobj[img, a, i, j] = False
             truth_idx[img, a, i, j] = t_i
-            conf_target[img, a, i, j] = ious[img, a, i, j, t_i]
+            conf_target[img, a, i, j] = ious[img][a, i, j, t_i - first[img]]
 
     return Assignment(
         obj=obj,

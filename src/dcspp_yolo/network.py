@@ -5,7 +5,7 @@ reorg passthrough, and the linear detection convolution.
 The graph is a flat list of nodes in topological order. Each node class
 gives `forward(ins, training) -> (out, cache)`, `backward(grad, cache,
 param_grads) -> input grads` and `out_shape(in_shapes)`. Forward caches
-per-node activations (for a conv, its patch matrix) when training;
+per-node activations (for a conv, its padded input) when training;
 backward walks the list in reverse, summing gradients over fan-out before
 calling each node's backward, and frees each node's cache once that
 backward has run.
@@ -120,7 +120,7 @@ class ConvNode(LayerNode):
 
     def _conv(self, x: np.ndarray, training: bool):
         y, cache = conv2d_forward(x, self.conv)
-        return y, cache if training else None  # inference keeps no patch matrix
+        return y, cache if training else None  # inference keeps no padded input
 
     def forward(self, ins: list[np.ndarray], training: bool):
         """At inference batch norm and leaky overwrite arrays this node

@@ -139,6 +139,39 @@ def test_letterbox_all_white_region_is_one():
     assert np.all(t == 1.0)
 
 
+def oracle_image_to_tensor(img, target):
+    """Nearest-neighbour resize, float32 / 255 into an HWC canvas, then a
+    transposing copy: the straightforward letterbox, pass by pass."""
+    h, w = img.shape[:2]
+    p = letterbox_params(w, h, target)
+    rows = np.minimum((np.arange(p.new_h) + 0.5) * h / p.new_h, h - 1).astype(np.intp)
+    cols = np.minimum((np.arange(p.new_w) + 0.5) * w / p.new_w, w - 1).astype(np.intp)
+    canvas = np.full((target, target, 3), 0.5, dtype=np.float32)
+    resized = img[rows][:, cols].astype(np.float32) / 255.0
+    canvas[p.pad_y:p.pad_y + p.new_h, p.pad_x:p.pad_x + p.new_w] = resized
+    return np.ascontiguousarray(canvas.transpose(2, 0, 1)[None])
+
+
+@st.composite
+def letterbox_cases(draw):
+    size = st.integers(1, 160)
+    h, w = draw(st.one_of(st.sampled_from([(416, 416), (300, 500), (96, 96)]),
+                          st.tuples(size, size)))
+    target = draw(st.sampled_from([32, 96, 128, 416]))
+    dtype = draw(st.sampled_from([np.uint8, np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, 256, (h, w, 3)).astype(dtype), target
+
+
+@given(letterbox_cases())
+@settings(max_examples=100, deadline=None)
+def test_letterbox_equals_pass_by_pass_oracle_bytewise(case):
+    img, target = case
+    t, ref = image_to_tensor(img, target), oracle_image_to_tensor(img, target)
+    assert t.shape == ref.shape and t.dtype == ref.dtype and t.flags.c_contiguous
+    assert t.tobytes() == ref.tobytes()
+
+
 def test_letterbox_rejects_bad_target():
     with pytest.raises(LabelError):
         image_to_tensor(np.zeros((10, 10, 3), dtype=np.uint8), 100)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,7 +53,8 @@ def test_conv_first_layer_shape():
     x = np.zeros((1, 3, 416, 416), dtype=np.float32)
     y, cache = conv2d_forward(x, _conv(32, 3, 3, pad=1))
     assert y.shape == (1, 32, 416, 416)
-    assert cache.cols.shape == (3 * 3 * 3, 416 * 416) and cache.in_shape == x.shape
+    # the cache is the padded input, not its (27, 416*416) patch matrix
+    assert cache.xp.shape == (3, 418, 418, 1) and cache.in_shape == x.shape
 
 
 def test_conv_head_shape():
@@ -98,8 +101,9 @@ def test_conv_1x1_patch_matrix_is_the_input_reshaped():
     # a batch-innermost input, as a conv's output is, needs no copy at all
     x = _batch_innermost(RNG.standard_normal((2, 3, 4, 5)))
     _, cache = conv2d_forward(x, _conv(4, 3, 1))
-    assert np.shares_memory(cache.cols, x)
-    assert np.array_equal(cache.cols, x.transpose(1, 2, 3, 0).reshape(3, 4 * 5 * 2))
+    cols = layers._im2col(cache.xp, 1, 1, 4, 5)
+    assert np.shares_memory(cache.xp, x) and np.shares_memory(cols, x)
+    assert np.array_equal(cols, x.transpose(1, 2, 3, 0).reshape(3, 4 * 5 * 2))
 
 
 @pytest.mark.parametrize("k, stride, pad", [(1, 1, 0), (3, 1, 1), (3, 2, 1)])
@@ -119,6 +123,71 @@ def test_conv_param_grads_do_not_depend_on_grad_layout(k, stride, pad):
             _, grad_w, grad_b = conv2d_backward(layout, cache, p)
             assert grad_w.tobytes() == ref_w.tobytes()
             assert grad_b.tobytes() == ref_b.tobytes()
+
+
+@st.composite
+def banded_conv_cases(draw):
+    """A conv whose forward spans two or three full bands of output rows and
+    a short last one, under the module's band budget, column floor and
+    column alignment."""
+    n, dtype = draw(st.sampled_from([1, 16])), draw(st.sampled_from([np.float32, np.float64]))
+    # numpy hands a one-row product to gemv, which blocks the columns otherwise
+    c, out_c = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    stride = draw(st.integers(1, 2)) if k > 1 else 2  # a 1x1 stride-1 conv is one band
+    pad = draw(st.integers(0, 2))
+    w = draw(st.integers(max(1, k - 2 * pad), 12))
+    ow = layers.conv2d_out_hw(w, w, k, stride, pad)[1]
+    rows = max(layers._BAND_BYTES // (c * k * k * ow * n * np.dtype(dtype).itemsize),
+               -(-layers._BAND_COLUMNS // (ow * n)))
+    step = layers._BAND_ALIGN // np.gcd(ow * n, layers._BAND_ALIGN)
+    rows = -(-rows // step) * step
+    oh = rows * draw(st.integers(2, 3)) + draw(st.integers(1, rows - 1))
+    h = (oh - 1) * stride + k - 2 * pad
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    p = ConvParams(weights=rng.standard_normal((out_c, c, k, k)).astype(dtype),
+                   bias=rng.standard_normal(out_c).astype(dtype), stride=stride, pad=pad)
+    return x, p
+
+
+@given(banded_conv_cases())
+@settings(max_examples=60, deadline=None)
+def test_banded_conv_equals_whole_patch_matrix_gemm_bytewise(case):
+    x, p = case
+    y, cache = conv2d_forward(x, p)
+    oc, oh, ow = y.shape[1:]
+    wm = p.weights.reshape(oc, -1)
+    cols = layers._im2col(cache.xp, p.kernel, p.stride, oh, ow)
+    whole = wm @ cols
+    whole += p.bias[:, None]
+    got = y.transpose(1, 2, 3, 0).reshape(oc, -1)
+    # Bands split the columns where the whole product's BLAS micro-kernel
+    # blocks do. The whole matrix's last, partial block (none at batch 16) is
+    # in the short last band, whose product may be small enough for OpenBLAS's
+    # small-matrix kernel: there the sum order, not the accuracy, may differ.
+    full = got.shape[1] - got.shape[1] % layers._BAND_ALIGN
+    assert got[:, :full].tobytes() == whole[:, :full].tobytes()
+    bound = (np.abs(wm) @ np.abs(cols[:, full:]) + np.abs(p.bias)[:, None]) * (
+        cols.shape[0] * np.finfo(x.dtype).eps)
+    assert (np.abs(got[:, full:] - whole[:, full:]) <= bound).all()
+
+
+def test_conv_forward_peaks_far_below_its_whole_patch_matrix():
+    # the 416 build's conv2: its (32*3*3, 208*208) float32 patch matrix is 47.5 MiB
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((1, 32, 208, 208)).astype(np.float32)
+    p = ConvParams(weights=rng.standard_normal((64, 32, 3, 3)).astype(np.float32),
+                   bias=np.zeros(64, dtype=np.float32), pad=1)
+    whole = 32 * 3 * 3 * 208 * 208 * 4
+    tracemalloc.start()
+    try:
+        conv2d_forward(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the padded input, the output and one band, against that matrix alone
+    assert peak < whole / 2, (peak / 2**20, whole / 2**20)
 
 
 def test_conv_gradcheck():
@@ -721,7 +790,7 @@ def test_every_kernel_returns_its_input_dtype(dtype, seed):
     bn_y, bn_cache = batchnorm_forward(x, bn, training=True)
     pool_y, pool_cache = maxpool_forward(x, 3, 1, 1)
     outs = {
-        "conv2d_forward": [conv_y, conv_cache.cols],
+        "conv2d_forward": [conv_y, conv_cache.xp],
         "conv2d_backward": conv2d_backward(g, conv_cache, conv),
         "batchnorm_forward": [bn_y, batchnorm_forward(x, bn, training=False)[0]],
         "batchnorm_backward": batchnorm_backward(g, bn_cache, bn),
