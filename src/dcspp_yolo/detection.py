@@ -1,7 +1,11 @@
 """Grid decode of the raw output volume, shared by the loss and by
 inference, plus confidence thresholding, class-aware non-maximum
 suppression and `iou_matrix`, the one corner-box IoU, which suppression,
-evaluation matching and training target assignment share."""
+evaluation matching and training target assignment share.
+
+Suppression is exact greedy NMS taken in blocks of rows: each block is
+compared with the boxes kept so far, and then within itself, so the IoU
+work follows the kept boxes rather than every pair of candidates."""
 
 from __future__ import annotations
 
@@ -186,6 +190,9 @@ def decode(
     return Detections(boxes=boxes[keep], scores=score[keep], class_ids=class_id[keep])
 
 
+_NMS_BLOCK = 64  # rows of a class group that `nms` resolves at a time
+
+
 def nms(dets: Detections, nms_thres: float) -> Detections:
     """Greedy class-aware suppression.
 
@@ -194,16 +201,31 @@ def nms(dets: Detections, nms_thres: float) -> Detections:
     NaN overlap suppresses). Output is in descending score order, ties
     in ascending class id and then input order; NaN scores come last,
     in input order.
+
+    Each class group is taken in blocks of _NMS_BLOCK rows. A block first
+    drops the rows that overlap a box kept by earlier blocks, in one IoU
+    against the kept boxes only, then resolves its survivors in order from
+    their own IoU matrix. IoU is symmetric to the bit, so this keeps the
+    same rows as comparing every row with every earlier kept row, with no
+    full n x n matrix.
     """
     chosen = np.zeros(len(dets), dtype=bool)
     for cid in np.unique(dets.class_ids):
         group = np.flatnonzero(dets.class_ids == cid)
         group = group[np.argsort(-dets.scores[group], kind="stable")]
         boxes = dets.boxes[group]
-        kept = np.zeros(len(group), dtype=bool)
-        # greedy in score order: row r is compared with the rows kept before it
-        for r, row in enumerate(iou_matrix(boxes, boxes)):
-            kept[r] = (row[kept] <= nms_thres).all()
+        kept: list[int] = []
+        for b0 in range(0, len(group), _NMS_BLOCK):
+            rows = np.arange(b0, min(b0 + _NMS_BLOCK, len(group)))
+            rows = rows[(iou_matrix(boxes[kept], boxes[rows]) <= nms_thres).all(axis=0)]
+            # bit j of over[i] (little-endian bytes): survivor j overlaps survivor i
+            over = np.packbits(~(iou_matrix(boxes[rows], boxes[rows]) <= nms_thres),
+                               axis=1, bitorder="little")
+            suppressed = 0
+            for i, r in enumerate(rows.tolist()):
+                if not suppressed >> i & 1:
+                    kept.append(r)
+                    suppressed |= int.from_bytes(over[i], "little")
         chosen[group[kept]] = True
     rows = np.flatnonzero(chosen)
     scores = dets.scores[rows]

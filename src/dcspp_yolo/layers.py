@@ -36,7 +36,8 @@ into xhat, and its square, which gives the variance by numpy's pairwise
 sum and then holds the output. Its backward is the closed form that needs
 only the per-channel sums of g and g * xhat, built in one temporary.
 
-Leaky ReLU has no data-dependent branch: forward is max(x, x / a), and
+Leaky ReLU has no data-dependent branch: forward is max(x, x / a), with
+x / a taken a slice of channels at a time in one small buffer, and
 backward divides the gradient by a divisor, a times the mask of inputs
 that are not >= 0, raised to at least 1. The divisor array is laid out
 like the cached input, because the gradient's memory layout decides the
@@ -151,6 +152,7 @@ class MaxPoolCache:
 # Forward bands: at most _BAND_BYTES of patch matrix, but no fewer than
 # _BAND_COLUMNS columns (narrower GEMMs are slow), in whole _BAND_ALIGN-column
 # blocks of OpenBLAS's x86 GEMM kernels, so the bands do not change the bytes.
+# Leaky forward's x / a buffer is held to _BAND_BYTES too.
 _BAND_BYTES = 1 << 19
 _BAND_COLUMNS = 2048
 _BAND_ALIGN = 16
@@ -160,7 +162,7 @@ def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple[slice, 
     """Per window offset (dy, dx), in row-major scan order: the (row, column)
     slices that take that offset of every window from the spatial axes of a
     padded input, oh by ow long. Conv applies them to axes 1-2 of its
-    (c, hp, wp, n) buffer, the pools to the last two axes."""
+    (c, hp, wp, n) buffer, max-pool backward to the last two axes."""
     for dy in range(size):
         for dx in range(size):
             yield (slice(dy, dy + stride * (oh - 1) + 1, stride),
@@ -330,8 +332,17 @@ def batchnorm_backward(
 
 def leaky_forward(x: np.ndarray, p: LeakyParams, *, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, x / a): for a > 1 the larger of the two is x where x >= 0 and
-    x / a below zero, with no data-dependent branch. `out` may be `x`."""
-    return np.maximum(x, x / p.a, out=out)
+    x / a below zero, with no data-dependent branch. `out` may be `x`.
+    x / a is taken a slice of channels at a time into one reused buffer of
+    at most _BAND_BYTES (or one channel), so no full-size temporary is made."""
+    if out is None:
+        out = np.empty_like(x)
+    step = max(1, _BAND_BYTES // max(1, x[:, :1].nbytes))  # channels per slice
+    buf = np.empty_like(x[:, :step])
+    for c0 in range(0, x.shape[1], step):
+        xs = x[:, c0:c0 + step]
+        np.maximum(xs, np.divide(xs, p.a, out=buf[:, :xs.shape[1]]), out=out[:, c0:c0 + step])
+    return out
 
 
 def leaky_backward(grad_out: np.ndarray, cached_x: np.ndarray, p: LeakyParams) -> np.ndarray:
@@ -371,22 +382,35 @@ def maxpool_out_hw(
     return (h + pb + pa - size) // stride + 1, (w + pb + pa - size) // stride + 1
 
 
+def _running_max(views: list[np.ndarray]) -> np.ndarray:
+    """Elementwise max of same-shape views into a new array laid out like
+    them. On a tie the earlier view wins, signed zeros included: np.maximum
+    returns its second operand on a tie."""
+    if len(views) == 1:
+        return views[0].copy(order="K")
+    out = np.maximum(views[1], views[0])
+    for v in views[2:]:
+        np.maximum(v, out, out=out)
+    return out
+
+
 def maxpool_forward(
     x: np.ndarray, size: int, stride: int, pad: int | tuple[int, int] = 0
 ) -> tuple[np.ndarray, MaxPoolCache]:
     """Max pool with zero padding; `pad` is one symmetric amount or
-    (before, after). A running max over the window offsets in scan order:
-    on a tie the earlier element stays, signed zeros included, and NaN
+    (before, after). Separable: a running max over the kernel columns gives
+    each row's window maxima, and a running max of those over the kernel
+    rows gives the output. On a tie the earlier element stays, signed zeros
+    included, so the result is the first maximum in scan order; NaN
     propagates. No index is kept. The output is laid out like x."""
     pb, pa = _normalize_pad(pad)
     if size < 1 or stride < 1 or size > min(x.shape[2], x.shape[3]) + pb + pa:
         raise LayerError(f"maxpool: size {size}, stride {stride}, pad {pad} do not fit {x.shape}")
     xp = _pad_hw(x, pb, pa)
     oh, ow = maxpool_out_hw(x.shape[2], x.shape[3], size, stride, (pb, pa))
-    wins = ((..., *sl) for sl in _windows(size, stride, oh, ow))
-    y = xp[next(wins)].copy(order="K")
-    for sl in wins:
-        np.maximum(xp[sl], y, out=y)  # a tie returns the second operand, the earlier one
+    span_h, span_w = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    row_max = _running_max([xp[..., dx:dx + span_w:stride] for dx in range(size)])
+    y = _running_max([row_max[..., dy:dy + span_h:stride, :] for dy in range(size)])
     return y, MaxPoolCache(xp=xp, y=y, size=size, stride=stride, pad=(pb, pa))
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcspp_yolo import detection
 from dcspp_yolo.anchors import AnchorSet
 from dcspp_yolo.detection import (
     BBox,
@@ -394,13 +395,13 @@ def test_nms_output_subset_and_no_overlap():
 
 
 @st.composite
-def det_lists(draw):
+def det_lists(draw, max_size=12):
     """Detections with scores from three values and NaN (so scores tie),
     three classes, identical boxes (an earlier box drawn again),
     zero-width boxes, and at most one box whose x edges, y edges or both
     are NaN, as `decode` gives a slot with a NaN width or height."""
     dets = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, max_size))):
         if dets and draw(st.booleans()):
             box = draw(st.sampled_from(dets)).box
         else:
@@ -419,15 +420,62 @@ def det_lists(draw):
     return dets
 
 
-@given(det_lists(), st.sampled_from([0.0, 0.5, 1.0]))
-@settings(max_examples=300, deadline=None)
-def test_nms_equals_brute_force_property(dets, thres):
+def _oracle_rows(dets, thres) -> np.ndarray:
     # the oracle keeps the input order among tied scores across classes,
     # while nms lists tied classes in ascending class id; NaN scores keep
     # the oracle's input order, since neither of two NaN keys sorts first
-    want = sorted(brute_force_nms(dets, thres),
-                  key=lambda d: (math.isnan(d.score), -d.score, d.class_id))
-    assert np.array_equal(as_rows(nms(as_detections(dets), thres)), as_rows(want), equal_nan=True)
+    return as_rows(sorted(brute_force_nms(dets, thres),
+                          key=lambda d: (math.isnan(d.score), -d.score, d.class_id)))
+
+
+@given(det_lists(max_size=40), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([1, 2, 3, 4, 5, detection._NMS_BLOCK]))
+@settings(max_examples=300, deadline=None)
+def test_nms_equals_brute_force_property(dets, thres, block):
+    # blocks of 1-5 rows split a class group into many blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detection, "_NMS_BLOCK", block)
+        got = as_rows(nms(as_detections(dets), thres))
+    assert np.array_equal(got, _oracle_rows(dets, thres), equal_nan=True)
+
+
+# VOC anchors on a 13x13 grid: at conf 0.005 all 845 slots of a 416 image
+# are candidates, a few hundred per class
+VOC_ANCHORS = AnchorSet(dims=[(1.3221, 1.73145), (3.19275, 4.00944), (5.05587, 8.09892),
+                              (9.47112, 4.84053), (11.2364, 10.0071)])
+
+
+def _dense_candidates(seed, spread) -> Detections:
+    raw = np.random.default_rng(seed).standard_normal((1, 5 * (5 + 3), 13, 13)) * spread
+    dets = decode(raw, VOC_ANCHORS, 416.0, 416.0, 0.005)
+    assert len(dets) == 845
+    assert np.bincount(dets.class_ids).min() > 2 * detection._NMS_BLOCK
+    return dets
+
+
+@pytest.mark.parametrize("seed, spread", [(0, 1.0), (1, 0.1)])
+def test_nms_of_dense_candidates_equals_brute_force(seed, spread):
+    dets = _dense_candidates(seed, spread)
+    assert np.array_equal(as_rows(nms(dets, 0.45)), _oracle_rows(list(dets), 0.45))
+
+
+def test_nms_takes_iou_of_a_fraction_of_all_pairs(monkeypatch):
+    # One row loop over each class group's full n x n IoU matrix passes all
+    # of sum(n_g^2). The blocked pass compares each block with the boxes kept
+    # so far, so its work grows with the share kept. Logits of a small spread
+    # keep about 40%, as an untrained detector's near-constant output does
+    # (unit-spread logits keep 54% and pass 31-34% of the pairs).
+    dets = _dense_candidates(0, 0.1)
+    elements = []
+
+    def counting_iou(a, b):
+        elements.append(len(a) * len(b))
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(detection, "iou_matrix", counting_iou)
+    nms(dets, 0.45)
+    pairs = (np.bincount(dets.class_ids) ** 2).sum()
+    assert sum(elements) < 0.35 * pairs, sum(elements) / pairs
 
 
 @pytest.mark.parametrize("scores", [[math.nan, 0.9, 0.5], [0.9, 0.5, math.nan], [0.9, math.nan, 0.5]])

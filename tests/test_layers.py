@@ -514,6 +514,20 @@ def test_leaky_forward_equals_where_oracle_bytewise(case):
     assert inplace.tobytes() == ref.tobytes()
 
 
+def test_leaky_forward_in_place_peaks_far_below_its_input():
+    # the 416 build's conv1 output: 21 MiB of float32, with no full-size x / a
+    x = np.random.default_rng(4).standard_normal((1, 32, 416, 416)).astype(np.float32)
+    ref = oracle_leaky_forward(x, LeakyParams())
+    tracemalloc.start()
+    try:
+        leaky_forward(x, LeakyParams(), out=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 8, (peak / 2**20, x.nbytes / 2**20)
+    assert x.tobytes() == ref.tobytes()  # across 32 one-channel slices
+
+
 @pytest.mark.parametrize("x_channel_major", [False, True])
 @pytest.mark.parametrize("g_channel_major", [False, True])
 @given(case=leaky_cases())
@@ -720,7 +734,8 @@ def test_im2col_equals_sliding_window_oracle(case):
 
 
 # The batch-folded GEMM sums in another order than the per-image oracle, so
-# it is held to a tolerance per dtype, relative to the largest oracle value.
+# it is held to a tolerance per dtype, relative to each element's sum of
+# absolute terms: a sum that cancels can lose every digit to reordering.
 CONV_TOLERANCE = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
 
 
@@ -751,10 +766,14 @@ def test_conv_equals_per_image_oracle_within_tolerance(case):
     # the oracle's sums follow the memory order of its inputs, so it gets them in C order
     xc, gc = np.ascontiguousarray(x), np.ascontiguousarray(g)
     ref = [oracle_conv2d_forward(xc, p), *oracle_conv2d_backward(gc, xc, p)]
-    for name, a, b in zip(("y", "grad_x", "grad_w", "grad_b"), got, ref):
+    # the same sums over the absolute values of their terms
+    abs_p = ConvParams(weights=np.abs(p.weights), bias=np.abs(p.bias), stride=p.stride, pad=p.pad)
+    xa, ga = np.abs(xc), np.abs(gc)
+    magnitude = [oracle_conv2d_forward(xa, abs_p), *oracle_conv2d_backward(ga, xa, abs_p)]
+    for name, a, b, m in zip(("y", "grad_x", "grad_w", "grad_b"), got, ref, magnitude):
         assert a.shape == b.shape and a.dtype == b.dtype == x.dtype, name
-        err = np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(x.dtype).tiny)
-        assert err <= CONV_TOLERANCE[x.dtype], (name, err)
+        excess = np.abs(a - b) - CONV_TOLERANCE[x.dtype] * m
+        assert (excess <= 0).all(), (name, excess.max())
 
 
 def test_maxpool_all_negative_window_takes_padding_zero():
