@@ -26,6 +26,17 @@ concatenation keep the layout of their input, so in training the
 activations and gradients that pass between convs stay batch-innermost
 (reorg aside).
 
+A float32 band GEMM of at least 2^27 FLOPs, as at the 416 build's 13x13
+and 26x26 convs, is split by output channel between two threads (the row
+split of Smith et al. 2014): the caller multiplies the first rows of W, a
+multiple of 32, and one worker thread the rest, each into its own rows of
+the output. Every output element keeps its k-order and OpenBLAS's row
+tiles, so the bytes are the unsplit product's whatever the CPU count.
+Smaller GEMMs are not split: they ran slower, and at a few MFLOP OpenBLAS
+takes a small-matrix path whose bytes a split changed. The worker only
+multiplies; it starts on the first split, a forked child drops it, and a
+process on one CPU or with no large GEMM never starts it.
+
 Inference batch norm folds the running statistics into one per-channel
 scale gamma / sqrt(var + eps) and shift beta - mean * scale (the folding
 of Jacob et al. 2018), and like leaky ReLU it can write its result into
@@ -55,10 +66,15 @@ once, with no zero fill and no read-modify-write.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 class LayerError(ValueError):
@@ -158,6 +174,64 @@ _BAND_COLUMNS = 2048
 _BAND_ALIGN = 16
 
 
+# Forward GEMMs of at least _SPLIT_FLOPS split at a multiple of _SPLIT_ALIGN
+# rows: smaller ones ran slower split, and a split off OpenBLAS's row tiles
+# changed bytes.
+_SPLIT_FLOPS = 1 << 27
+_SPLIT_ALIGN = 32
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _may_use_two_cpus() -> bool:
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+def _worker() -> ThreadPoolExecutor | None:
+    """The one-thread pool, made on first use; None on a single CPU. Its
+    module is imported here too: at import it raised the peak RSS of a
+    process that never splits by 1.7 MB."""
+    global _pool
+    if _pool is None and _may_use_two_cpus():
+        from concurrent.futures import ThreadPoolExecutor
+
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(1, thread_name_prefix="dcspp-conv")
+    return _pool
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread: it makes its own pool if it splits."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _gemm(wm: np.ndarray, band: np.ndarray, out: np.ndarray) -> None:
+    """out = wm @ band, split by rows of wm between this thread and the worker
+    when the float32 product is large. Each part keeps every output element's
+    k-order and OpenBLAS's row tiles, so the bytes do not depend on the split.
+    (The SkylakeX dgemm kernel tiles rows by 24: float64 is not split.)"""
+    h = wm.shape[0] // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
+    big = out.dtype == np.float32 and 2 * wm.size * band.shape[1] >= _SPLIT_FLOPS
+    pool = _worker() if h and big else None
+    if pool is None:
+        np.matmul(wm, band, out=out)
+        return
+    rest = pool.submit(np.matmul, wm[h:], band, out=out[h:])
+    try:
+        np.matmul(wm[:h], band, out=out[:h])
+    finally:
+        rest.result()
+
+
 def _windows(size: int, stride: int, oh: int, ow: int) -> Iterator[tuple[slice, slice]]:
     """Per window offset (dy, dx), in row-major scan order: the (row, column)
     slices that take that offset of every window from the spatial axes of a
@@ -217,7 +291,7 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]
     y = np.empty((oc, oh, ow, n), dtype=np.result_type(wm, xp))
     for r0 in range(0, oh, rows):
         r = min(rows, oh - r0)
-        np.matmul(wm, _im2col(xp, k, s, r, ow, r0, buf), out=y[:, r0:r0 + r].reshape(oc, -1))
+        _gemm(wm, _im2col(xp, k, s, r, ow, r0, buf), y[:, r0:r0 + r].reshape(oc, -1))
     y += p.bias[:, None, None, None]
     return y.transpose(3, 0, 1, 2), ConvCache(xp, x.shape)
 

@@ -365,8 +365,10 @@ class NetworkGraph:
     """Topologically ordered DAG of layer nodes.
 
     A graph used only for inference is read-only and safe to share across
-    threads; training-mode forward/backward mutates caches and running
-    batch-norm statistics and must stay single-threaded per instance.
+    threads; their large convs share the one conv worker thread of
+    `layers`, each caller waiting only for its own part. Training-mode
+    forward/backward mutates caches and running batch-norm statistics and
+    must stay single-threaded per instance.
     """
 
     def __init__(self, cfg: NetworkConfig, nodes: list[LayerNode]):
