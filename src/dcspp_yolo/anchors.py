@@ -171,7 +171,9 @@ def save_anchors(anchors: AnchorSet, path: str | Path) -> None:
 
 
 def load_anchors(path: str | Path) -> AnchorSet:
-    text = Path(path).read_text().splitlines()
+    from .data import read_lines  # imported here: data -> detection -> anchors
+
+    text = read_lines(path, AnchorError)
     mean_iou, seed = 0.0, 0
     dims: list[tuple[float, float]] = []
     for lineno, line in enumerate(text, start=1):

@@ -19,6 +19,15 @@ class LabelError(ValueError):
 _EDGE_TOL = 1e-6
 
 
+def read_lines(path: str | Path, error: type[Exception]) -> list[str]:
+    """The lines of a UTF-8 text file. A file that does not decode raises
+    `error`, the caller's own error type, naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {exc.start}: {exc.reason}") from exc
+
+
 def parse_label_line(line: str, where: str) -> Labels:
     """The one-row `Labels` of a label line; errors name the line by `where`."""
     parts = line.split()
@@ -31,6 +40,8 @@ def parse_label_line(line: str, where: str) -> Labels:
         raise LabelError(f"{where}: malformed value: {exc}") from exc
     if cid < 0:
         raise LabelError(f"{where}: class id must be >= 0, got {cid}")
+    if cid > np.iinfo(np.int64).max:
+        raise LabelError(f"{where}: class id {cid} does not fit a 64-bit integer")
     if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
         raise LabelError(f"{where}: center ({cx}, {cy}) out of [0, 1]")
     if not (0.0 < w <= 1.0 and 0.0 < h <= 1.0):
@@ -49,7 +60,7 @@ def read_label_file(path: str | Path) -> Labels:
     """The `Labels` of a label file, one row per non-blank line."""
     path = Path(path)
     rows = [parse_label_line(line, f"{path}:{lineno}")
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1) if line.strip()]
+            for lineno, line in enumerate(read_lines(path, LabelError), start=1) if line.strip()]
     return Labels(np.concatenate([np.zeros(0, dtype=np.int64)] + [ids for ids, _ in rows]),
                   np.concatenate([np.zeros((0, 4))] + [boxes for _, boxes in rows]))
 
@@ -61,7 +72,7 @@ def write_label_file(path: str | Path, labels: Labels) -> None:
 
 
 def read_class_names(path: str | Path) -> list[str]:
-    names = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    names = [ln.strip() for ln in read_lines(path, LabelError) if ln.strip()]
     if not names:
         raise LabelError(f"{path}: empty class list")
     return names

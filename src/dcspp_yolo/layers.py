@@ -13,18 +13,20 @@ a band of output rows at a time as a (c*k*k, rows*ow*n) patch matrix in
 one reused buffer, each window copy running over ow*n contiguous
 elements, and one `W @ band` writes those rows of the (out_c, oh, ow, n)
 output, seen as an (n, out_c, oh, ow) view (plain C order at batch 1).
-No whole matrix is held, the memory cost of im2col (Cho & Brand 2017);
-backward rebuilds it once for the weight-gradient GEMM (the
-compute-for-memory trade of Chen et al. 2016). A 1x1 stride-1 kernel's
-patch matrix is the input reshaped, with no copy when the input is
-batch-innermost. Backward sums the weight gradient over a C-contiguous
-(out_c, oh*ow*n) copy of the output gradient and the bias gradient over
-an (out_c, n*oh*ow) one, so their float32 bytes do not depend on the
-layout the caller passes, and scatters the column gradient back into a
-(c, hp, wp, n) buffer. Batch norm, leaky ReLU, max pooling and route
-concatenation keep the layout of their input, so in training the
-activations and gradients that pass between convs stay batch-innermost
-(reorg aside).
+No whole matrix is held, the memory cost of im2col (Cho & Brand 2017),
+forward or backward: backward rebuilds the forward's bands one at a time
+in the same kind of buffer, last band first (the compute-for-memory trade
+of Chen et al. 2016). A 1x1 stride-1 kernel's patch matrix is the input
+reshaped, with no copy when the input is batch-innermost. Backward sums
+the weight gradient band by band over a C-contiguous (out_c, oh*ow*n)
+copy of the output gradient, and the bias gradient over an (out_c,
+n*oh*ow) one, so their float32 bytes do not depend on the layout the
+caller passes. It scatters each band's column gradient back into a
+(c, hp, wp, n) buffer; last band first, every input cell adds its
+windows in the order of one whole-matrix scatter. Batch norm, leaky
+ReLU, max pooling and route concatenation keep the layout of their
+input, so in training the activations and gradients that pass between
+convs stay batch-innermost (reorg aside).
 
 A float32 band GEMM of at least 2^27 FLOPs, as at the 416 build's 13x13
 and 26x26 convs, is split by output channel between two threads (the row
@@ -48,12 +50,13 @@ sum and then holds the output. Its backward is the closed form that needs
 only the per-channel sums of g and g * xhat, built in one temporary.
 
 Leaky ReLU has no data-dependent branch: forward is max(x, x / a), with
-x / a taken a slice of channels at a time in one small buffer, and
-backward divides the gradient by a divisor, a times the mask of inputs
-that are not >= 0, raised to at least 1. The divisor array is laid out
-like the cached input, because the gradient's memory layout decides the
-order of the float32 sums in batch norm and conv backward, and so the
-trained bytes.
+x / a taken a slice of channels at a time in one small buffer. Backward
+reads a mask, the forward input's x >= 0 at one byte an element, which
+the network keeps in place of the input; it divides the gradient by a
+divisor, a times the inverted mask, raised to at least 1. The divisor is
+laid out like the mask, and so like the input, because the gradient's
+memory layout decides the order of the float32 sums in batch norm and
+conv backward, and so the trained bytes.
 
 Max-pool backward finds each window's first maximum again, and scatters
 the gradient to it as the gradient's bits ANDed with an all-ones mask:
@@ -165,9 +168,10 @@ class MaxPoolCache:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Forward bands: at most _BAND_BYTES of patch matrix, but no fewer than
-# _BAND_COLUMNS columns (narrower GEMMs are slow), in whole _BAND_ALIGN-column
-# blocks of OpenBLAS's x86 GEMM kernels, so the bands do not change the bytes.
+# Conv bands, forward and backward: at most _BAND_BYTES of patch matrix, but no
+# fewer than _BAND_COLUMNS columns (narrower GEMMs are slow), in whole
+# _BAND_ALIGN-column blocks of OpenBLAS's x86 GEMM kernels, so the bands do not
+# change the bytes of the forward product or of the column gradient.
 # Leaky forward's x / a buffer is held to _BAND_BYTES too.
 _BAND_BYTES = 1 << 19
 _BAND_COLUMNS = 2048
@@ -261,6 +265,23 @@ def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int,
     return cols.reshape(c * k * k, -1)
 
 
+def _bands(xp: np.ndarray, k: int, stride: int, oh: int, ow: int
+           ) -> tuple[list[tuple[int, int]], np.ndarray | None]:
+    """The (first row, row count) bands of output rows whose patch matrices
+    `_im2col` builds from the (c, hp, wp, n) buffer xp, and the one flat
+    buffer they share, None when there is one band. A band holds at most
+    _BAND_BYTES of patch matrix but no fewer than _BAND_COLUMNS columns, in
+    whole _BAND_ALIGN-column blocks; a 1x1 stride-1 conv is one band, its
+    patch matrix xp reshaped."""
+    c, n = xp.shape[0], xp.shape[3]
+    row = c * k * k * ow * n  # patch-matrix elements per output row
+    rows = max(_BAND_BYTES // (row * xp.itemsize), -(-_BAND_COLUMNS // (ow * n)))
+    step = _BAND_ALIGN // math.gcd(ow * n, _BAND_ALIGN)
+    rows = oh if k == 1 and stride == 1 else min(oh, -(-rows // step) * step)
+    buf = None if rows == oh else np.empty(rows * row, dtype=xp.dtype)
+    return [(r0, min(rows, oh - r0)) for r0 in range(0, oh, rows)], buf
+
+
 def conv2d_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
@@ -282,15 +303,10 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]
     else:
         xp = np.zeros((c, h + 2 * p.pad, w + 2 * p.pad, n), dtype=x.dtype)
         xp[:, p.pad:p.pad + h, p.pad:p.pad + w] = xt
-    row = c * k * k * ow * n  # patch-matrix elements per output row
-    rows = max(_BAND_BYTES // (row * x.itemsize), -(-_BAND_COLUMNS // (ow * n)))
-    step = _BAND_ALIGN // math.gcd(ow * n, _BAND_ALIGN)
-    rows = oh if k == 1 and s == 1 else min(oh, -(-rows // step) * step)
-    buf = None if rows == oh else np.empty(rows * row, dtype=x.dtype)
+    bands, buf = _bands(xp, k, s, oh, ow)
     wm = p.weights.reshape(oc, -1)
     y = np.empty((oc, oh, ow, n), dtype=np.result_type(wm, xp))
-    for r0 in range(0, oh, rows):
-        r = min(rows, oh - r0)
+    for r0, r in bands:
         _gemm(wm, _im2col(xp, k, s, r, ow, r0, buf), y[:, r0:r0 + r].reshape(oc, -1))
     y += p.bias[:, None, None, None]
     return y.transpose(3, 0, 1, 2), ConvCache(xp, x.shape)
@@ -301,43 +317,59 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients w.r.t. input, weights and bias, from the forward's padded input.
 
-    The input gradient is the correlation of the output gradient with the
-    180-degree-rotated kernel, realized here by scattering the column
-    gradients back through the im2col geometry; for a 1x1 stride-1 kernel
-    it is the column gradient reshaped. With input_grad=False it is not
-    computed and None takes its place.
+    Backward walks the forward's bands of output rows, last band first,
+    rebuilding each band's patch matrix in one reused buffer. The weight
+    gradient is the sum of the bands' GEMMs. The input gradient is the
+    correlation of the output gradient with the 180-degree-rotated kernel,
+    realized by scattering each band's column gradient back through the
+    im2col geometry: with the last band first, every input cell adds its
+    windows in the whole matrix's window order, so the bytes are those of
+    one whole-matrix scatter. For a 1x1 stride-1 kernel it is the column
+    gradient reshaped. With input_grad=False it is not computed and None
+    takes its place.
     """
     n, c, h, w = cache.in_shape
-    k, s, pad = p.kernel, p.stride, p.pad
+    k, s, pad, oc = p.kernel, p.stride, p.pad, p.out_channels
     oh, ow = conv2d_out_hw(h, w, k, s, pad)
-    if grad_out.shape != (n, p.out_channels, oh, ow):
+    if grad_out.shape != (n, oc, oh, ow):
         raise LayerError(
             f"conv backward: grad shape {grad_out.shape} does not match forward output "
-            f"{(n, p.out_channels, oh, ow)}"
+            f"{(n, oc, oh, ow)}"
         )
     # (out_c, oh*ow*n), the patch matrix's column order, contiguous whatever
     # grad_out's layout, so that the float32 sums below do not depend on it
-    go = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).reshape(p.out_channels, -1)
+    go = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).reshape(oc, -1)
     # the bias gradient sums an (out_c, n*oh*ow) copy, image by image as the
     # per-image form does: go's order is as accurate, but where the sum
     # cancels it can differ from the per-image sum by over 1e-5 of the result
-    by_image = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(p.out_channels, -1)
-    grad_b = by_image.sum(axis=1)
-    # go @ cols.T, over the patch matrix rebuilt from the cache; OpenBLAS runs this
-    # skinny GEMM about twice as fast with the long (oh*ow*n) axis inside the left operand's rows
-    grad_w = (_im2col(cache.xp, k, s, oh, ow) @ go.T).T.reshape(p.weights.shape)
+    grad_b = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(oc, -1).sum(axis=1)
+    bands, buf = _bands(cache.xp, k, s, oh, ow)
+    wm = p.weights.reshape(oc, -1)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    # a 1x1 stride-1 conv's column gradient is its input gradient reshaped
+    scatter = input_grad and not (k == 1 and s == 1)
+    if scatter:
+        grad_xp = np.zeros((c, hp, wp, n), dtype=np.result_type(wm, go))
+        grad_buf = np.empty(c * k * k * bands[0][1] * ow * n, dtype=grad_xp.dtype)
+    grad_w = None
+    for r0, r in reversed(bands):
+        go_band = go[:, r0 * ow * n:(r0 + r) * ow * n]
+        # cols @ go.T: OpenBLAS runs this skinny GEMM about twice as fast
+        # with the long (rows*ow*n) axis inside the left operand's rows
+        part = _im2col(cache.xp, k, s, r, ow, r0, buf) @ go_band.T
+        grad_w = part if grad_w is None else np.add(grad_w, part, out=grad_w)
+        if scatter:
+            grad_cols = grad_buf[:c * k * k * r * ow * n].reshape(c * k * k, -1)
+            np.matmul(wm.T, go_band, out=grad_cols)
+            grad_cols = grad_cols.reshape(c, k * k, r, ow, n)
+            band = grad_xp[:, s * r0:s * (r0 + r - 1) + k]
+            for o, (rows, columns) in enumerate(_windows(k, s, r, ow)):
+                band[:, rows, columns] += grad_cols[:, o]
+    grad_w = grad_w.T.reshape(p.weights.shape)
     if not input_grad:
         return None, grad_w, grad_b
-
-    grad_cols = p.weights.reshape(p.out_channels, -1).T @ go
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if k == 1 and s == 1:
-        grad_xp = grad_cols.reshape(c, hp, wp, n)
-    else:
-        grad_cols = grad_cols.reshape(c, k * k, oh, ow, n)
-        grad_xp = np.zeros((c, hp, wp, n), dtype=grad_cols.dtype)
-        for o, (rows, columns) in enumerate(_windows(k, s, oh, ow)):
-            grad_xp[:, rows, columns] += grad_cols[:, o]
+    if not scatter:
+        grad_xp = (wm.T @ go).reshape(c, hp, wp, n)
     return grad_xp.transpose(3, 0, 1, 2)[:, :, pad:pad + h, pad:pad + w], grad_w, grad_b
 
 
@@ -419,11 +451,12 @@ def leaky_forward(x: np.ndarray, p: LeakyParams, *, out: np.ndarray | None = Non
     return out
 
 
-def leaky_backward(grad_out: np.ndarray, cached_x: np.ndarray, p: LeakyParams) -> np.ndarray:
-    """grad_out divided by a where cached_x < 0 (or NaN) and by 1 elsewhere.
-    The divisor is a times the mask, raised to at least 1: an array laid out
-    like cached_x, so the gradient keeps the layout it had before."""
-    d = np.multiply(~(cached_x >= 0), p.a, dtype=grad_out.dtype)
+def leaky_backward(grad_out: np.ndarray, mask: np.ndarray, p: LeakyParams) -> np.ndarray:
+    """grad_out divided by 1 where mask, the forward input's `x >= 0`, is set,
+    and by a elsewhere (x < 0 or NaN). The divisor is a times the inverted
+    mask, raised to at least 1: an array laid out like the mask, and so like
+    the forward input, so the gradient keeps the layout it had before."""
+    d = np.multiply(~mask, p.a, dtype=grad_out.dtype)
     np.maximum(d, 1, out=d)
     return grad_out / d
 

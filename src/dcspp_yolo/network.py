@@ -106,7 +106,10 @@ class LayerNode:
 @dataclass
 class ConvNode(LayerNode):
     """conv -> bn -> leaky, or bn -> leaky -> conv when pre_activation.
-    The detection head is a conv with neither batch norm nor activation."""
+    The detection head is a conv with neither batch norm nor activation.
+    The training cache holds the conv's padded input, batch norm's cache
+    and, for leaky, the bool mask y >= 0 of leaky's input rather than that
+    float input, which leaky overwrites in place."""
 
     conv: ConvParams
     bn: BNParams | None = None
@@ -122,24 +125,29 @@ class ConvNode(LayerNode):
         y, cache = conv2d_forward(x, self.conv)
         return y, cache if training else None  # inference keeps no padded input
 
+    def _leaky(self, y: np.ndarray, training: bool, cache: dict) -> np.ndarray:
+        """Leaky in place on y, an array this node allocated. Training first
+        keeps the mask y >= 0, one byte an element, for the backward."""
+        if training:
+            cache["act_mask"] = y >= 0
+        return leaky_forward(y, self.act, out=y)
+
     def forward(self, ins: list[np.ndarray], training: bool):
-        """At inference batch norm and leaky overwrite arrays this node
-        allocated: the conv output, or, before a pre-activation conv, batch
-        norm's result. The input is never written, since a route may share it."""
+        """Batch norm and leaky overwrite arrays this node allocated: leaky
+        always runs in place, on batch norm's result (or the conv output),
+        and at inference batch norm runs in place on the conv output. The
+        input is never written, since a route may share it."""
         x = ins[0]
+        cache: dict = {}
         if self.pre_activation:
-            bn_out, bn_cache = batchnorm_forward(x, self.bn, training)
-            act = leaky_forward(bn_out, self.act, out=None if training else bn_out)
-            y, conv_cache = self._conv(act, training)
-            return y, {"bn": bn_cache, "act_in": bn_out, "conv": conv_cache}
-        y, conv_cache = self._conv(x, training)
-        cache = {"conv": conv_cache}
-        inplace = None if training else y
+            y, cache["bn"] = batchnorm_forward(x, self.bn, training)
+            y, cache["conv"] = self._conv(self._leaky(y, training, cache), training)
+            return y, cache
+        y, cache["conv"] = self._conv(x, training)
         if self.bn is not None:
-            y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=inplace)
+            y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=None if training else y)
         if self.act is not None:
-            cache["act_in"] = y
-            y = leaky_forward(y, self.act, out=inplace)
+            y = self._leaky(y, training, cache)
         return y, cache
 
     def _bn_backward(self, g: np.ndarray, cache, param_grads) -> np.ndarray:
@@ -151,12 +159,12 @@ class ConvNode(LayerNode):
     def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray | None]:
         if self.pre_activation:
             g, gw, gb = conv2d_backward(gout, cache["conv"], self.conv)
-            g = leaky_backward(g, cache["act_in"], self.act)
+            g = leaky_backward(g, cache["act_mask"], self.act)
             g = self._bn_backward(g, cache, param_grads)
         else:
             g = gout
             if self.act is not None:
-                g = leaky_backward(g, cache["act_in"], self.act)
+                g = leaky_backward(g, cache["act_mask"], self.act)
             if self.bn is not None:
                 g = self._bn_backward(g, cache, param_grads)
             # nothing reads the gradient of the input image

@@ -5,6 +5,7 @@ Images are (height, width, 3) uint8 arrays, RGB, row-major.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +48,12 @@ def ppm_read(path: str | Path) -> np.ndarray:
             raise PPMError(f"{path}: invalid dimensions {width}x{height}")
         if maxval != 255:
             raise PPMError(f"{path}: only maxval 255 is supported, got {maxval}")
-        payload = f.read(3 * width * height)
-    if len(payload) != 3 * width * height:
-        raise PPMError(
-            f"{path}: short pixel payload ({len(payload)} bytes, expected {3 * width * height})"
-        )
+        size = 3 * width * height
+        # the header's claim is checked against the file before it sizes a read
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left < size:
+            raise PPMError(f"{path}: short pixel payload ({left} bytes, expected {size})")
+        payload = f.read(size)
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
 
 

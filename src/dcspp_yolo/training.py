@@ -14,6 +14,7 @@ from .data import (
     image_to_tensor,
     read_class_names,
     read_label_file,
+    read_lines,
     write_class_names,
     write_label_file,
 )
@@ -78,7 +79,7 @@ def load_manifest(path: str | Path, classes_path: str | Path) -> DatasetManifest
     path = Path(path)
     root = path.parent
     entries: list[tuple[Path, Path]] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path, TrainingError), start=1):
         line = line.strip()
         if not line:
             continue
@@ -418,8 +419,8 @@ def train(
             if not np.isfinite(parts.as_tuple()).all():
                 raise TrainingError(f"non-finite loss at iteration {iteration}")
 
-            grads = net.backward(grad.astype(raw.dtype))
-            adam_step(params, grads, state, lr, cfg)
+            # no name holds the gradients, so they are freed before the next forward
+            adam_step(params, net.backward(grad.astype(raw.dtype)), state, lr, cfg)
             rows.append(LogRow(iteration=iteration, epoch=epoch, lr=lr, parts=parts))
             if max_iterations and iteration >= max_iterations:
                 done = True

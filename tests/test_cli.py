@@ -231,3 +231,23 @@ def test_out_of_range_class_id_reports_one_line_error(pipeline, tmp_path, capsys
                  "--classes", str(copy / "classes.names")] + args) == 1
     err = capsys.readouterr().err
     assert err == f"error: {label}: class id 7 out of range for 3 classes\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_undecodable_label_file_reports_one_line_error(pipeline, tmp_path, capsys, command):
+    _, data, anchors, weights, _ = pipeline
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    label = copy / (copy / "manifest.tsv").read_text().splitlines()[0].split("\t")[1]
+    label.write_bytes(label.read_bytes() + b"\xff\n")
+    args = {
+        "train": ["--anchors", str(anchors), "--out", str(tmp_path / "w.weights"),
+                  "--input-size", "96", "--channel-scale", "1/8"],
+        "eval": ["--model", str(weights)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--manifest", str(copy / "manifest.tsv"),
+                 "--classes", str(copy / "classes.names")] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {label}: not UTF-8 text")
+    assert err.count("\n") == 1 and err.count("error:") == 1

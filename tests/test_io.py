@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +8,14 @@ from hypothesis import strategies as st
 from test_detection import as_detections
 from test_loss import NO_LABELS, make_labels
 
+from dcspp_yolo.anchors import AnchorError, load_anchors
 from dcspp_yolo.data import (
     LabelError,
     class_color,
     image_to_tensor,
     letterbox_params,
     parse_label_line,
+    read_class_names,
     read_label_file,
     render_detections,
     unletterbox_box,
@@ -18,6 +23,7 @@ from dcspp_yolo.data import (
 )
 from dcspp_yolo.detection import BBox, Detection
 from dcspp_yolo.ppm import PPMError, ppm_read, ppm_write
+from dcspp_yolo.training import TrainingError, load_manifest
 
 
 # -- PPM codec -----------------------------------------------------------------
@@ -66,6 +72,20 @@ def test_ppm_short_payload(tmp_path):
         ppm_read(path)
 
 
+def test_ppm_huge_header_is_rejected_before_any_read(tmp_path):
+    # a 1e9 x 1e9 header would ask for 3e18 bytes: the file's size refutes it first
+    path = tmp_path / "huge.ppm"
+    path.write_bytes(b"P6\n1000000000 1000000000\n255\n" + bytes(3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PPMError, match=r"short pixel payload \(3 bytes, expected 3000000000000000000\)"):
+            ppm_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 @given(st.integers(0, 2 ** 31), st.integers(1, 12), st.integers(1, 12))
 @settings(max_examples=40, deadline=None)
 def test_ppm_round_trip_property(seed, h, w):
@@ -101,6 +121,28 @@ def test_label_rejects_out_of_range_with_location(tmp_path):
     path.write_text("0 0.5 0.5 0.2 0.2\n1 1.5 0.5 0.2 0.2\n")
     with pytest.raises(LabelError, match=r"bad\.txt:2"):
         read_label_file(path)
+
+
+def test_label_class_id_past_int64_reports_location(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("0 0.5 0.5 0.2 0.2\n99999999999999999999 0.5 0.5 0.2 0.2\n")
+    with pytest.raises(LabelError, match=r"big\.txt:2: class id 99999999999999999999 does not fit"):
+        read_label_file(path)
+    # the largest int64 is still a class id
+    assert parse_label_line(f"{2**63 - 1} 0.5 0.5 0.2 0.2", "here").class_ids[0] == 2**63 - 1
+
+
+@pytest.mark.parametrize("read, error", [
+    (read_label_file, LabelError),
+    (read_class_names, LabelError),
+    (load_anchors, AnchorError),
+    (lambda path: load_manifest(path, path), TrainingError),
+], ids=["labels", "class_names", "anchors", "manifest"])
+def test_text_readers_report_undecodable_bytes_as_their_own_error(tmp_path, read, error):
+    path = tmp_path / "file.txt"
+    path.write_bytes(b"0 0.5 0.5 0.2 0.2\n\xff\n")
+    with pytest.raises(error, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+        read(path)
 
 
 def test_label_rejects_box_past_edge():

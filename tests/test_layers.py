@@ -126,11 +126,11 @@ def test_conv_param_grads_do_not_depend_on_grad_layout(k, stride, pad):
 
 
 @st.composite
-def banded_conv_cases(draw):
+def banded_conv_cases(draw, batches=(1, 16)):
     """A conv whose forward spans two or three full bands of output rows and
     a short last one, under the module's band budget, column floor and
     column alignment."""
-    n, dtype = draw(st.sampled_from([1, 16])), draw(st.sampled_from([np.float32, np.float64]))
+    n, dtype = draw(st.sampled_from(batches)), draw(st.sampled_from([np.float32, np.float64]))
     # numpy hands a one-row product to gemv, which blocks the columns otherwise
     c, out_c = draw(st.integers(1, 4)), draw(st.integers(2, 4))
     k = draw(st.sampled_from([1, 2, 3, 5]))
@@ -187,6 +187,87 @@ def test_conv_forward_peaks_far_below_its_whole_patch_matrix():
     finally:
         tracemalloc.stop()
     # the padded input, the output and one band, against that matrix alone
+    assert peak < whole / 2, (peak / 2**20, whole / 2**20)
+
+
+def whole_matrix_conv_backward(grad_out, cache, p):
+    """The weight and input gradients from the whole patch matrix: one
+    weight-gradient GEMM, and one column-gradient GEMM scattered window
+    offset by window offset. conv2d_backward did this before it walked
+    the forward's bands."""
+    n, c, h, w = cache.in_shape
+    k, s, pad, oc = p.kernel, p.stride, p.pad, p.out_channels
+    oh, ow = grad_out.shape[2:]
+    go = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).reshape(oc, -1)
+    cols = layers._im2col(cache.xp, k, s, oh, ow)
+    grad_w = (cols @ go.T).T.reshape(p.weights.shape)
+    grad_cols = (p.weights.reshape(oc, -1).T @ go).reshape(c, k * k, oh, ow, n)
+    grad_xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=grad_cols.dtype)
+    for o, (rows, columns) in enumerate(layers._windows(k, s, oh, ow)):
+        grad_xp[:, rows, columns] += grad_cols[:, o]
+    grad_x = grad_xp.transpose(3, 0, 1, 2)[:, :, pad:pad + h, pad:pad + w]
+    return grad_x, grad_w, cols, go
+
+
+def _band_count(x, p):
+    oh, ow = layers.conv2d_out_hw(x.shape[2], x.shape[3], p.kernel, p.stride, p.pad)
+    bands, _ = layers._bands(np.empty((x.shape[1], 1, 1, x.shape[0]), x.dtype),
+                             p.kernel, p.stride, oh, ow)
+    assert bands[-1][1] < bands[0][1]  # a short last band
+    return len(bands)
+
+
+@given(banded_conv_cases(batches=(16,)), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_banded_conv_input_grad_equals_whole_matrix_scatter_bytewise(case, batch_innermost):
+    # At batch 16 every band is whole 16-column blocks, as the whole matrix
+    # is, so each band's column gradient has the whole product's bytes (a
+    # partial last block may take another BLAS edge path, as in the forward
+    # test above); the last-band-first scatter must then keep every cell's
+    # sum order.
+    x, p = case
+    assert _band_count(x, p) >= 3
+    y, cache = conv2d_forward(x, p)
+    g = np.random.default_rng(5).standard_normal(y.shape).astype(x.dtype)
+    g = _batch_innermost(g) if batch_innermost else g
+    got = conv2d_backward(g, cache, p)[0]
+    ref = whole_matrix_conv_backward(g, cache, p)[0]
+    assert got.strides == ref.strides and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+@given(banded_conv_cases())
+@settings(max_examples=40, deadline=None)
+def test_banded_conv_weight_grad_equals_whole_matrix_gemm_within_tolerance(case):
+    # the per-band sums change the float order of the weight gradient: each
+    # element stays within CONV_TOLERANCE of its sum of absolute terms
+    x, p = case
+    assert _band_count(x, p) >= 3
+    y, cache = conv2d_forward(x, p)
+    g = np.random.default_rng(6).standard_normal(y.shape).astype(x.dtype)
+    got = conv2d_backward(g, cache, p)[1]
+    _, ref, cols, go = whole_matrix_conv_backward(g, cache, p)
+    magnitude = (np.abs(cols) @ np.abs(go).T).T.reshape(p.weights.shape)
+    assert got.dtype == ref.dtype
+    assert (np.abs(got - ref) <= CONV_TOLERANCE[x.dtype] * magnitude).all()
+
+
+def test_conv_backward_peaks_far_below_its_whole_patch_matrix():
+    # the tiny preset's conv1: its (3*3*3, 96*96*16) float32 patch matrix is 15.2 MiB
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((16, 3, 96, 96)).astype(np.float32)
+    p = ConvParams(weights=rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
+                   bias=np.zeros(4, dtype=np.float32), pad=1)
+    y, cache = conv2d_forward(x, p)
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    whole = 3 * 3 * 3 * 96 * 96 * 16 * 4
+    tracemalloc.start()
+    try:
+        conv2d_backward(g, cache, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output gradient's copies, the input gradient and two band buffers
     assert peak < whole / 2, (peak / 2**20, whole / 2**20)
 
 
@@ -438,7 +519,7 @@ def test_leaky_negative_divided():
 def test_leaky_backward_slope():
     g = np.ones((1, 1, 1, 1))
     x = np.array([[[[-1.0]]]])
-    assert leaky_backward(g, x, LeakyParams(10.0))[0, 0, 0, 0] == pytest.approx(0.1)
+    assert leaky_backward(g, x >= 0, LeakyParams(10.0))[0, 0, 0, 0] == pytest.approx(0.1)
 
 
 def test_leaky_invalid_divisor():
@@ -538,7 +619,7 @@ def test_leaky_backward_equals_where_oracle_bytes_and_strides(case, g_channel_ma
     x = _channel_major(x) if x_channel_major else x
     g = _channel_major(g) if g_channel_major else g
     ref = oracle_leaky_backward(g, x, p)
-    got = leaky_backward(g, x, p)
+    got = leaky_backward(g, x >= 0, p)  # the mask the network caches, not x
     # the layout reaches the float32 sums of batch norm and conv backward
     assert got.strides == ref.strides
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
@@ -814,7 +895,7 @@ def test_every_kernel_returns_its_input_dtype(dtype, seed):
         "batchnorm_forward": [bn_y, batchnorm_forward(x, bn, training=False)[0]],
         "batchnorm_backward": batchnorm_backward(g, bn_cache, bn),
         "leaky_forward": [leaky_forward(x, leaky)],
-        "leaky_backward": [leaky_backward(g, x, leaky)],
+        "leaky_backward": [leaky_backward(g, x >= 0, leaky)],
         "maxpool_forward": [pool_y],
         "maxpool_backward": [maxpool_backward(g, pool_cache)],
         "reorg_forward": [reorg_forward(x, 2)],
