@@ -270,7 +270,7 @@ def cmd_shapecheck(args) -> int:
     expected = dict((name, (c, hw, hw)) for name, c, hw in REFERENCE_SHAPES_416)
     expected["conv31"] = (cfg.detect_channels, 13, 13)
     bad = 0
-    for name, (c, h, w) in net.infer_shapes():
+    for name, (c, h, w) in shapes.items():
         line = f"{name:<10} {h:>4} x {w:<4} x {c}"
         if reference_mode and name in expected:
             ok = (c, h, w) == expected[name]

@@ -77,6 +77,11 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(zero, 0.0, inter / union)
 
 
+def box_corners(cx: np.ndarray, cy: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(..., 4) corners `x_min y_min x_max y_max` of boxes given by centre and size."""
+    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -119,6 +124,19 @@ class PredGrid:
     @property
     def c(self) -> int:
         return self.cls.shape[4]
+
+    def corners(self, width: float, height: float) -> np.ndarray:
+        """(B, K, S, S, 4) box corners in a `width` x `height` frame over the grid.
+
+        The centre is (cell + offset) and the size anchor * exp(raw), both in
+        grid units, divided by S / width (S / height for y and h). Width 1
+        gives normalized coordinates. Width 32 * S gives the network input's
+        pixels; there S / width is exactly 1/32, so the division is exact.
+        """
+        rows, cols = np.indices((self.s, self.s))
+        sx, sy = self.s / width, self.s / height
+        return box_corners((cols + self.x_off) / sx, (rows + self.y_off) / sy,
+                           self.w / sx, self.h / sy)
 
 
 def decode_predictions(raw: np.ndarray, anchors: AnchorSet) -> PredGrid:
@@ -170,19 +188,8 @@ def decode(
     p = decode_predictions(grid, anchors)
     if p.b != 1:
         raise DetectionError(f"decode expects a single image, got batch of {p.b}")
-    cell_w = img_w / p.s
-    cell_h = img_h / p.s
-    _, rows, cols = np.indices(p.conf.shape[1:])
-    bx = (cols + p.x_off[0]) * cell_w
-    by = (rows + p.y_off[0]) * cell_h
-    bw = p.w[0] * cell_w
-    bh = p.h[0] * cell_h
-    boxes = np.stack([
-        np.minimum(np.maximum(bx - bw / 2, 0.0), img_w),
-        np.minimum(np.maximum(by - bh / 2, 0.0), img_h),
-        np.minimum(np.maximum(bx + bw / 2, 0.0), img_w),
-        np.minimum(np.maximum(by + bh / 2, 0.0), img_h),
-    ], axis=-1).reshape(-1, 4)
+    boxes = np.minimum(np.maximum(p.corners(img_w, img_h)[0], 0.0),
+                       (img_w, img_h, img_w, img_h)).reshape(-1, 4)
     class_id = p.cls[0].argmax(axis=-1).ravel().astype(np.int64)
     score = (p.conf[0] * p.cls[0].max(axis=-1)).ravel()
     keep = np.flatnonzero(~(score <= conf_thres))  # a NaN score is kept, not dropped

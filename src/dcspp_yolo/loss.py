@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .anchors import AnchorSet, shape_iou_matrix
-from .detection import PredGrid, iou_matrix
+from .detection import PredGrid, box_corners, iou_matrix
 
 
 class LossError(ValueError):
@@ -71,8 +71,7 @@ class Labels(NamedTuple):
 
     def corners(self) -> np.ndarray:
         """(T, 4) float64 corners `x_min y_min x_max y_max`."""
-        cx, cy, w, h = self.boxes.T
-        return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+        return box_corners(*self.boxes.T)
 
 
 @dataclass
@@ -150,13 +149,7 @@ def assign_targets(
     if len(flat.class_ids):
         first = np.cumsum([0, *(len(ids) for ids, _ in truths)])  # image b's: first[b]:first[b+1]
         image_of = np.repeat(np.arange(b), np.diff(first))
-        # predicted boxes in normalized image coordinates
-        _, rows, cols = np.indices((k, s, s))
-        cx = (cols + preds.x_off) / s
-        cy = (rows + preds.y_off) / s
-        w = preds.w / s
-        h = preds.h / s
-        pred_boxes = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+        pred_boxes = preds.corners(1.0, 1.0)  # normalized image coordinates
         corners = flat.corners()
         ious = [iou_matrix(pred_boxes[img].reshape(-1, 4), corners[first[img]:first[img + 1]])
                 .reshape(k, s, s, -1) for img in range(b)]

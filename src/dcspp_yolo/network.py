@@ -382,7 +382,6 @@ class NetworkGraph:
     def __init__(self, cfg: NetworkConfig, nodes: list[LayerNode]):
         self.cfg = cfg
         self.nodes = nodes
-        self._by_name = {n.name: n for n in nodes}
         # per node, the activations it is the last to read
         last_reader = {name: node.name for node in nodes for name in node.inputs}
         self._last_read_by: dict[str, list[str]] = {n.name: [] for n in nodes}

@@ -174,11 +174,11 @@ def crop_to_window(
     sy0, sy1 = max(0, oy), min(h, oy + ch)
     if sx1 > sx0 and sy1 > sy0:
         canvas[sy0 - oy:sy1 - oy, sx0 - ox:sx1 - ox] = image[sy0:sy1, sx0:sx1]
-    cx, cy, bw, bh = labels.boxes.T
-    x0 = np.maximum((cx - bw / 2) * w - ox, 0.0)
-    x1 = np.minimum((cx + bw / 2) * w - ox, float(cw))
-    y0 = np.maximum((cy - bh / 2) * h - oy, 0.0)
-    y1 = np.minimum((cy + bh / 2) * h - oy, float(ch))
+    x0, y0, x1, y1 = labels.corners().T
+    x0 = np.maximum(x0 * w - ox, 0.0)
+    x1 = np.minimum(x1 * w - ox, float(cw))
+    y0 = np.maximum(y0 * h - oy, 0.0)
+    y1 = np.minimum(y1 * h - oy, float(ch))
     keep = (x1 > x0) & (y1 > y0)
     boxes = np.stack([(x0 + x1) / 2 / cw, (y0 + y1) / 2 / ch, (x1 - x0) / cw, (y1 - y0) / ch],
                      axis=-1)
@@ -385,9 +385,6 @@ def train(
     for (_, lab), labels in zip(manifest.entries, truth_lists):
         if (cid := labels.class_ids.max(initial=0)) >= net.cfg.num_classes:
             raise TrainingError(f"{lab}: class id {cid} out of range for {net.cfg.num_classes} classes")
-    static_inputs = None
-    if not cfg.flip and not cfg.crop:
-        static_inputs = [image_to_tensor(im, size)[0] for im in raw_images]
 
     rows: list[LogRow] = []
     images_seen = 0
@@ -399,16 +396,11 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             iteration += 1
-            if static_inputs is not None:
-                xs = [static_inputs[i] for i in batch]
-                batch_truths = [truth_lists[i] for i in batch]
-            else:
-                xs, batch_truths = [], []
-                for i in batch:
-                    im, ts = augment(raw_images[i], truth_lists[i], rng,
-                                     flip=cfg.flip, crop=cfg.crop)
-                    xs.append(image_to_tensor(im, size)[0])
-                    batch_truths.append(ts)
+            xs, batch_truths = [], []
+            for i in batch:
+                im, ts = augment(raw_images[i], truth_lists[i], rng, flip=cfg.flip, crop=cfg.crop)
+                xs.append(image_to_tensor(im, size)[0])
+                batch_truths.append(ts)
             x = np.stack(xs)
             raw = net.forward(x, training=True)
 

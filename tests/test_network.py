@@ -291,11 +291,12 @@ def test_fanout_gradient_is_sum_of_branch_gradients():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 3, 96, 96)).astype(np.float32)
     g = rng.standard_normal((1, 16, 3, 3)).astype(np.float32)
+    by_name = {node.name: node for node in net.nodes}
 
     seen = {}
 
     def record(name):
-        node = net._by_name[name]
+        node = by_name[name]
         backward = node.backward
 
         def wrapper(gout, cache, param_grads):
@@ -310,13 +311,13 @@ def test_fanout_gradient_is_sum_of_branch_gradients():
     def conv13_grad(kill: str | None):
         saved = {}
         if kill:
-            node = net._by_name[kill]
+            node = by_name[kill]
             saved["w"] = node.conv.weights.copy()
             node.conv.weights[...] = 0.0
         net.forward(x, training=True)
         out = net.backward(g)["conv13.weights"].copy()
         if kill:
-            net._by_name[kill].conv.weights[...] = saved["w"]
+            by_name[kill].conv.weights[...] = saved["w"]
         return out
 
     total = conv13_grad(None)
@@ -359,7 +360,8 @@ def test_layer_kernels_called_through_network_module(monkeypatch):
     for name in kernels:
         assert calls[name], name
     # conv1 is called positionally as (grad, cache, params) and asks for no image gradient
-    conv1 = [c for c in calls["conv2d_backward"] if c[0][2] is net._by_name["conv1"].conv]
+    conv1_node = next(node for node in net.nodes if node.name == "conv1")
+    conv1 = [c for c in calls["conv2d_backward"] if c[0][2] is conv1_node.conv]
     assert len(conv1) == 1 and len(conv1[0][0]) == 3
     assert conv1[0][1] == {"input_grad": False}
 
