@@ -99,7 +99,6 @@ def kmeans_anchors(
     costs: list[float] = []
     prev_assign = None
     prev_cents = cents
-    assign = np.zeros(len(data), dtype=np.intp)
     iterations = 0
 
     for _ in range(max_iter):
@@ -107,10 +106,8 @@ def kmeans_anchors(
         assign = d.argmin(axis=1)
         cost = float(d[np.arange(len(data)), assign].sum())
         if costs and cost > costs[-1] + 1e-12:
-            # mean update made things worse: keep the previous state
+            # mean update made things worse: keep the previous centroids
             cents = prev_cents
-            d = _dist_matrix(data, cents)
-            assign = d.argmin(axis=1)
             break
         costs.append(cost)
         iterations += 1

@@ -216,7 +216,7 @@ def check_loss(seed: int = 0) -> float:
     truths = [Labels(np.array([0, 1]), np.array([[0.3, 0.28, 0.31, 0.42], [0.74, 0.8, 0.2, 0.23]]))]
     weights = LossWeights(n_prior=10)
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets(truths, preds, anchors, weights, images_seen=0)
+    asg = assign_targets(truths, preds, weights, images_seen=0)
     _, grad = compute_loss(preds, asg, weights)
 
     def f(v):

@@ -350,17 +350,24 @@ def conv2d_backward(
     scatter = input_grad and not (k == 1 and s == 1)
     if scatter:
         grad_xp = np.zeros((c, hp, wp, n), dtype=np.result_type(wm, go))
+        # with one row (c*k*k == 1) the column-gradient product runs as gemv,
+        # whose bytes depend on where a band starts, so it is taken once whole
+        whole_cols = wm.T @ go if c * k * k == 1 else None
         grad_buf = np.empty(c * k * k * bands[0][1] * ow * n, dtype=grad_xp.dtype)
     grad_w = None
     for r0, r in reversed(bands):
-        go_band = go[:, r0 * ow * n:(r0 + r) * ow * n]
+        band_columns = slice(r0 * ow * n, (r0 + r) * ow * n)
+        go_band = go[:, band_columns]
         # cols @ go.T: OpenBLAS runs this skinny GEMM about twice as fast
         # with the long (rows*ow*n) axis inside the left operand's rows
         part = _im2col(cache.xp, k, s, r, ow, r0, buf) @ go_band.T
         grad_w = part if grad_w is None else np.add(grad_w, part, out=grad_w)
         if scatter:
-            grad_cols = grad_buf[:c * k * k * r * ow * n].reshape(c * k * k, -1)
-            np.matmul(wm.T, go_band, out=grad_cols)
+            if whole_cols is not None:
+                grad_cols = whole_cols[:, band_columns]
+            else:
+                grad_cols = grad_buf[:c * k * k * r * ow * n].reshape(c * k * k, -1)
+                np.matmul(wm.T, go_band, out=grad_cols)
             grad_cols = grad_cols.reshape(c, k * k, r, ow, n)
             band = grad_xp[:, s * r0:s * (r0 + r - 1) + k]
             for o, (rows, columns) in enumerate(_windows(k, s, r, ow)):

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .anchors import AnchorSet, shape_iou_matrix
+from .anchors import shape_iou_matrix
 from .detection import PredGrid, box_corners, iou_matrix
 
 
@@ -79,13 +79,21 @@ class Assignment:
     """Per-slot indicators plus the targets frozen at assignment time,
     (B, K, S, S) arrays in the slot order of `PredGrid`."""
 
-    obj: np.ndarray           # (B, K, S, S) bool
     noobj: np.ndarray         # (B, K, S, S) bool
     prior_active: np.ndarray  # (B,) bool, True while image b is in warm-up
     truth_idx: np.ndarray     # (B, K, S, S) int into `labels`, -1 when unassigned
     conf_target: np.ndarray   # (B, K, S, S) IoU(pred, truth) for owned slots
-    collisions: int           # truths dropped because a later truth took their slot
     labels: Labels            # the batch's truths, concatenated in image order
+
+    @property
+    def obj(self) -> np.ndarray:
+        """(B, K, S, S) bool, the slots that own a truth."""
+        return self.truth_idx >= 0
+
+    @property
+    def collisions(self) -> int:
+        """Truths dropped because a later truth took their slot."""
+        return len(self.labels.class_ids) - int(self.obj.sum())
 
 
 def _batch_labels(truths: list[Labels], preds: PredGrid) -> Labels:
@@ -117,7 +125,6 @@ def _batch_labels(truths: list[Labels], preds: PredGrid) -> Labels:
 def assign_targets(
     truths: list[Labels],
     preds: PredGrid,
-    anchors: AnchorSet,
     weights: LossWeights,
     images_seen: int = 0,
 ) -> Assignment:
@@ -126,11 +133,11 @@ def assign_targets(
     `truths` holds one `Labels` per image of the batch; `truth_idx`
     indexes their concatenation in image order, kept as `labels`. Each
     truth is owned by the slot in its center cell of its own image whose
-    anchor shape has the highest co-centered IoU with it (the first such
-    anchor on a tie); that slot's confidence target is the IoU of the
-    current predicted box against the truth. Slots whose predicted box
-    overlaps any truth of the same image above iou_thres are exempted
-    from the no-object penalty; everything else is a no-object slot.
+    anchor shape, from `preds.anchor_dims`, has the highest co-centered IoU
+    with it (the first such anchor on a tie); that slot's confidence target
+    is the IoU of the current predicted box against the truth. Slots whose
+    predicted box overlaps any truth of the same image above iou_thres are
+    exempted from the no-object penalty; everything else is a no-object slot.
     Both come from one (K*S*S, T_b) IoU matrix per image b, of its
     predicted boxes against its own T_b truths.
     Image b is in prior warm-up while images_seen + b < n_prior.
@@ -141,7 +148,6 @@ def assign_targets(
     """
     b, s, k = preds.b, preds.s, preds.k
     flat = _batch_labels(truths, preds)
-    obj = np.zeros((b, k, s, s), dtype=bool)
     noobj = np.ones((b, k, s, s), dtype=bool)
     truth_idx = np.full((b, k, s, s), -1, dtype=np.int64)
     conf_target = np.zeros((b, k, s, s), dtype=np.float64)
@@ -155,22 +161,19 @@ def assign_targets(
                 .reshape(k, s, s, -1) for img in range(b)]
         noobj = ~np.array([(iou > weights.iou_thres).any(axis=-1) for iou in ious])
         cell = np.minimum((flat.boxes[:, :2] * s).astype(np.int64), s - 1)
-        best_anchor = shape_iou_matrix(flat.boxes[:, 2:] * s, anchors.as_array()).argmax(axis=1)
+        best_anchor = shape_iou_matrix(flat.boxes[:, 2:] * s, preds.anchor_dims).argmax(axis=1)
         # one truth at a time, so that the later of two colliding truths wins
         for t_i, (img, (j, i), a) in enumerate(zip(image_of.tolist(), cell.tolist(),
                                                    best_anchor.tolist())):
-            obj[img, a, i, j] = True
             noobj[img, a, i, j] = False
             truth_idx[img, a, i, j] = t_i
             conf_target[img, a, i, j] = ious[img][a, i, j, t_i - first[img]]
 
     return Assignment(
-        obj=obj,
         noobj=noobj,
         prior_active=images_seen + np.arange(b) < weights.n_prior,
         truth_idx=truth_idx,
         conf_target=conf_target,
-        collisions=len(flat.class_ids) - int(obj.sum()),
         labels=flat,
     )
 

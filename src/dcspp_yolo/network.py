@@ -9,6 +9,11 @@ per-node activations (for a conv, its padded input) when training;
 backward walks the list in reverse, summing gradients over fan-out before
 calling each node's backward, and frees each node's cache once that
 backward has run.
+
+The backbone's conv -> bn -> leaky and the dense block's pre-activation
+bn -> leaky -> conv (He et al. 2016, DenseNet) are one `ConvNode` path, one
+forward and one backward. No node writes its input, which a route may
+share; a conv node runs batch norm and leaky in place on arrays it made.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ class NetworkConfig:
     num_anchors: int = 5
     anchors: AnchorSet | None = None
     channel_scale: Fraction = Fraction(1)
-    leaky_a: float = 10.0
 
     def __post_init__(self) -> None:
         if self.input_size % 32 != 0 or self.input_size <= 0:
@@ -105,11 +109,14 @@ class LayerNode:
 
 @dataclass
 class ConvNode(LayerNode):
-    """conv -> bn -> leaky, or bn -> leaky -> conv when pre_activation.
-    The detection head is a conv with neither batch norm nor activation.
+    """conv -> bn -> leaky, or bn -> leaky -> conv when pre_activation; the
+    detection head is a conv with neither. One path serves both orders:
+    `_bn_leaky` runs after the conv or before it, its mirror in backward.
+    Leaky always runs in place; batch norm only at inference and only on
+    the conv output, which this node allocated: the input is never written.
     The training cache holds the conv's padded input, batch norm's cache
-    and, for leaky, the bool mask y >= 0 of leaky's input rather than that
-    float input, which leaky overwrites in place."""
+    and leaky's mask y >= 0 in place of the float input leaky overwrites;
+    at inference `cache["conv"]` is None."""
 
     conv: ConvParams
     bn: BNParams | None = None
@@ -121,55 +128,42 @@ class ConvNode(LayerNode):
         c = self.conv
         return (c.out_channels, *conv2d_out_hw(h, w, c.kernel, c.stride, c.pad))
 
-    def _conv(self, x: np.ndarray, training: bool):
-        y, cache = conv2d_forward(x, self.conv)
-        return y, cache if training else None  # inference keeps no padded input
-
-    def _leaky(self, y: np.ndarray, training: bool, cache: dict) -> np.ndarray:
-        """Leaky in place on y, an array this node allocated. Training first
-        keeps the mask y >= 0, one byte an element, for the backward."""
-        if training:
-            cache["act_mask"] = y >= 0
-        return leaky_forward(y, self.act, out=y)
-
-    def forward(self, ins: list[np.ndarray], training: bool):
-        """Batch norm and leaky overwrite arrays this node allocated: leaky
-        always runs in place, on batch norm's result (or the conv output),
-        and at inference batch norm runs in place on the conv output. The
-        input is never written, since a route may share it."""
-        x = ins[0]
-        cache: dict = {}
-        if self.pre_activation:
-            y, cache["bn"] = batchnorm_forward(x, self.bn, training)
-            y, cache["conv"] = self._conv(self._leaky(y, training, cache), training)
-            return y, cache
-        y, cache["conv"] = self._conv(x, training)
+    def _bn_leaky(self, y: np.ndarray, training: bool, cache: dict, owned: bool) -> np.ndarray:
         if self.bn is not None:
-            y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=None if training else y)
+            y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=y if owned else None)
+            owned = True
         if self.act is not None:
-            y = self._leaky(y, training, cache)
-        return y, cache
+            if training:
+                cache["act_mask"] = y >= 0  # one byte an element
+            y = leaky_forward(y, self.act, out=y if owned else None)
+        return y
 
-    def _bn_backward(self, g: np.ndarray, cache, param_grads) -> np.ndarray:
-        g, ggamma, gbeta = batchnorm_backward(g, cache["bn"], self.bn)
-        param_grads[f"{self.name}.gamma"] = ggamma
-        param_grads[f"{self.name}.beta"] = gbeta
+    def _bn_leaky_backward(self, g: np.ndarray, cache: dict, param_grads) -> np.ndarray:
+        if self.act is not None:
+            g = leaky_backward(g, cache["act_mask"], self.act)
+        if self.bn is not None:
+            g, param_grads[f"{self.name}.gamma"], param_grads[f"{self.name}.beta"] = (
+                batchnorm_backward(g, cache["bn"], self.bn))
         return g
 
-    def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray | None]:
+    def forward(self, ins: list[np.ndarray], training: bool):
+        y, cache = ins[0], {}
         if self.pre_activation:
-            g, gw, gb = conv2d_backward(gout, cache["conv"], self.conv)
-            g = leaky_backward(g, cache["act_mask"], self.act)
-            g = self._bn_backward(g, cache, param_grads)
-        else:
-            g = gout
-            if self.act is not None:
-                g = leaky_backward(g, cache["act_mask"], self.act)
-            if self.bn is not None:
-                g = self._bn_backward(g, cache, param_grads)
-            # nothing reads the gradient of the input image
-            g, gw, gb = conv2d_backward(g, cache["conv"], self.conv,
-                                        input_grad=self.inputs[0] != "data")
+            y = self._bn_leaky(y, training, cache, owned=False)
+        y, conv_cache = conv2d_forward(y, self.conv)
+        cache["conv"] = conv_cache if training else None  # inference keeps no padded input
+        if not self.pre_activation:
+            y = self._bn_leaky(y, training, cache, owned=True)
+        return y, cache
+
+    def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray | None]:
+        g = gout if self.pre_activation else self._bn_leaky_backward(gout, cache, param_grads)
+        # nothing reads the gradient of the input image, but a pre-activation
+        # node's own batch norm and leaky need their input gradient
+        g, gw, gb = conv2d_backward(g, cache["conv"], self.conv,
+                                    input_grad=self.pre_activation or self.inputs[0] != "data")
+        if self.pre_activation:
+            g = self._bn_leaky_backward(g, cache, param_grads)
         param_grads[f"{self.name}.weights"] = gw
         param_grads[f"{self.name}.bias"] = gb
         return [g]
@@ -225,8 +219,7 @@ class ReorgNode(LayerNode):
 
 
 class Param(NamedTuple):
-    name: str
-    kind: str        # conv_weight | bias | bn_gamma | bn_beta
+    name: str  # '<node>.weights', '.bias', '.gamma' or '.beta'
     array: np.ndarray
 
 
@@ -236,62 +229,22 @@ def he_uniform(rng: np.random.Generator, out_c: int, in_c: int, k: int) -> np.nd
     return rng.uniform(-s, s, size=(out_c, in_c, k, k)).astype(np.float32)
 
 
-def _conv_node(
-    name: str,
-    src: str,
-    in_c: int,
-    out_c: int,
-    k: int,
-    leaky_a: float,
-    *,
-    bn: bool = True,
-    act: bool = True,
-    pre: bool = False,
-) -> ConvNode:
-    conv = ConvParams(
-        weights=np.zeros((out_c, in_c, k, k), dtype=np.float32),
-        bias=np.zeros(out_c, dtype=np.float32),
-        stride=1,
-        pad=(k - 1) // 2,
-    )
-    bn_params = BNParams.identity(in_c if pre else out_c) if bn else None
-    return ConvNode(
-        name=name,
-        inputs=[src],
-        conv=conv,
-        bn=bn_params,
-        act=LeakyParams(leaky_a) if act else None,
-        pre_activation=pre,
-    )
-
-
-def _spp_window_sizes(fmap: int) -> tuple[int, int, int]:
-    """Pooling windows ceil(fmap / n) for pyramid levels n = 3, 2, 1."""
-    return math.ceil(fmap / 3), math.ceil(fmap / 2), fmap
-
-
-def _stride1_pad(size: int) -> tuple[int, int]:
-    # total padding size-1 preserves spatial dims at stride 1; symmetric
-    # for odd windows, one extra trailing row/col for even ones
-    before = (size - 1) // 2
-    return before, (size - 1) - before
-
-
 def build_network(cfg: NetworkConfig) -> "NetworkGraph":
     sc = lambda c: scaled_channels(c, cfg.channel_scale)
-    a = cfg.leaky_a
     nodes: list[LayerNode] = []
     prev = "data"
     prev_c = 3
 
-    def conv(name: str, out: int, k: int, src: str | None = None, src_c: int | None = None,
-             *, bn: bool = True, act: bool = True, pre: bool = False) -> int:
+    def conv(name: str, out: int, k: int, *, bn: bool = True, act: bool = True,
+             pre: bool = False) -> None:
+        """A zeroed stride-1, same-padded k x k conv node that reads prev and becomes it."""
         nonlocal prev, prev_c
-        node = _conv_node(name, src or prev, src_c or prev_c, out, k, a, bn=bn, act=act, pre=pre)
-        nodes.append(node)
-        if src is None:
-            prev, prev_c = name, out
-        return out
+        params = ConvParams(np.zeros((out, prev_c, k, k), dtype=np.float32),
+                            np.zeros(out, dtype=np.float32), stride=1, pad=(k - 1) // 2)
+        nodes.append(ConvNode(name=name, inputs=[prev], conv=params,
+                              bn=BNParams.identity(prev_c if pre else out) if bn else None,
+                              act=LeakyParams() if act else None, pre_activation=pre))
+        prev, prev_c = name, out
 
     def pool(name: str) -> None:
         nonlocal prev
@@ -326,15 +279,12 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
     increments = [sc(256), sc(512), sc(512), sc(512)]
     widths = [sc(512), sc(1024), sc(1024), sc(1024)]
     for u, (inc, wide) in enumerate(zip(increments, widths), start=1):
-        if u == 1:
-            src, src_c = "pool5", dc_channels[0]
-        else:
-            src = f"dc_cat{u}"
-            src_c = sum(dc_channels)
-            nodes.append(RouteNode(name=src, inputs=list(dc_sources)))
-        conv(f"dc{u}_3x3", wide, 3, src=src, src_c=src_c, pre=True)
-        conv(f"dc{u}_1x1", inc, 1, src=f"dc{u}_3x3", src_c=wide, pre=True)
-        dc_sources.append(f"dc{u}_1x1")
+        prev, prev_c = "pool5" if u == 1 else f"dc_cat{u}", sum(dc_channels)
+        if u > 1:
+            nodes.append(RouteNode(name=prev, inputs=list(dc_sources)))
+        conv(f"dc{u}_3x3", wide, 3, pre=True)
+        conv(f"dc{u}_1x1", inc, 1, pre=True)
+        dc_sources.append(prev)
         dc_channels.append(inc)
     nodes.append(RouteNode(name="dc_out", inputs=list(dc_sources)))
     prev, prev_c = "dc_out", sum(dc_channels)
@@ -342,14 +292,14 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
     conv("conv22", sc(1024), 3)
     conv("conv23", sc(512), 1)
 
-    # pyramid pooling: three stride-1 zero-padded max pools over conv23,
-    # concatenated with their input
-    fmap = cfg.grid_size
+    # pyramid pooling: three stride-1 max pools over conv23, of windows
+    # ceil(S / n) for levels n = 3, 2, 1, concatenated with their input. Zero
+    # padding of size - 1 in all keeps S x S; an even window pads one more after.
     spp_sources = ["conv23"]
-    for tag, size in zip(("a", "b", "c"), _spp_window_sizes(fmap)):
-        name = f"spp_{tag}"
-        nodes.append(MaxPoolNode(name=name, inputs=["conv23"],
-                                 pool_size=size, pool_stride=1, pool_pad=_stride1_pad(size)))
+    for tag, n in zip("abc", (3, 2, 1)):
+        name, size = f"spp_{tag}", math.ceil(cfg.grid_size / n)
+        nodes.append(MaxPoolNode(name=name, inputs=["conv23"], pool_size=size, pool_stride=1,
+                                 pool_pad=((size - 1) // 2, size // 2)))
         spp_sources.append(name)
     nodes.append(RouteNode(name="spp_cat", inputs=spp_sources))
     prev, prev_c = "spp_cat", 4 * sc(512)
@@ -358,7 +308,8 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
     conv("conv27", sc(1024), 3)
 
     # passthrough: squeeze conv13 with a 1x1, then space-to-depth /2
-    conv("pass_conv", sc(64), 1, src="conv13", src_c=sc(512))
+    prev, prev_c = "conv13", sc(512)
+    conv("pass_conv", sc(64), 1)
     nodes.append(ReorgNode(name="reorg", inputs=["pass_conv"], stride=2))
     nodes.append(RouteNode(name="head_cat", inputs=["conv27", "reorg"]))
     prev, prev_c = "head_cat", sc(1024) + 4 * sc(64)
@@ -456,11 +407,11 @@ class NetworkGraph:
     def parameters(self) -> list[Param]:
         out: list[Param] = []
         for node in self.conv_nodes():
-            out.append(Param(f"{node.name}.weights", "conv_weight", node.conv.weights))
-            out.append(Param(f"{node.name}.bias", "bias", node.conv.bias))
+            out.append(Param(f"{node.name}.weights", node.conv.weights))
+            out.append(Param(f"{node.name}.bias", node.conv.bias))
             if node.bn is not None:
-                out.append(Param(f"{node.name}.gamma", "bn_gamma", node.bn.gamma))
-                out.append(Param(f"{node.name}.beta", "bn_beta", node.bn.beta))
+                out.append(Param(f"{node.name}.gamma", node.bn.gamma))
+                out.append(Param(f"{node.name}.beta", node.bn.beta))
         return out
 
     def init_weights(self, seed: int = 0) -> None:
@@ -584,6 +535,9 @@ def read_weight_header(path: str | Path) -> WeightHeader:
         if file_size < header.size:
             raise NetworkError(f"{path}: truncated weight file ({file_size} bytes, "
                                f"header needs {header.size})")
+        if 8 * k * (5 + c) > file_size - header.size:  # a weight and a bias per head channel
+            raise NetworkError(f"{path}: header claims {k} anchors x {c} classes, more than "
+                               f"the {file_size - header.size}-byte body can hold")
         dims = np.frombuffer(f.read(16 * k), dtype="<f8").reshape(k, 2)
     return header._replace(anchors=tuple(map(tuple, dims.tolist()))) if dims.any() else header
 

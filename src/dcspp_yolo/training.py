@@ -114,8 +114,9 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place.
 
-    Decoupled weight decay applies to conv weights only; biases and batch
-    norm affine parameters are never decayed.
+    Decoupled weight decay applies to conv weights only, the parameters
+    named '<node>.weights'; biases and batch norm affine parameters are
+    never decayed.
     """
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -135,7 +136,7 @@ def adam_step(
         v *= b2
         v += (1.0 - b2) * g * g
         p.array[...] -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
-        if cfg.weight_decay > 0 and p.kind == "conv_weight":
+        if cfg.weight_decay > 0 and p.name.endswith(".weights"):
             p.array[...] -= lr * cfg.weight_decay * p.array
 
 
@@ -405,7 +406,7 @@ def train(
             raw = net.forward(x, training=True)
 
             preds = decode_predictions(raw, anchors)
-            asg = assign_targets(batch_truths, preds, anchors, weights, images_seen=images_seen)
+            asg = assign_targets(batch_truths, preds, weights, images_seen=images_seen)
             images_seen += len(batch)
             parts, grad = compute_loss(preds, asg, weights)
             if not np.isfinite(parts.as_tuple()).all():

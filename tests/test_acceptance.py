@@ -106,7 +106,7 @@ def test_acceptance_loss_oracle():
         w = LossWeights(n_prior=1000)
         preds = decode_predictions(raw[None], anchors)
         for images_seen in (0, 1000):
-            asg = assign_targets([truths], preds, anchors, w, images_seen=images_seen)
+            asg = assign_targets([truths], preds, w, images_seen=images_seen)
             parts, _ = compute_loss(preds, asg, w)
             expected = straight_line_loss(raw, truths, asg, w, anchors)
             assert abs(parts.total - expected) <= 1e-10
@@ -120,7 +120,7 @@ def test_acceptance_loss_oracle():
         raw[6, 0, 1] = 800.0
         truth = make_labels((1, 0.75, 0.25, 0.7 / 2, 0.9 / 2))
         preds = decode_predictions(raw[None], anchors)
-        asg = assign_targets([truth], preds, anchors, w, images_seen=1000)
+        asg = assign_targets([truth], preds, w, images_seen=1000)
         parts, _ = compute_loss(preds, asg, w)
         assert parts.total == 0.0
 

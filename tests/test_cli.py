@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from test_acceptance import _train_tiny
+from test_network import oversized_header
 
 from dcspp_yolo import cli
 from dcspp_yolo.cli import main
@@ -122,6 +123,19 @@ def test_detect_without_anchors_in_the_weight_file_is_an_error(pipeline, tmp_pat
     capsys.readouterr()
     assert main(["detect", "--model", str(weights), "--image", str(data / "img_0000.ppm")]) == 1
     assert capsys.readouterr().err == f"error: {weights}: weight file records no anchors to decode boxes with\n"
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_header_claiming_a_billion_classes_reports_one_line_error(tmp_path, capsys, command):
+    weights = tmp_path / "huge.weights"
+    weights.write_bytes(oversized_header(10**9))
+    # the inputs need not exist: the model is read first
+    inputs = {"detect": ["--image", "img.ppm"],
+              "eval": ["--manifest", "manifest.tsv", "--classes", "classes.names"]}[command]
+    assert main([command, "--model", str(weights), *inputs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {weights}: header claims 2 anchors x 1000000000 classes")
+    assert err.count("\n") == 1 and err.count("error:") == 1
 
 
 @pytest.mark.parametrize("command", ["detect", "eval"])

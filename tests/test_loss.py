@@ -88,7 +88,7 @@ def test_decode_predictions_needs_a_batch_axis():
 
 def test_no_truths_all_noobj():
     preds = decode_predictions(_raw(3, 2, 2), ANCHORS2)
-    asg = assign_targets([NO_LABELS], preds, ANCHORS2, LossWeights())
+    asg = assign_targets([NO_LABELS], preds, LossWeights())
     assert not asg.obj.any()
     assert asg.noobj.all()
 
@@ -98,7 +98,7 @@ def test_best_shape_anchor_wins():
     s = 13
     preds = decode_predictions(_raw(s, 2, 2), anchors)
     truth = make_labels((0, 6.5 / s, 6.5 / s, 3.0 / s, 3.0 / s))
-    asg = assign_targets([truth], preds, anchors, LossWeights())
+    asg = assign_targets([truth], preds, LossWeights())
     assert asg.obj[0, 1, 6, 6]
     assert not asg.obj[0, 0, 6, 6]
     assert asg.obj.sum() == 1
@@ -108,7 +108,7 @@ def test_two_truths_two_obj_slots_match_bruteforce():
     rng = np.random.default_rng(0)
     preds = decode_predictions(_raw(4, 2, 3, rng), ANCHORS2)
     truths = make_labels((0, 0.2, 0.3, 0.2, 0.25), (2, 0.8, 0.75, 0.4, 0.3))
-    asg = assign_targets([truths], preds, ANCHORS2, LossWeights())
+    asg = assign_targets([truths], preds, LossWeights())
     assert asg.obj.sum() == 2
     # brute-force expectation over all S*S*K slots
     s = 4
@@ -130,7 +130,7 @@ def test_obj_and_noobj_mutually_exclusive():
     rng = np.random.default_rng(1)
     preds = decode_predictions(_raw(4, 2, 3, rng), ANCHORS2)
     truths = make_labels((1, 0.4, 0.6, 0.3, 0.3))
-    asg = assign_targets([truths], preds, ANCHORS2, LossWeights())
+    asg = assign_targets([truths], preds, LossWeights())
     assert not (asg.obj & asg.noobj).any()
 
 
@@ -138,7 +138,7 @@ def test_truth_out_of_range_rejected_with_index():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
     bad = make_labels((0, 0.5, 0.5, 0.2, 0.2), (0, 1.4, 0.5, 0.2, 0.2))
     with pytest.raises(LossError, match="truth 1"):
-        assign_targets([bad], preds, ANCHORS2, LossWeights())
+        assign_targets([bad], preds, LossWeights())
 
 
 def test_class_id_out_of_range_rejected_with_image_and_truth():
@@ -147,13 +147,13 @@ def test_class_id_out_of_range_rejected_with_image_and_truth():
     bad = make_labels((0, 0.5, 0.5, 0.2, 0.2), (2, 0.3, 0.3, 0.2, 0.2))
     message = r"^image 1, truth 1: class id 2 out of range for 2 classes$"
     with pytest.raises(LossError, match=message):
-        assign_targets([good, bad], preds, ANCHORS2, LossWeights())
+        assign_targets([good, bad], preds, LossWeights())
 
 
 def test_truth_list_per_image_required():
     preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
     with pytest.raises(LossError, match="1 truth lists for a batch of 2"):
-        assign_targets([NO_LABELS], preds, ANCHORS2, LossWeights())
+        assign_targets([NO_LABELS], preds, LossWeights())
 
 
 def test_class_ids_not_one_dimensional_rejected_with_image():
@@ -162,7 +162,7 @@ def test_class_ids_not_one_dimensional_rejected_with_image():
     bad = Labels(good.class_ids[:, None], good.boxes)
     message = r"^image 1: class_ids must be \(T,\), got shape \(1, 1\)$"
     with pytest.raises(LossError, match=message):
-        assign_targets([good, bad], preds, ANCHORS2, LossWeights())
+        assign_targets([good, bad], preds, LossWeights())
 
 
 def test_boxes_not_t_by_4_rejected_with_image():
@@ -170,7 +170,7 @@ def test_boxes_not_t_by_4_rejected_with_image():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
     bad = Labels(np.zeros(5, dtype=np.int64), np.full((4, 5), 0.25))
     with pytest.raises(LossError, match=r"^image 0: boxes must be \(5, 4\), got shape \(4, 5\)$"):
-        assign_targets([bad], preds, ANCHORS2, LossWeights())
+        assign_targets([bad], preds, LossWeights())
 
 
 def test_slot_collision_later_truth_owns_slot():
@@ -178,7 +178,7 @@ def test_slot_collision_later_truth_owns_slot():
     anchors = AnchorSet(dims=[(1.0, 1.0), (2.0, 2.0)])
     preds = decode_predictions(_raw(3, 2, 2), anchors)
     truths = make_labels((0, 0.45, 0.45, 0.2, 0.2), (1, 0.55, 0.55, 0.2, 0.2))
-    asg = assign_targets([truths], preds, anchors, LossWeights())
+    asg = assign_targets([truths], preds, LossWeights())
     assert asg.obj.sum() == 1
     assert asg.obj[0, 0, 1, 1]
     assert asg.truth_idx[0, 0, 1, 1] == 1
@@ -186,16 +186,16 @@ def test_slot_collision_later_truth_owns_slot():
     # the same two truths in two images of a batch do not collide
     batch = decode_predictions(np.zeros((2, 14, 3, 3)), anchors)
     split = [make_labels((0, 0.45, 0.45, 0.2, 0.2)), make_labels((1, 0.55, 0.55, 0.2, 0.2))]
-    assert assign_targets(split, batch, anchors, LossWeights()).collisions == 0
+    assert assign_targets(split, batch, LossWeights()).collisions == 0
 
 
 def test_prior_indicator_follows_images_seen():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
     w = LossWeights(n_prior=100)
-    assert assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=99).prior_active.tolist() == [True]
-    assert assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=100).prior_active.tolist() == [False]
+    assert assign_targets([NO_LABELS], preds, w, images_seen=99).prior_active.tolist() == [True]
+    assert assign_targets([NO_LABELS], preds, w, images_seen=100).prior_active.tolist() == [False]
     batch = decode_predictions(np.zeros((3, 14, 2, 2)), ANCHORS2)
-    asg = assign_targets([NO_LABELS] * 3, batch, ANCHORS2, w, images_seen=98)
+    asg = assign_targets([NO_LABELS] * 3, batch, w, images_seen=98)
     assert asg.prior_active.tolist() == [True, True, False]
 
 
@@ -220,7 +220,7 @@ def test_perfect_prediction_loss_exactly_zero():
     raw, truths, anchors = _perfect_instance()
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets([truths], preds, anchors, w, images_seen=w.n_prior)
+    asg = assign_targets([truths], preds, w, images_seen=w.n_prior)
     parts, grad = compute_loss(preds, asg, w)
     assert parts.total == 0.0
     assert parts.as_tuple() == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -232,7 +232,7 @@ def test_empty_image_all_conf_zero_loss_zero():
     raw[0, 4] = -800.0
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets([NO_LABELS], preds, anchors, w, images_seen=w.n_prior)
+    asg = assign_targets([NO_LABELS], preds, w, images_seen=w.n_prior)
     parts, _ = compute_loss(preds, asg, w)
     assert parts.total == 0.0
 
@@ -244,7 +244,7 @@ def test_loss_nonnegative():
         preds = decode_predictions(_raw(3, 2, 2, rng), ANCHORS2)
         truths = make_labels((0, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
                               rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)))
-        asg = assign_targets([truths], preds, ANCHORS2, w, images_seen=0)
+        asg = assign_targets([truths], preds, w, images_seen=0)
         parts, _ = compute_loss(preds, asg, w)
         assert parts.total >= 0.0
         for v in parts.as_tuple():
@@ -258,7 +258,7 @@ def test_class_weight_monotonicity():
     preds = decode_predictions(raw, ANCHORS2)
     lo = LossWeights(cls=1.0)
     hi = LossWeights(cls=2.0)
-    asg = assign_targets([truths], preds, ANCHORS2, lo, images_seen=lo.n_prior)
+    asg = assign_targets([truths], preds, lo, images_seen=lo.n_prior)
     assert compute_loss(preds, asg, hi)[0].total > compute_loss(preds, asg, lo)[0].total
 
 
@@ -269,7 +269,7 @@ def test_zero_class_probability_is_clamped():
     truths = make_labels((0, 0.25, 0.25, 0.4, 0.4))
     w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets([truths], preds, anchors, w, images_seen=w.n_prior)
+    asg = assign_targets([truths], preds, w, images_seen=w.n_prior)
     parts, grad = compute_loss(preds, asg, w)
     assert math.isfinite(parts.total)
     assert np.isfinite(grad).all()
@@ -283,7 +283,7 @@ def test_owned_slot_gradient_stays_in_its_anchor_channels_at_its_cell():
     # image 1's one truth is centred in row 3, column 1 and best fits anchor 1
     truths = [NO_LABELS, make_labels((1, 1.5 / s, 3.5 / s, 3.0 / s, 3.0 / s))]
     obj_only = LossWeights(noobj=0.0, coord=0.0, cls=0.0, prior=0.0)
-    asg = assign_targets(truths, preds, anchors, obj_only)
+    asg = assign_targets(truths, preds, obj_only)
     assert asg.truth_idx[1, 1, 3, 1] == 0
     _, grad = compute_loss(preds, asg, obj_only)
     assert np.argwhere(grad).tolist() == [[1, 1 * (5 + c) + 4, 3, 1]]
@@ -297,7 +297,7 @@ def test_owned_slot_gradient_stays_in_its_anchor_channels_at_its_cell():
 def test_prior_term_zero_at_priors():
     preds = decode_predictions(_raw(3, 2, 2, fill=0.0), ANCHORS2)
     w = LossWeights()
-    asg = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=0)
+    asg = assign_targets([NO_LABELS], preds, w, images_seen=0)
     assert asg.prior_active.all()
     assert compute_loss(preds, asg, w)[0].prior == 0.0
 
@@ -307,8 +307,8 @@ def test_prior_contributes_nothing_after_warmup():
     raw = _raw(2, 2, 2, rng)
     preds = decode_predictions(raw, ANCHORS2)
     w = LossWeights(n_prior=5)
-    asg_on = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=0)
-    asg_off = assign_targets([NO_LABELS], preds, ANCHORS2, w, images_seen=5)
+    asg_on = assign_targets([NO_LABELS], preds, w, images_seen=0)
+    asg_off = assign_targets([NO_LABELS], preds, w, images_seen=5)
     assert compute_loss(preds, asg_on, w)[0].prior > 0.0
     assert compute_loss(preds, asg_off, w)[0].prior == 0.0
 
@@ -321,7 +321,7 @@ def test_prior_single_cell_scalar_recomputation():
     raw[0, 0, 0, 0] = math.log(off / (1 - off))  # sigmoid -> 0.6
     preds = decode_predictions(raw, anchors)
     w = LossWeights()
-    asg = assign_targets([NO_LABELS], preds, anchors, w, images_seen=0)
+    asg = assign_targets([NO_LABELS], preds, w, images_seen=0)
     got = compute_loss(preds, asg, w)[0].prior
     expected = w.prior * (0.5 - off) ** 2
     assert got == pytest.approx(expected, abs=1e-12)
@@ -400,7 +400,7 @@ def test_loss_matches_straight_line_oracle():
     preds = decode_predictions(raw[None], anchors)
 
     for images_seen in (0, 1000):  # prior on and off
-        asg = assign_targets([truths], preds, anchors, w, images_seen=images_seen)
+        asg = assign_targets([truths], preds, w, images_seen=images_seen)
         parts, _ = compute_loss(preds, asg, w)
         expected = straight_line_loss(raw, truths, asg, w, anchors)
         assert parts.total == pytest.approx(expected, abs=1e-10)
@@ -475,7 +475,7 @@ def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, iou_t
     raw = rng.standard_normal((k * (5 + c), s, s))
     w = LossWeights(iou_thres=iou_thres)
     preds = decode_predictions(raw[None], anchors)
-    asg = assign_targets([truths], preds, anchors, w, images_seen=images_seen)
+    asg = assign_targets([truths], preds, w, images_seen=images_seen)
     obj, noobj, truth_idx, conf_target = triple_loop_assignment(truths, preds, anchors, w)
     assert np.array_equal(asg.obj[0], obj)
     assert np.array_equal(asg.noobj[0], noobj)
@@ -508,7 +508,7 @@ def test_batch_equals_batch_of_one_calls(seed, b, s, k, truths, collide, images_
     raw = rng.standard_normal((b, k * (5 + c), s, s))
     w = LossWeights(n_prior=6)  # images_seen in [0, 12] puts warm-up before, in and after the batch
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets(truths, preds, anchors, w, images_seen=images_seen)
+    asg = assign_targets(truths, preds, w, images_seen=images_seen)
     parts, grad = compute_loss(preds, asg, w)
     assert grad.shape == raw.shape and grad.dtype == np.float64 and grad.flags.c_contiguous
 
@@ -516,7 +516,7 @@ def test_batch_equals_batch_of_one_calls(seed, b, s, k, truths, collide, images_
     single_parts = []
     for i in range(b):
         one = decode_predictions(raw[i:i + 1], anchors)
-        one_asg = assign_targets([truths[i]], one, anchors, w, images_seen=images_seen + i)
+        one_asg = assign_targets([truths[i]], one, w, images_seen=images_seen + i)
         one_parts, one_grad = compute_loss(one, one_asg, w)
         assert np.array_equal(asg.obj[i], one_asg.obj[0])
         assert np.array_equal(asg.noobj[i], one_asg.noobj[0])

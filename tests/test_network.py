@@ -1,5 +1,7 @@
+import dataclasses
 import os
 import struct
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from dcspp_yolo.network import (
     NetworkError,
     REFERENCE_SHAPES_416,
     RouteNode,
+    WeightHeader,
     build_network,
     he_uniform,
     read_weight_header,
@@ -43,6 +46,12 @@ def test_reference_shape_table_at_416():
 def test_final_shape_small_input():
     net = build_network(NetworkConfig(input_size=96, num_classes=3, num_anchors=5))
     assert dict(net.infer_shapes())["conv31"] == (40, 3, 3)
+
+
+def test_every_config_field_is_a_weight_header_field():
+    # a knob the weight file cannot carry would load as its default
+    fields = {f.name for f in dataclasses.fields(NetworkConfig)}
+    assert fields <= set(WeightHeader._fields)
 
 
 def test_input_size_must_be_multiple_of_32():
@@ -561,3 +570,24 @@ def test_version_1_header_is_rejected(tmp_path):
     path.write_bytes(b"DCSY" + v1 + path.read_bytes()[h.size:])
     with pytest.raises(NetworkError, match="unsupported weight format version 1$"):
         build_network(NetworkConfig(**TINY)).load_weights(path)
+
+
+def oversized_header(num_classes: int) -> bytes:
+    """64 bytes: a v2 header for input 96, scale 1/8, K=2 and C classes, two anchors, no body."""
+    fields = struct.pack("<7I", 2, 96, num_classes, 2, 1, 8, 28)
+    return b"DCSY" + fields + np.array([[1.0, 1.0], [2.0, 2.0]], dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("num_classes", [10**6, 10**9])
+def test_header_claiming_more_classes_than_the_file_holds_allocates_nothing(tmp_path, num_classes):
+    path = tmp_path / "w.weights"
+    path.write_bytes(oversized_header(num_classes))
+    assert path.stat().st_size == 64
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetworkError, match=f"{num_classes} classes, more than the 0-byte body"):
+            read_weight_header(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -27,8 +27,8 @@ from dcspp_yolo.training import (
 )
 
 
-def _param(value, kind="conv_weight", name="p"):
-    return Param(name, kind, np.asarray(value, dtype=np.float32))
+def _param(value, name="p"):
+    return Param(name, np.asarray(value, dtype=np.float32))
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -83,11 +83,16 @@ def test_adam_beta1_zero_follows_gradient_sign():
 
 def test_weight_decay_only_on_conv_weights():
     cfg = TrainConfig(weight_decay=0.1)
-    w = _param([1.0], kind="conv_weight", name="w")
-    b = _param([1.0], kind="bias", name="b")
-    adam_step([w, b], {"w": np.zeros(1), "b": np.zeros(1)}, AdamState(), 0.5, cfg)
-    assert w.array[0] == pytest.approx(1.0 - 0.5 * 0.1 * 1.0)
-    assert b.array[0] == 1.0
+    params = build_network(NetworkConfig(input_size=96, num_classes=3, num_anchors=2,
+                                         channel_scale=Fraction(1, 8))).parameters()
+    assert {p.name.rsplit(".", 1)[1] for p in params} == {"weights", "bias", "gamma", "beta"}
+    for p in params:
+        p.array[...] = 1.0
+    adam_step(params, {p.name: np.zeros_like(p.array) for p in params}, AdamState(), 0.5, cfg)
+    for p in params:
+        decayed = p.name.endswith(".weights")
+        assert p.array == pytest.approx(1.0 - 0.5 * 0.1 if decayed else 1.0), p.name
+        assert decayed or (p.array == 1.0).all(), p.name
 
 
 # -- schedule ----------------------------------------------------------------------
