@@ -47,30 +47,33 @@ def numeric_grad(f: Callable[[np.ndarray], float], x: np.ndarray, step: float = 
     return np.array(g, dtype=np.float64).reshape(x.shape)
 
 
+def _projected_err(f: Callable[..., np.ndarray], inputs: tuple[np.ndarray, ...],
+                   grads: tuple[np.ndarray, ...], proj: np.ndarray) -> float:
+    """Worst error of the analytic gradients `grads` of sum(f(*inputs) * proj)
+    with respect to the leading inputs, one per gradient, against central
+    differences; the inputs after those are held fixed."""
+    def loss(i: int, v: np.ndarray) -> float:
+        return float((f(*inputs[:i], v, *inputs[i + 1:]) * proj).sum())
+
+    return max(max_rel_err(grad, numeric_grad(lambda v: loss(i, v), x))
+               for i, (x, grad) in enumerate(zip(inputs, grads)))
+
+
 def _conv_err(rng: np.random.Generator, x_shape: tuple, out_c: int, k: int, stride: int,
               pad: int, *, params: bool = True) -> float:
     """Worst error of the input gradient and, with params, of the weight
     and bias gradients of a random conv under a random output projection."""
     x = rng.standard_normal(x_shape)
-    p = layers.ConvParams(
-        weights=rng.standard_normal((out_c, x_shape[1], k, k)),
-        bias=rng.standard_normal(out_c),
-        stride=stride,
-        pad=pad,
-    )
+    weights, bias = rng.standard_normal((out_c, x_shape[1], k, k)), rng.standard_normal(out_c)
+    p = layers.ConvParams(weights, bias, stride, pad)
     y, cache = layers.conv2d_forward(x, p)
     proj = rng.standard_normal(y.shape)
     gx, gw, gb = layers.conv2d_backward(proj, cache, p)
 
     def f(x, weights, bias):
-        y, _ = layers.conv2d_forward(x, layers.ConvParams(weights, bias, stride, pad))
-        return float((y * proj).sum())
+        return layers.conv2d_forward(x, layers.ConvParams(weights, bias, stride, pad))[0]
 
-    errs = [max_rel_err(gx, numeric_grad(lambda v: f(v, p.weights, p.bias), x))]
-    if params:
-        errs.append(max_rel_err(gw, numeric_grad(lambda v: f(x, v, p.bias), p.weights)))
-        errs.append(max_rel_err(gb, numeric_grad(lambda v: f(x, p.weights, v), p.bias)))
-    return max(errs)
+    return _projected_err(f, (x, weights, bias), (gx, gw, gb) if params else (gx,), proj)
 
 
 def check_conv(seed: int = 0) -> float:
@@ -90,27 +93,16 @@ def check_conv_1x1(seed: int = 2) -> float:
 def check_batchnorm(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3, 4, 5, 5))
-    p = layers.BNParams(
-        gamma=rng.uniform(0.5, 1.5, 4),
-        beta=rng.standard_normal(4),
-        running_mean=np.zeros(4),
-        running_var=np.ones(4),
-    )
+    gamma, beta = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)
+    p = layers.BNParams(gamma, beta, np.zeros(4), np.ones(4))
     y, cache = layers.batchnorm_forward(x, p, training=True)
     proj = rng.standard_normal(y.shape)
-    gx, ggamma, gbeta = layers.batchnorm_backward(proj, cache, p)
 
-    def run(xv, gammav, betav):
-        pv = layers.BNParams(gammav, betav, np.zeros(4), np.ones(4))
-        out, _ = layers.batchnorm_forward(xv, pv, training=True)
-        return float((out * proj).sum())
+    def f(x, gamma, beta):
+        return layers.batchnorm_forward(x, layers.BNParams(gamma, beta, np.zeros(4), np.ones(4)),
+                                        training=True)[0]
 
-    errs = [
-        max_rel_err(gx, numeric_grad(lambda v: run(v, p.gamma, p.beta), x)),
-        max_rel_err(ggamma, numeric_grad(lambda v: run(x, v, p.beta), p.gamma.copy())),
-        max_rel_err(gbeta, numeric_grad(lambda v: run(x, p.gamma, v), p.beta.copy())),
-    ]
-    return max(errs)
+    return _projected_err(f, (x, gamma, beta), layers.batchnorm_backward(proj, cache, p), proj)
 
 
 def check_leaky(seed: int = 0) -> float:
@@ -118,14 +110,8 @@ def check_leaky(seed: int = 0) -> float:
     # keep sample points away from the kink at 0 where the derivative jumps
     x = rng.standard_normal((2, 3, 4, 4))
     x[np.abs(x) < 0.05] += 0.1
-    p = layers.LeakyParams(10.0)
     proj = rng.standard_normal(x.shape)
-    gx = layers.leaky_backward(proj, x >= 0, p)
-
-    def f(v):
-        return float((layers.leaky_forward(v, p) * proj).sum())
-
-    return max_rel_err(gx, numeric_grad(f, x))
+    return _projected_err(layers.leaky_forward, (x,), (layers.leaky_backward(proj, x >= 0),), proj)
 
 
 def check_maxpool(seed: int = 0) -> float:
@@ -133,16 +119,11 @@ def check_maxpool(seed: int = 0) -> float:
     # well-separated values keep each window's maximum in place under the probe step
     x = rng.permutation(np.arange(2 * 2 * 6 * 6, dtype=np.float64) * 0.1).reshape(2, 2, 6, 6)
     errs = []
-    for size, stride, pad in ((2, 2, 0), (3, 1, (1, 1)), (5, 1, (2, 2)), (2, 1, (0, 1))):
+    for size, stride, pad in ((2, 2, (0, 0)), (3, 1, (1, 1)), (5, 1, (2, 2)), (2, 1, (0, 1))):
         y, cache = layers.maxpool_forward(x, size, stride, pad)
         proj = rng.standard_normal(y.shape)
-        gx = layers.maxpool_backward(proj, cache)
-
-        def f(v):
-            out, _ = layers.maxpool_forward(v, size, stride, pad)
-            return float((out * proj).sum())
-
-        errs.append(max_rel_err(gx, numeric_grad(f, x.copy())))
+        errs.append(_projected_err(lambda v: layers.maxpool_forward(v, size, stride, pad)[0],
+                                   (x,), (layers.maxpool_backward(proj, cache),), proj))
     return max(errs)
 
 
@@ -150,12 +131,8 @@ def check_reorg(seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((2, 3, 4, 4))
     proj = rng.standard_normal((2, 12, 2, 2))
-    gx = layers.reorg_backward(proj, 2)
-
-    def f(v):
-        return float((layers.reorg_forward(v, 2) * proj).sum())
-
-    return max_rel_err(gx, numeric_grad(f, x))
+    return _projected_err(lambda v: layers.reorg_forward(v, 2), (x,),
+                          (layers.reorg_backward(proj, 2),), proj)
 
 
 NETWORK_STEP = 1e-5
@@ -201,9 +178,7 @@ def check_network(seed: int = 0, samples: int = 20) -> float:
         flat = p.array.reshape(-1)
         i = int(rng.integers(flat.size))
         numeric = _central_diff(loss, flat, i, NETWORK_STEP)
-        analytic = float(grads[p.name].reshape(-1)[i])
-        scale = max(abs(analytic), abs(numeric), 1e-12)
-        worst = max(worst, abs(analytic - numeric) / scale)
+        worst = max(worst, max_rel_err(grads[p.name].reshape(-1)[i], numeric))
     return worst
 
 

@@ -39,24 +39,29 @@ takes a small-matrix path whose bytes a split changed. The worker only
 multiplies; it starts on the first split, a forked child drops it, and a
 process on one CPU or with no large GEMM never starts it.
 
+Batch norm's epsilon and running-average momentum are fixed, BN_EPSILON
+and BN_MOMENTUM (Ioffe & Szegedy 2015): no weight file records them.
 Inference batch norm folds the running statistics into one per-channel
-scale gamma / sqrt(var + eps) and shift beta - mean * scale (the folding
-of Jacob et al. 2018), and like leaky ReLU it can write its result into
-`out=`: at inference the network runs both in place on the array the conv
-just allocated. Training batch norm normalizes by the batch statistics in
-two full-size temporaries: the input centred once and normalized in place
-into xhat, and its square, which gives the variance by numpy's pairwise
-sum and then holds the output. Its backward is the closed form that needs
-only the per-channel sums of g and g * xhat, built in one temporary.
+scale gamma / sqrt(var + BN_EPSILON) and shift beta - mean * scale (the
+folding of Jacob et al. 2018), and like leaky ReLU it can write its
+result into `out=`: at inference the network runs both in place on the
+array the conv just allocated. Training batch norm normalizes by the
+batch statistics in two full-size temporaries: the input centred once and
+normalized in place into xhat, and its square, which gives the variance
+by numpy's pairwise sum and then holds the output. Its backward is the
+closed form that needs only the per-channel sums of g and g * xhat, built
+in one temporary.
 
-Leaky ReLU has no data-dependent branch: forward is max(x, x / a), with
-x / a taken a slice of channels at a time in one small buffer. Backward
-reads a mask, the forward input's x >= 0 at one byte an element, which
-the network keeps in place of the input; it divides the gradient by a
-divisor, a times the inverted mask, raised to at least 1. The divisor is
-laid out like the mask, and so like the input, because the gradient's
-memory layout decides the order of the float32 sums in batch norm and
-conv backward, and so the trained bytes.
+Leaky ReLU divides negative inputs by the fixed LEAKY_A = 10, YOLOv2's
+slope of 0.1 (Redmon & Farhadi 2017). It has no data-dependent branch:
+forward is max(x, x / LEAKY_A), with x / LEAKY_A taken a slice of channels
+at a time in one small buffer. Backward reads a mask, the forward input's
+x >= 0 at one byte an element, which the network keeps in place of the
+input; it divides the gradient by a divisor, LEAKY_A times the inverted
+mask, raised to at least 1. The divisor is laid out like the mask, and so
+like the input, because the gradient's memory layout decides the order of
+the float32 sums in batch norm and conv backward, and so the trained
+bytes.
 
 Max-pool backward finds each window's first maximum again, and scatters
 the gradient to it as the gradient's bits ANDed with an all-ones mask:
@@ -82,6 +87,11 @@ if TYPE_CHECKING:
 
 class LayerError(ValueError):
     """Invalid layer configuration or mismatched shapes."""
+
+
+LEAKY_A = 10.0       # leaky ReLU divides negative inputs by this
+BN_EPSILON = 1e-5    # added to the variance under batch norm's square root
+BN_MOMENTUM = 0.99   # running statistic <- momentum * running + (1 - momentum) * batch
 
 
 # ---------------------------------------------------------------------------
@@ -114,34 +124,19 @@ class BNParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.99
 
     @classmethod
-    def identity(cls, channels: int, epsilon: float = 1e-5, momentum: float = 0.99) -> "BNParams":
+    def identity(cls, channels: int) -> "BNParams":
         return cls(
             gamma=np.ones(channels, dtype=np.float32),
             beta=np.zeros(channels, dtype=np.float32),
             running_mean=np.zeros(channels, dtype=np.float32),
             running_var=np.ones(channels, dtype=np.float32),
-            epsilon=epsilon,
-            momentum=momentum,
         )
 
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-
-@dataclass(frozen=True)
-class LeakyParams:
-    """Negative inputs are divided by `a`; a must exceed 1."""
-
-    a: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.a > 1.0:
-            raise LayerError(f"leaky divisor a must be > 1, got {self.a}")
 
 
 @dataclass
@@ -403,15 +398,14 @@ def batchnorm_forward(
         xhat = x - mu[None, :, None, None]
         sq = np.multiply(xhat, xhat)
         var = sq.sum(axis=_BN_AXES) / (x.size // x.shape[1])
-        inv_std = 1.0 / np.sqrt(var + p.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std[None, :, None, None]
-        m = p.momentum
-        p.running_mean[:] = m * p.running_mean + (1.0 - m) * mu
-        p.running_var[:] = m * p.running_var + (1.0 - m) * var
+        p.running_mean[:] = BN_MOMENTUM * p.running_mean + (1.0 - BN_MOMENTUM) * mu
+        p.running_var[:] = BN_MOMENTUM * p.running_var + (1.0 - BN_MOMENTUM) * var
         y = np.multiply(xhat, p.gamma[None, :, None, None], out=sq)
         y += p.beta[None, :, None, None]
         return y, BNCache(xhat=xhat, inv_std=inv_std)
-    scale = p.gamma / np.sqrt(p.running_var + p.epsilon)
+    scale = p.gamma / np.sqrt(p.running_var + BN_EPSILON)
     shift = p.beta - p.running_mean * scale
     y = np.multiply(x, scale[None, :, None, None], out=out)
     y += shift[None, :, None, None]
@@ -443,27 +437,27 @@ def batchnorm_backward(
 # leaky ReLU
 
 
-def leaky_forward(x: np.ndarray, p: LeakyParams, *, out: np.ndarray | None = None) -> np.ndarray:
-    """max(x, x / a): for a > 1 the larger of the two is x where x >= 0 and
-    x / a below zero, with no data-dependent branch. `out` may be `x`.
-    x / a is taken a slice of channels at a time into one reused buffer of
-    at most _BAND_BYTES (or one channel), so no full-size temporary is made."""
+def leaky_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, x / LEAKY_A): the larger of the two is x where x >= 0 and
+    x / LEAKY_A below zero, with no data-dependent branch. `out` may be `x`.
+    x / LEAKY_A is taken a slice of channels at a time into one reused buffer
+    of at most _BAND_BYTES (or one channel), so no full-size temporary is made."""
     if out is None:
         out = np.empty_like(x)
     step = max(1, _BAND_BYTES // max(1, x[:, :1].nbytes))  # channels per slice
     buf = np.empty_like(x[:, :step])
     for c0 in range(0, x.shape[1], step):
         xs = x[:, c0:c0 + step]
-        np.maximum(xs, np.divide(xs, p.a, out=buf[:, :xs.shape[1]]), out=out[:, c0:c0 + step])
+        np.maximum(xs, np.divide(xs, LEAKY_A, out=buf[:, :xs.shape[1]]), out=out[:, c0:c0 + step])
     return out
 
 
-def leaky_backward(grad_out: np.ndarray, mask: np.ndarray, p: LeakyParams) -> np.ndarray:
+def leaky_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """grad_out divided by 1 where mask, the forward input's `x >= 0`, is set,
-    and by a elsewhere (x < 0 or NaN). The divisor is a times the inverted
-    mask, raised to at least 1: an array laid out like the mask, and so like
-    the forward input, so the gradient keeps the layout it had before."""
-    d = np.multiply(~mask, p.a, dtype=grad_out.dtype)
+    and by LEAKY_A elsewhere (x < 0 or NaN). The divisor is LEAKY_A times the
+    inverted mask, raised to at least 1: an array laid out like the mask, and
+    so like the forward input, so the gradient keeps the layout it had before."""
+    d = np.multiply(~mask, LEAKY_A, dtype=grad_out.dtype)
     np.maximum(d, 1, out=d)
     return grad_out / d
 
@@ -483,17 +477,8 @@ def _pad_hw(x: np.ndarray, before: int, after: int) -> np.ndarray:
     return xp
 
 
-def _normalize_pad(pad: int | tuple[int, int]) -> tuple[int, int]:
-    if isinstance(pad, tuple):
-        return pad
-    return pad, pad
-
-
-def maxpool_out_hw(
-    h: int, w: int, size: int, stride: int, pad: int | tuple[int, int]
-) -> tuple[int, int]:
-    pb, pa = _normalize_pad(pad)
-    return (h + pb + pa - size) // stride + 1, (w + pb + pa - size) // stride + 1
+def maxpool_out_hw(h: int, w: int, size: int, stride: int, pad: tuple[int, int]) -> tuple[int, int]:
+    return (h + sum(pad) - size) // stride + 1, (w + sum(pad) - size) // stride + 1
 
 
 def _running_max(views: list[np.ndarray]) -> np.ndarray:
@@ -509,23 +494,23 @@ def _running_max(views: list[np.ndarray]) -> np.ndarray:
 
 
 def maxpool_forward(
-    x: np.ndarray, size: int, stride: int, pad: int | tuple[int, int] = 0
+    x: np.ndarray, size: int, stride: int, pad: tuple[int, int] = (0, 0)
 ) -> tuple[np.ndarray, MaxPoolCache]:
-    """Max pool with zero padding; `pad` is one symmetric amount or
-    (before, after). Separable: a running max over the kernel columns gives
-    each row's window maxima, and a running max of those over the kernel
-    rows gives the output. On a tie the earlier element stays, signed zeros
-    included, so the result is the first maximum in scan order; NaN
-    propagates. No index is kept. The output is laid out like x."""
-    pb, pa = _normalize_pad(pad)
+    """Max pool with zero padding of (before, after) on each spatial axis.
+    Separable: a running max over the kernel columns gives each row's
+    window maxima, and a running max of those over the kernel rows gives
+    the output. On a tie the earlier element stays, signed zeros included,
+    so the result is the first maximum in scan order; NaN propagates. No
+    index is kept. The output is laid out like x."""
+    pb, pa = pad
     if size < 1 or stride < 1 or size > min(x.shape[2], x.shape[3]) + pb + pa:
         raise LayerError(f"maxpool: size {size}, stride {stride}, pad {pad} do not fit {x.shape}")
     xp = _pad_hw(x, pb, pa)
-    oh, ow = maxpool_out_hw(x.shape[2], x.shape[3], size, stride, (pb, pa))
+    oh, ow = maxpool_out_hw(x.shape[2], x.shape[3], size, stride, pad)
     span_h, span_w = stride * (oh - 1) + 1, stride * (ow - 1) + 1
     row_max = _running_max([xp[..., dx:dx + span_w:stride] for dx in range(size)])
     y = _running_max([row_max[..., dy:dy + span_h:stride, :] for dy in range(size)])
-    return y, MaxPoolCache(xp=xp, y=y, size=size, stride=stride, pad=(pb, pa))
+    return y, MaxPoolCache(xp=xp, y=y, size=size, stride=stride, pad=pad)
 
 
 def maxpool_backward(grad_out: np.ndarray, cache: MaxPoolCache) -> np.ndarray:

@@ -33,7 +33,6 @@ from .anchors import AnchorSet
 from .layers import (
     BNParams,
     ConvParams,
-    LeakyParams,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
@@ -109,18 +108,18 @@ class LayerNode:
 
 @dataclass
 class ConvNode(LayerNode):
-    """conv -> bn -> leaky, or bn -> leaky -> conv when pre_activation; the
-    detection head is a conv with neither. One path serves both orders:
-    `_bn_leaky` runs after the conv or before it, its mirror in backward.
-    Leaky always runs in place; batch norm only at inference and only on
-    the conv output, which this node allocated: the input is never written.
-    The training cache holds the conv's padded input, batch norm's cache
-    and leaky's mask y >= 0 in place of the float input leaky overwrites;
-    at inference `cache["conv"]` is None."""
+    """conv -> bn -> leaky, or bn -> leaky -> conv when pre_activation. Leaky
+    runs exactly when batch norm does: `bn` None means a plain conv, as in
+    the detection head. One path serves both orders: `_bn_leaky` runs after
+    the conv or before it, its mirror in backward. Leaky always runs in
+    place; batch norm only at inference and only on the conv output, which
+    this node allocated: the input is never written. The training cache
+    holds the conv's padded input, batch norm's cache and leaky's mask
+    y >= 0 in place of the float input leaky overwrites; at inference
+    `cache["conv"]` is None."""
 
     conv: ConvParams
     bn: BNParams | None = None
-    act: LeakyParams | None = None
     pre_activation: bool = False
 
     def out_shape(self, ins: list[Shape]) -> Shape:
@@ -129,21 +128,19 @@ class ConvNode(LayerNode):
         return (c.out_channels, *conv2d_out_hw(h, w, c.kernel, c.stride, c.pad))
 
     def _bn_leaky(self, y: np.ndarray, training: bool, cache: dict, owned: bool) -> np.ndarray:
-        if self.bn is not None:
-            y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=y if owned else None)
-            owned = True
-        if self.act is not None:
-            if training:
-                cache["act_mask"] = y >= 0  # one byte an element
-            y = leaky_forward(y, self.act, out=y if owned else None)
-        return y
+        if self.bn is None:
+            return y
+        y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=y if owned else None)
+        if training:
+            cache["act_mask"] = y >= 0  # one byte an element
+        return leaky_forward(y, out=y)
 
     def _bn_leaky_backward(self, g: np.ndarray, cache: dict, param_grads) -> np.ndarray:
-        if self.act is not None:
-            g = leaky_backward(g, cache["act_mask"], self.act)
-        if self.bn is not None:
-            g, param_grads[f"{self.name}.gamma"], param_grads[f"{self.name}.beta"] = (
-                batchnorm_backward(g, cache["bn"], self.bn))
+        if self.bn is None:
+            return g
+        g = leaky_backward(g, cache["act_mask"])
+        g, param_grads[f"{self.name}.gamma"], param_grads[f"{self.name}.beta"] = (
+            batchnorm_backward(g, cache["bn"], self.bn))
         return g
 
     def forward(self, ins: list[np.ndarray], training: bool):
@@ -235,15 +232,14 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
     prev = "data"
     prev_c = 3
 
-    def conv(name: str, out: int, k: int, *, bn: bool = True, act: bool = True,
-             pre: bool = False) -> None:
+    def conv(name: str, out: int, k: int, *, bn: bool = True, pre: bool = False) -> None:
         """A zeroed stride-1, same-padded k x k conv node that reads prev and becomes it."""
         nonlocal prev, prev_c
         params = ConvParams(np.zeros((out, prev_c, k, k), dtype=np.float32),
                             np.zeros(out, dtype=np.float32), stride=1, pad=(k - 1) // 2)
         nodes.append(ConvNode(name=name, inputs=[prev], conv=params,
                               bn=BNParams.identity(prev_c if pre else out) if bn else None,
-                              act=LeakyParams() if act else None, pre_activation=pre))
+                              pre_activation=pre))
         prev, prev_c = name, out
 
     def pool(name: str) -> None:
@@ -315,7 +311,7 @@ def build_network(cfg: NetworkConfig) -> "NetworkGraph":
     prev, prev_c = "head_cat", sc(1024) + 4 * sc(64)
 
     conv("conv30", sc(1024), 3)
-    conv("conv31", cfg.detect_channels, 1, bn=False, act=False)
+    conv("conv31", cfg.detect_channels, 1, bn=False)
 
     return NetworkGraph(cfg, nodes)
 

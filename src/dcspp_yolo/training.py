@@ -44,8 +44,9 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between checkpoint callbacks; 0 = never
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0)):
+            if getattr(self, name) < low:
+                raise TrainingError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.lr0 <= 0:
             raise TrainingError(f"lr0 must be > 0, got {self.lr0}")
 
@@ -259,11 +260,10 @@ def synth_dataset(
     """Write n noise-background images of 1-3 colored shapes with exact
     bounding-box labels, a manifest, and a class list. Deterministic for a
     given seed."""
-    if image_size % 32 != 0:
-        raise TrainingError(f"image_size must be a multiple of 32, got {image_size}")
-    for c in classes:
-        if c not in SHAPE_CLASSES:
-            raise TrainingError(f"unknown shape class {c!r}; choose from {SHAPE_CLASSES}")
+    if image_size <= 0 or image_size % 32 != 0:
+        raise TrainingError(f"image_size must be a positive multiple of 32, got {image_size}")
+    if not classes or not set(classes) <= set(SHAPE_CLASSES):
+        raise TrainingError(f"classes must be a non-empty subset of {SHAPE_CLASSES}, got {classes}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -374,6 +374,8 @@ def train(
     """
     if net.cfg.anchors is None:
         raise TrainingError("network config carries no anchors; training needs them")
+    if max_iterations < 0:
+        raise TrainingError(f"max_iterations must be >= 0, got {max_iterations}")
     weights = LossWeights(n_prior=cfg.n_prior)
     rng = np.random.default_rng(cfg.seed)
     params = net.parameters()

@@ -265,3 +265,30 @@ def test_undecodable_label_file_reports_one_line_error(pipeline, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {label}: not UTF-8 text")
     assert err.count("\n") == 1 and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--checkpoint-every", "-1"),
+                                         ("--max-iterations", "-3")])
+def test_train_rejects_bad_numeric_flag_before_writing_weights(pipeline, tmp_path, capsys,
+                                                               flag, value):
+    _, data, anchors, _, _ = pipeline
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(data / "manifest.tsv"),
+                 "--classes", str(data / "classes.names"), "--anchors", str(anchors),
+                 "--out", str(out / "w.weights"), "--input-size", "96", "--channel-scale", "1/8",
+                 "--batch-size", "4", "--epochs", "1", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.count("error:") == 1
+    assert list(out.iterdir()) == []  # no weight file, no checkpoint
+
+
+@pytest.mark.parametrize("args", [["--image-size", "0"], ["--image-size", "-32"],
+                                  ["--classes", ","]])
+def test_synth_rejects_what_it_cannot_draw(tmp_path, capsys, args):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--num", "2", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.count("error:") == 1
+    assert not out.exists()

@@ -18,10 +18,12 @@ from dcspp_yolo.gradcheck import (
     check_reorg,
 )
 from dcspp_yolo.layers import (
+    BN_EPSILON,
+    BN_MOMENTUM,
+    LEAKY_A,
     BNParams,
     ConvParams,
     LayerError,
-    LeakyParams,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
@@ -309,9 +311,9 @@ def test_bn_inference_identity_stats():
 
 def test_bn_running_stats_update():
     x = RNG.standard_normal((8, 2, 16, 16)) + 5.0
-    p = BNParams.identity(2, momentum=0.9)
+    p = BNParams.identity(2)
     batchnorm_forward(x, p, training=True)
-    expected = 0.9 * 0.0 + 0.1 * x.mean(axis=(0, 2, 3))
+    expected = BN_MOMENTUM * 0.0 + (1.0 - BN_MOMENTUM) * x.mean(axis=(0, 2, 3))
     assert np.allclose(p.running_mean, expected, rtol=1e-5)
 
 
@@ -349,7 +351,7 @@ def test_bn_gradcheck():
 
 def oracle_bn_inference(x, p):
     """The unfolded inference formula: gamma * (x - mean) / std + beta."""
-    inv_std = 1.0 / np.sqrt(p.running_var + p.epsilon)
+    inv_std = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
     return (
         p.gamma[None, :, None, None] * (x - p.running_mean[None, :, None, None])
         * inv_std[None, :, None, None]
@@ -380,7 +382,7 @@ def test_bn_inference_folded_equals_oracle_within_tolerance(dtype, seed, mean_ov
     y, cache = batchnorm_forward(x, p, training=False)
     assert cache is None and y.dtype == dtype
     ref = oracle_bn_inference(x, p)
-    scale = p.gamma / np.sqrt(p.running_var + p.epsilon)
+    scale = p.gamma / np.sqrt(p.running_var + BN_EPSILON)
     size = (np.abs(x * scale[None, :, None, None])
             + np.abs(p.running_mean * scale)[None, :, None, None]
             + np.abs(p.beta)[None, :, None, None])
@@ -399,9 +401,9 @@ def test_bn_inference_folded_equals_oracle_within_tolerance(dtype, seed, mean_ov
 def oracle_bn_training_forward(x, p):
     mu = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3))
-    inv_std = 1.0 / np.sqrt(var + p.epsilon)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    m = p.momentum
+    m = BN_MOMENTUM
     p.running_mean[:] = m * p.running_mean + (1.0 - m) * mu
     p.running_var[:] = m * p.running_var + (1.0 - m) * var
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
@@ -508,40 +510,33 @@ def test_bn_training_backward_no_less_accurate_than_oracle(seed, channel_major):
 
 
 def test_leaky_positive_passthrough():
-    assert leaky_forward(np.array([[[[5.0]]]]), LeakyParams(10.0))[0, 0, 0, 0] == 5.0
+    assert leaky_forward(np.array([[[[5.0]]]]))[0, 0, 0, 0] == 5.0
 
 
 def test_leaky_negative_divided():
-    y = leaky_forward(np.array([[[[-5.0]]]]), LeakyParams(10.0))
+    y = leaky_forward(np.array([[[[-5.0]]]]))
     assert y[0, 0, 0, 0] == pytest.approx(-0.5)
 
 
 def test_leaky_backward_slope():
     g = np.ones((1, 1, 1, 1))
     x = np.array([[[[-1.0]]]])
-    assert leaky_backward(g, x >= 0, LeakyParams(10.0))[0, 0, 0, 0] == pytest.approx(0.1)
-
-
-def test_leaky_invalid_divisor():
-    with pytest.raises(LayerError):
-        LeakyParams(1.0)
+    assert leaky_backward(g, x >= 0)[0, 0, 0, 0] == pytest.approx(0.1)
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
 @settings(max_examples=100)
 def test_leaky_monotone(a, b):
     lo, hi = (min(a, b), max(a, b))
-    p = LeakyParams(10.0)
-    ylo = leaky_forward(np.array([[[[lo]]]]), p)[0, 0, 0, 0]
-    yhi = leaky_forward(np.array([[[[hi]]]]), p)[0, 0, 0, 0]
+    ylo = leaky_forward(np.array([[[[lo]]]]))[0, 0, 0, 0]
+    yhi = leaky_forward(np.array([[[[hi]]]]))[0, 0, 0, 0]
     assert ylo <= yhi
 
 
 def test_leaky_continuous_at_zero():
-    p = LeakyParams(10.0)
     eps = 1e-12
-    below = leaky_forward(np.array([[[[-eps]]]]), p)[0, 0, 0, 0]
-    at = leaky_forward(np.array([[[[0.0]]]]), p)[0, 0, 0, 0]
+    below = leaky_forward(np.array([[[[-eps]]]]))[0, 0, 0, 0]
+    at = leaky_forward(np.array([[[[0.0]]]]))[0, 0, 0, 0]
     assert at == 0.0
     assert abs(below) < 1e-12
 
@@ -550,12 +545,12 @@ def test_leaky_gradcheck():
     assert check_leaky() < 1e-4
 
 
-def oracle_leaky_forward(x, p):
-    return np.where(x >= 0, x, x / p.a)
+def oracle_leaky_forward(x):
+    return np.where(x >= 0, x, x / LEAKY_A)
 
 
-def oracle_leaky_backward(grad_out, cached_x, p):
-    return np.where(cached_x >= 0, grad_out, grad_out / p.a)
+def oracle_leaky_backward(grad_out, cached_x):
+    return np.where(cached_x >= 0, grad_out, grad_out / LEAKY_A)
 
 
 def _special_values(dtype):
@@ -579,29 +574,28 @@ def leaky_cases(draw):
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     elements = st.one_of(st.sampled_from(_special_values(dtype)),
                          st.floats(width=np.finfo(dtype).bits, allow_nan=False))
-    x, g = (draw(arrays(dtype, (2, 3, 2, 3), elements=elements)) for _ in range(2))
-    return x, g, LeakyParams(draw(st.sampled_from([1.0001, 7.3, 10.0, 1e6])))
+    return tuple(draw(arrays(dtype, (2, 3, 2, 3), elements=elements)) for _ in range(2))
 
 
 @given(leaky_cases())
 @settings(max_examples=300, deadline=None)
 def test_leaky_forward_equals_where_oracle_bytewise(case):
-    x, _, p = case
-    ref = oracle_leaky_forward(x, p)
-    y = leaky_forward(x, p)
+    x, _ = case
+    ref = oracle_leaky_forward(x)
+    y = leaky_forward(x)
     assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
     inplace = x.copy()
-    assert leaky_forward(inplace, p, out=inplace) is inplace
+    assert leaky_forward(inplace, out=inplace) is inplace
     assert inplace.tobytes() == ref.tobytes()
 
 
 def test_leaky_forward_in_place_peaks_far_below_its_input():
     # the 416 build's conv1 output: 21 MiB of float32, with no full-size x / a
     x = np.random.default_rng(4).standard_normal((1, 32, 416, 416)).astype(np.float32)
-    ref = oracle_leaky_forward(x, LeakyParams())
+    ref = oracle_leaky_forward(x)
     tracemalloc.start()
     try:
-        leaky_forward(x, LeakyParams(), out=x)
+        leaky_forward(x, out=x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -615,11 +609,11 @@ def test_leaky_forward_in_place_peaks_far_below_its_input():
 @settings(max_examples=100, deadline=None)
 def test_leaky_backward_equals_where_oracle_bytes_and_strides(case, g_channel_major,
                                                                x_channel_major):
-    x, g, p = case
+    x, g = case
     x = _channel_major(x) if x_channel_major else x
     g = _channel_major(g) if g_channel_major else g
-    ref = oracle_leaky_backward(g, x, p)
-    got = leaky_backward(g, x >= 0, p)  # the mask the network caches, not x
+    ref = oracle_leaky_backward(g, x)
+    got = leaky_backward(g, x >= 0)  # the mask the network caches, not x
     # the layout reaches the float32 sums of batch norm and conv backward
     assert got.strides == ref.strides
     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
@@ -629,18 +623,18 @@ def test_leaky_backward_equals_where_oracle_bytes_and_strides(case, g_channel_ma
 
 
 def test_maxpool_stride2_halves():
-    y, _ = maxpool_forward(np.zeros((1, 32, 416, 416), dtype=np.float32), 2, 2, 0)
+    y, _ = maxpool_forward(np.zeros((1, 32, 416, 416), dtype=np.float32), 2, 2, (0, 0))
     assert y.shape == (1, 32, 208, 208)
 
 
 def test_maxpool_spp_window_preserves():
-    y, _ = maxpool_forward(np.zeros((1, 512, 13, 13), dtype=np.float32), 13, 1, 6)
+    y, _ = maxpool_forward(np.zeros((1, 512, 13, 13), dtype=np.float32), 13, 1, (6, 6))
     assert y.shape == (1, 512, 13, 13)
 
 
 def test_maxpool_constant_interior():
     x = np.full((1, 1, 9, 9), 2.5)
-    y, _ = maxpool_forward(x, 3, 1, 1)
+    y, _ = maxpool_forward(x, 3, 1, (1, 1))
     assert np.all(y[:, :, 1:-1, 1:-1] == 2.5)
 
 
@@ -648,12 +642,12 @@ def test_maxpool_window_larger_than_padded_input_rejected():
     with pytest.raises(LayerError, match="do not fit"):
         maxpool_forward(np.zeros((1, 1, 2, 3)), 4, 1, (0, 1))
     with pytest.raises(LayerError):
-        maxpool_forward(np.zeros((1, 1, 4, 4)), 2, 0, 0)
+        maxpool_forward(np.zeros((1, 1, 4, 4)), 2, 0, (0, 0))
 
 
 def test_maxpool_backward_conserves_mass():
     x = RNG.uniform(0.5, 2.0, (2, 3, 8, 8))  # positive, so zero padding never wins
-    for size, stride, pad in ((2, 2, 0), (3, 1, 1)):
+    for size, stride, pad in ((2, 2, (0, 0)), (3, 1, (1, 1))):
         y, cache = maxpool_forward(x, size, stride, pad)
         g = RNG.standard_normal(y.shape)
         gx = maxpool_backward(g, cache)
@@ -662,7 +656,7 @@ def test_maxpool_backward_conserves_mass():
 
 def test_maxpool_tie_breaks_first_in_scan_order():
     x = np.full((1, 1, 2, 2), 7.0)
-    y, cache = maxpool_forward(x, 2, 2, 0)
+    y, cache = maxpool_forward(x, 2, 2, (0, 0))
     gx = maxpool_backward(np.ones((1, 1, 1, 1)), cache)
     assert gx[0, 0, 0, 0] == 1.0
     assert gx.sum() == 1.0
@@ -885,17 +879,16 @@ def test_every_kernel_returns_its_input_dtype(dtype, seed):
     conv = ConvParams(weights=rng.standard_normal((3, 3, 3, 3)).astype(dtype),
                       bias=rng.standard_normal(3).astype(dtype), pad=1)
     bn = BNParams(*(np.full(3, v, dtype=dtype) for v in (1.5, 0.5, 0.0, 1.0)))
-    leaky = LeakyParams(10.0)
     conv_y, conv_cache = conv2d_forward(x, conv)
     bn_y, bn_cache = batchnorm_forward(x, bn, training=True)
-    pool_y, pool_cache = maxpool_forward(x, 3, 1, 1)
+    pool_y, pool_cache = maxpool_forward(x, 3, 1, (1, 1))
     outs = {
         "conv2d_forward": [conv_y, conv_cache.xp],
         "conv2d_backward": conv2d_backward(g, conv_cache, conv),
         "batchnorm_forward": [bn_y, batchnorm_forward(x, bn, training=False)[0]],
         "batchnorm_backward": batchnorm_backward(g, bn_cache, bn),
-        "leaky_forward": [leaky_forward(x, leaky)],
-        "leaky_backward": [leaky_backward(g, x >= 0, leaky)],
+        "leaky_forward": [leaky_forward(x)],
+        "leaky_backward": [leaky_backward(g, x >= 0)],
         "maxpool_forward": [pool_y],
         "maxpool_backward": [maxpool_backward(g, pool_cache)],
         "reorg_forward": [reorg_forward(x, 2)],

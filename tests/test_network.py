@@ -11,7 +11,9 @@ import pytest
 from dcspp_yolo import network
 from dcspp_yolo.anchors import AnchorSet
 from dcspp_yolo.gradcheck import check_network
+from dcspp_yolo.layers import BNParams
 from dcspp_yolo.network import (
+    ConvNode,
     NetworkConfig,
     NetworkError,
     REFERENCE_SHAPES_416,
@@ -52,6 +54,23 @@ def test_every_config_field_is_a_weight_header_field():
     # a knob the weight file cannot carry would load as its default
     fields = {f.name for f in dataclasses.fields(NetworkConfig)}
     assert fields <= set(WeightHeader._fields)
+
+
+def test_every_bn_field_is_an_array_the_weight_file_holds():
+    # epsilon and momentum are layer constants: as fields they would load as defaults
+    net = build_network(NetworkConfig(**TINY))
+    node = next(n for n in net.conv_nodes() if n.bn is not None)
+    written = [arr for name, arr in net._serialized_arrays() if name == node.name]
+    fields = [getattr(node.bn, f.name) for f in dataclasses.fields(BNParams)]
+    assert len(fields) == 4 and all(a is b for a, b in zip(fields, written[:4]))
+
+
+def test_conv_node_fields_and_leaky_follows_batch_norm():
+    fields = [f.name for f in dataclasses.fields(ConvNode)]
+    assert fields == ["name", "inputs", "conv", "bn", "pre_activation"]
+    # the detection head is the one plain conv
+    net = build_network(NetworkConfig(**TINY))
+    assert [n.name for n in net.conv_nodes() if n.bn is None] == ["conv31"]
 
 
 def test_input_size_must_be_multiple_of_32():
