@@ -169,6 +169,12 @@ def decode_predictions(raw: np.ndarray, anchors: AnchorSet) -> PredGrid:
     )
 
 
+def check_threshold(name: str, value: float) -> None:
+    """Raise DetectionError unless value is in [0, 1]; NaN is not."""
+    if not 0 <= value <= 1:
+        raise DetectionError(f"{name} must be in [0, 1], got {value}")
+
+
 def decode(
     grid: np.ndarray,
     anchors: AnchorSet,
@@ -183,8 +189,9 @@ def decode(
     objectness sigmoid times the best per-class sigmoid. Boxes are
     clipped to the image; slots at or below conf_thres are dropped.
     Slots are taken in (anchor, row, column) order, then stably sorted
-    by descending score, NaN scores last.
+    by descending score, NaN scores last. conf_thres must be in [0, 1].
     """
+    check_threshold("conf_thres", conf_thres)
     p = decode_predictions(grid, anchors)
     if p.b != 1:
         raise DetectionError(f"decode expects a single image, got batch of {p.b}")
@@ -214,8 +221,9 @@ def nms(dets: Detections, nms_thres: float) -> Detections:
     against the kept boxes only, then resolves its survivors in order from
     their own IoU matrix. IoU is symmetric to the bit, so this keeps the
     same rows as comparing every row with every earlier kept row, with no
-    full n x n matrix.
+    full n x n matrix. nms_thres must be in [0, 1].
     """
+    check_threshold("nms_thres", nms_thres)
     chosen = np.zeros(len(dets), dtype=bool)
     for cid in np.unique(dets.class_ids):
         group = np.flatnonzero(dets.class_ids == cid)

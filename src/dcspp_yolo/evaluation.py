@@ -13,7 +13,7 @@ import numpy as np
 
 from . import ppm
 from .data import image_to_tensor, read_label_file, truths_to_pixel_boxes, unletterbox_boxes
-from .detection import Detections, detect_image, iou_matrix
+from .detection import Detections, check_threshold, detect_image, iou_matrix
 
 
 class EvalError(ValueError):
@@ -94,8 +94,14 @@ def evaluate(
 
     Each class pools its detections over all images by descending score,
     ties in detection order, NaN scores last. Classes without any ground
-    truth are excluded from the mean.
+    truth are excluded from the mean. The conf and NMS thresholds must be
+    in [0, 1] and the IoU threshold in (0, 1], each checked before any image
+    is read.
     """
+    check_threshold("conf_thres", conf_thres)
+    check_threshold("nms_thres", nms_thres)
+    if not 0 < iou_thres <= 1:  # NaN too
+        raise EvalError(f"iou_thres must be in (0, 1], got {iou_thres}")
     if not len(manifest.entries):
         raise EvalError("cannot evaluate an empty dataset")
     size = net.cfg.input_size

@@ -14,14 +14,21 @@ The backbone's conv -> bn -> leaky and the dense block's pre-activation
 bn -> leaky -> conv (He et al. 2016, DenseNet) are one `ConvNode` path, one
 forward and one backward. No node writes its input, which a route may
 share; a conv node runs batch norm and leaky in place on arrays it made.
+
+A weight file is mapped, not read: `load_weights` maps it copy-on-write and
+rebinds each conv and batch-norm array to a view of it, so a `parameters()`
+list taken before the load holds stale arrays, and the file must not be
+truncated or rewritten in place while a model loaded from it is alive.
+`save_weights` streams the arrays into a new file and renames it over the
+old one, which such a model keeps reading.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -434,14 +441,15 @@ class NetworkGraph:
 
     # -- serialization --------------------------------------------------------
 
-    def _serialized_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        """(node name, array) for every array the weight file holds, in file order."""
+    def _serialized_fields(self) -> Iterator[tuple[str, object, str]]:
+        """(node name, holder, field) for every array the weight file holds, in
+        file order; the array is `getattr(holder, field)`."""
         for node in self.conv_nodes():
             if node.bn is not None:
-                for arr in (node.bn.gamma, node.bn.beta, node.bn.running_mean, node.bn.running_var):
-                    yield node.name, arr
-            yield node.name, node.conv.bias
-            yield node.name, node.conv.weights
+                for field in ("gamma", "beta", "running_mean", "running_var"):
+                    yield node.name, node.bn, field
+            yield node.name, node.conv, "bias"
+            yield node.name, node.conv, "weights"
 
     def weight_header(self) -> WeightHeader:
         """The header this network writes, and expects of a file it loads."""
@@ -451,14 +459,35 @@ class NetworkGraph:
                             cfg.channel_scale, sum(1 for _ in self.conv_nodes()), anchors)
 
     def save_weights(self, path: str | Path) -> None:
-        chunks = [self.weight_header().pack()]
-        for _, arr in self._serialized_arrays():
-            chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        Path(path).write_bytes(b"".join(chunks))
+        """Stream the header and each array, from its own buffer, into a new
+        file beside `path`, then rename it over `path`. A save that fails
+        part-way leaves the old file as it was and removes the new one, and
+        a model mapped from the old file keeps reading the old file."""
+        path = Path(os.path.realpath(path))  # write through a symlink, not over it
+        tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            with open(tmp, "xb") as f:
+                f.write(self.weight_header().pack())
+                for _, holder, field in self._serialized_fields():
+                    # no copy on a little-endian host: the arrays are C-contiguous float32
+                    f.write(np.ascontiguousarray(getattr(holder, field), dtype="<f4").data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def load_weights(self, path: str | Path) -> None:
-        """Read a weight file straight into the parameter arrays. The header
-        and the file size are checked before any array is touched."""
+        """Map a weight file copy-on-write and rebind every conv and
+        batch-norm array to a float32 view of it; the body is never copied.
+        The header, the config match, whole floats, a file that shrank and
+        trailing bytes are all checked before any parameter changes.
+
+        Pages come from the page cache on first use, and a write to a
+        parameter (training, `init_weights`) copies only the page it
+        touches: the file never changes. Rebinding makes a `parameters()`
+        list taken before this call stale. The mapping lives as long as the
+        arrays do; while it does, the file must not be truncated or rewritten
+        in place (`save_weights` replaces it instead)."""
         found = read_weight_header(path)
         expected = self.weight_header()
         with open(path, "rb") as f:
@@ -466,7 +495,7 @@ class NetworkGraph:
             if body % 4:
                 raise NetworkError(f"{path}: body of {body} bytes is not a whole number of floats")
             n_found = body // 4
-            n_expected = sum(arr.size for _, arr in self._serialized_arrays())
+            n_expected = sum(getattr(h, field).size for _, h, field in self._serialized_fields())
             mismatches = [f"{field} {got} != {want}"
                           for field, got, want in zip(WeightHeader._fields, found, expected)
                           if got != want]
@@ -476,17 +505,22 @@ class NetworkGraph:
                     f"{path}: weight file does not match this network ({detail}); "
                     f"expected {n_expected} parameters, file contains {n_found}"
                 )
-            f.seek(found.size)
-            for name, arr in self._serialized_arrays():
-                # the arrays are C-contiguous native float32; the file is little-endian
-                got = f.readinto(arr)
-                if got != arr.nbytes:
-                    raise NetworkError(f"{path}: short read, {got} of {arr.nbytes} bytes for {name}")
-                if sys.byteorder == "big":
-                    arr.byteswap(inplace=True)
-            trailing = os.fstat(f.fileno()).st_size - f.tell()
-            if trailing:
-                raise NetworkError(f"{path}: {trailing} trailing bytes after parameters")
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+        views = []
+        offset = found.size
+        for name, holder, field in self._serialized_fields():
+            arr = getattr(holder, field)
+            got = min(arr.nbytes, max(len(mapped) - offset, 0))
+            if got != arr.nbytes:  # the file shrank after its size was checked
+                raise NetworkError(f"{path}: short read, {got} of {arr.nbytes} bytes for {name}")
+            # the file is little-endian: a view on a little-endian host, a copy on a big one
+            view = np.frombuffer(mapped, "<f4", arr.size, offset).astype(np.float32, copy=False)
+            views.append((holder, field, view.reshape(arr.shape)))
+            offset += arr.nbytes
+        if trailing := len(mapped) - offset:
+            raise NetworkError(f"{path}: {trailing} trailing bytes after parameters")
+        for holder, field, view in views:
+            setattr(holder, field, view)
 
 
 class WeightHeader(NamedTuple):

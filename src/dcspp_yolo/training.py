@@ -3,6 +3,7 @@ synthetic-shapes dataset generator for desk-scale experiments."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -47,8 +48,15 @@ class TrainConfig:
         for name, low in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0)):
             if getattr(self, name) < low:
                 raise TrainingError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.lr0 <= 0:
-            raise TrainingError(f"lr0 must be > 0, got {self.lr0}")
+        # written so that NaN fails every check
+        for name, ok, want in (("lr0", 0 < self.lr0 < math.inf, "finite and > 0"),
+                               ("weight_decay", 0 <= self.weight_decay < math.inf,
+                                "finite and >= 0"),
+                               ("adam_eps", 0 < self.adam_eps < math.inf, "finite and > 0"),
+                               ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)")):
+            if not ok:
+                raise TrainingError(f"{name} must be {want}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -260,6 +268,8 @@ def synth_dataset(
     """Write n noise-background images of 1-3 colored shapes with exact
     bounding-box labels, a manifest, and a class list. Deterministic for a
     given seed."""
+    if n < 1:
+        raise TrainingError(f"n must be >= 1, got {n}")
     if image_size <= 0 or image_size % 32 != 0:
         raise TrainingError(f"image_size must be a positive multiple of 32, got {image_size}")
     if not classes or not set(classes) <= set(SHAPE_CLASSES):

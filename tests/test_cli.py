@@ -268,7 +268,8 @@ def test_undecodable_label_file_reports_one_line_error(pipeline, tmp_path, capsy
 
 
 @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--checkpoint-every", "-1"),
-                                         ("--max-iterations", "-3")])
+                                         ("--max-iterations", "-3"), ("--lr", "nan"),
+                                         ("--lr", "inf")])
 def test_train_rejects_bad_numeric_flag_before_writing_weights(pipeline, tmp_path, capsys,
                                                                flag, value):
     _, data, anchors, _, _ = pipeline
@@ -285,10 +286,31 @@ def test_train_rejects_bad_numeric_flag_before_writing_weights(pipeline, tmp_pat
 
 
 @pytest.mark.parametrize("args", [["--image-size", "0"], ["--image-size", "-32"],
-                                  ["--classes", ","]])
+                                  ["--classes", ","], ["--num", "0"], ["--num", "-1"]])
 def test_synth_rejects_what_it_cannot_draw(tmp_path, capsys, args):
     out = tmp_path / "data"
     assert main(["synth", "--out", str(out), "--num", "2", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.count("error:") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--iou", "1.5"), ("eval", "--iou", "0"), ("eval", "--iou", "nan"),
+    ("eval", "--conf", "nan"), ("eval", "--nms", "-0.1"),
+    ("detect", "--conf", "nan"), ("detect", "--conf", "1.5"), ("detect", "--nms", "nan"),
+])
+def test_threshold_outside_its_range_reports_one_line_error(pipeline, tmp_path, capsys,
+                                                           command, flag, value):
+    _, data, _, weights, _ = pipeline
+    out = tmp_path / "out.txt"
+    args = {
+        "detect": ["--image", str(data / "img_0000.ppm"), "--out", str(out)],
+        "eval": ["--manifest", str(data / "manifest.tsv"), "--classes", str(data / "classes.names"),
+                 "--csv", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--model", str(weights), *args, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and err.count("error:") == 1
     assert not out.exists()

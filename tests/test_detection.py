@@ -209,6 +209,18 @@ def test_decode_rejects_a_batch_of_two():
         decode(np.zeros((2, 6, 4, 4)), _anchors1(), 128, 128, 0.1)
 
 
+@pytest.mark.parametrize("conf", [math.nan, -0.01, 1.5, math.inf])
+def test_decode_rejects_a_conf_threshold_outside_zero_one(conf):
+    with pytest.raises(DetectionError, match=f"^conf_thres must be in \\[0, 1\\], got {conf}$"):
+        decode(np.zeros((1, 6, 4, 4)), _anchors1(), 128, 128, conf)
+
+
+@pytest.mark.parametrize("thres", [math.nan, -0.01, 1.5])
+def test_nms_rejects_a_threshold_outside_zero_one(thres):
+    with pytest.raises(DetectionError, match=f"^nms_thres must be in \\[0, 1\\], got {thres}$"):
+        nms(as_detections([]), thres)
+
+
 def test_decode_conf_threshold_one_empty():
     grid = np.full((1, 6, 4, 4), 3.0)
     assert list(decode(grid, _anchors1(), 128, 128, 1.0)) == []

@@ -10,7 +10,7 @@ from test_detection import as_detections, box_array, boxes, det_lists, iou
 
 from dcspp_yolo import evaluation
 from dcspp_yolo.anchors import AnchorSet
-from dcspp_yolo.detection import BBox, Detection
+from dcspp_yolo.detection import BBox, Detection, DetectionError
 from dcspp_yolo.evaluation import (
     EvalError,
     average_precision,
@@ -211,6 +211,25 @@ def test_evaluate_empty_dataset_is_error():
         evaluate(net, DatasetManifest(entries=[], class_names=["a"]))
 
 
+@pytest.mark.parametrize("kwargs, error, match", [
+    (dict(iou_thres=0.0), EvalError, r"iou_thres must be in \(0, 1\], got 0.0"),
+    (dict(iou_thres=1.5), EvalError, r"iou_thres must be in \(0, 1\], got 1.5"),
+    (dict(iou_thres=math.nan), EvalError, r"iou_thres must be in \(0, 1\], got nan"),
+    (dict(conf_thres=math.nan), DetectionError, r"conf_thres must be in \[0, 1\], got nan"),
+    (dict(nms_thres=-0.5), DetectionError, r"nms_thres must be in \[0, 1\], got -0.5"),
+], ids=["iou-0", "iou-1.5", "iou-nan", "conf-nan", "nms-negative"])
+def test_evaluate_rejects_a_threshold_before_reading_an_image(tmp_path, kwargs, error, match):
+    manifest = DatasetManifest(entries=[(tmp_path / "none.ppm", tmp_path / "none.txt")],
+                               class_names=["a"])
+    with pytest.raises(error, match=f"^{match}$"):
+        evaluate(_random_net(), manifest, **kwargs)
+
+
+def test_evaluate_accepts_an_iou_threshold_of_one(tmp_path):
+    manifest = synth_dataset(1, image_size=96, seed=40, out_dir=tmp_path)
+    evaluate(_random_net(), manifest, conf_thres=0.0, nms_thres=1.0, iou_thres=1.0)
+
+
 def test_untrained_net_scores_near_zero(tmp_path):
     manifest = synth_dataset(6, image_size=96, seed=40, out_dir=tmp_path)
     result = evaluate(_random_net(), manifest)
@@ -238,7 +257,8 @@ def test_nan_scores_pool_after_every_finite_score(tmp_path, monkeypatch):
         return flags
 
     monkeypatch.setattr(evaluation, "match_detections", spy)
-    result = evaluate(net, manifest, conf_thres=0.005, iou_thres=0.0)
+    # the smallest positive threshold: any overlap matches
+    result = evaluate(net, manifest, conf_thres=0.005, iou_thres=math.ulp(0.0))
     assert sum(math.isnan(d.score) for dets, _ in seen for d in dets) > 0
     for cid, cr in result.per_class.items():
         rows = [(d.score, f) for dets, flags in seen

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import struct
 import tracemalloc
@@ -60,7 +61,8 @@ def test_every_bn_field_is_an_array_the_weight_file_holds():
     # epsilon and momentum are layer constants: as fields they would load as defaults
     net = build_network(NetworkConfig(**TINY))
     node = next(n for n in net.conv_nodes() if n.bn is not None)
-    written = [arr for name, arr in net._serialized_arrays() if name == node.name]
+    written = [getattr(holder, field) for name, holder, field in net._serialized_fields()
+               if name == node.name]
     fields = [getattr(node.bn, f.name) for f in dataclasses.fields(BNParams)]
     assert len(fields) == 4 and all(a is b for a, b in zip(fields, written[:4]))
 
@@ -498,6 +500,82 @@ def test_short_read_is_an_error(tmp_path, monkeypatch):
                         lambda fd: os.stat_result(real_fstat(fd)[:6] + (full,) + real_fstat(fd)[7:]))
     with pytest.raises(NetworkError, match="short read"):
         build_network(NetworkConfig(**TINY)).load_weights(path)
+
+
+def test_saving_onto_the_file_a_live_model_maps_leaves_that_model_as_it_was(tmp_path):
+    path = tmp_path / "w.weights"
+    tiny_net(1).save_weights(path)
+    live = build_network(NetworkConfig(**TINY))
+    live.load_weights(path)
+    before = [p.array.copy() for p in live.parameters()]
+    newer = tiny_net(2)
+    newer.save_weights(path)
+    for b, p in zip(before, live.parameters()):
+        assert b.tobytes() == p.array.tobytes(), p.name
+    # the new file round-trips byte-exact
+    twin = build_network(NetworkConfig(**TINY))
+    twin.load_weights(path)
+    twin.save_weights(tmp_path / "twin.weights")
+    assert (tmp_path / "twin.weights").read_bytes() == path.read_bytes()
+    for a, b in zip(newer.parameters(), twin.parameters()):
+        assert a.array.tobytes() == b.array.tobytes(), a.name
+
+
+class _DiskFillsUp:
+    """A file whose writes fail with ENOSPC once `room` bytes are written."""
+
+    def __init__(self, f, room):
+        self.f, self.room = f, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        n = memoryview(b).nbytes
+        if n > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= n
+        return self.f.write(b)
+
+
+def test_a_save_that_fails_part_way_leaves_the_old_file_and_no_other(tmp_path, monkeypatch):
+    path = tmp_path / "w.weights"
+    tiny_net(1).save_weights(path)
+    old = path.read_bytes()
+    monkeypatch.setattr(network, "open", lambda *a, **k: _DiskFillsUp(open(*a, **k), 4096),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        tiny_net(2).save_weights(path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["w.weights"]
+
+
+def test_a_save_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "w.weights", tmp_path / "latest.weights"
+    tiny_net(1).save_weights(target)
+    link.symlink_to(target.name)
+    tiny_net(2).save_weights(link)
+    assert link.is_symlink()
+    tiny_net(2).save_weights(tmp_path / "direct.weights")
+    assert target.read_bytes() == (tmp_path / "direct.weights").read_bytes()
+
+
+def test_a_body_that_shrank_after_the_size_check_leaves_the_arrays(tmp_path, monkeypatch):
+    path = tmp_path / "w.weights"
+    tiny_net().save_weights(path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat",
+                        lambda fd: os.stat_result(real_fstat(fd)[:6] + (full,) + real_fstat(fd)[7:]))
+    other = tiny_net(5)
+    before = [p.array for p in other.parameters()]
+    with pytest.raises(NetworkError, match="short read, .* bytes for conv31$"):
+        other.load_weights(path)
+    assert all(b is p.array for b, p in zip(before, other.parameters()))
 
 
 def test_header_truncation_is_an_error(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -96,6 +98,22 @@ def test_weight_decay_only_on_conv_weights():
 
 
 # -- schedule ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr0", math.nan), ("lr0", math.inf), ("lr0", 0.0),
+    ("weight_decay", math.nan), ("weight_decay", math.inf), ("weight_decay", -1e-4),
+    ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", math.nan),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+    ("beta2", 1.0), ("beta2", 1.5), ("beta2", math.nan),
+])
+def test_train_config_rejects_numbers_adam_cannot_use(field, value):
+    with pytest.raises(TrainingError, match=f"^{field} must be .*, got {value}$"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_the_edges_of_its_ranges():
+    TrainConfig(weight_decay=0.0, beta1=0.0, beta2=0.0, adam_eps=1e-30, lr0=1e-30)
 
 
 def test_lr_schedule_default_drops():
@@ -328,6 +346,13 @@ def test_synth_rejects_bad_size(tmp_path):
         synth_dataset(2, image_size=100, seed=0, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_synth_rejects_a_count_below_one(tmp_path, n):
+    with pytest.raises(TrainingError, match=f"n must be >= 1, got {n}$"):
+        synth_dataset(n, out_dir=tmp_path / "data")
+    assert not (tmp_path / "data").exists()
+
+
 def test_manifest_round_trip(tmp_path):
     manifest = synth_dataset(3, image_size=96, seed=9, out_dir=tmp_path)
     loaded = load_manifest(tmp_path / "manifest.tsv", tmp_path / "classes.names")
@@ -359,6 +384,23 @@ def test_zero_lr_leaves_parameters_unchanged(tmp_path):
     train(net, manifest, cfg)
     for p in net.parameters():
         assert np.array_equal(p.array, before[p.name]), p.name
+
+
+def test_training_a_mapped_model_equals_training_it_in_memory_and_leaves_its_file(tmp_path):
+    net, manifest = _tiny_setup(tmp_path)
+    path = tmp_path / "w.weights"
+    net.save_weights(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    mapped = build_network(net.cfg)
+    mapped.load_weights(path)
+    cfg = TrainConfig(batch_size=4, epochs=3, seed=0)
+    train(net, manifest, cfg, max_iterations=3)
+    train(mapped, manifest, cfg, max_iterations=3)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    net.save_weights(tmp_path / "a.weights")
+    mapped.save_weights(tmp_path / "b.weights")  # running statistics included
+    assert (tmp_path / "a.weights").read_bytes() == (tmp_path / "b.weights").read_bytes()
+    assert (tmp_path / "a.weights").read_bytes() != path.read_bytes()
 
 
 def test_training_is_reproducible(tmp_path):
