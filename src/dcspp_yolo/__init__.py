@@ -5,7 +5,7 @@ pure numpy, CPU only, trainable from scratch at desk scale."""
 from .anchors import AnchorSet, kmeans_anchors
 from .detection import BBox, Detection, Detections, decode, decode_predictions, detect_image, iou_matrix, nms
 from .evaluation import average_precision, evaluate, match_detections
-from .loss import Labels, LossWeights, assign_targets, compute_loss
+from .loss import Labels, assign_targets, compute_loss
 from .network import NetworkConfig, NetworkGraph, build_network
 from .training import TrainConfig, adam_step, augment, lr_at, synth_dataset, train
 
@@ -17,7 +17,6 @@ __all__ = [
     "Detection",
     "Detections",
     "Labels",
-    "LossWeights",
     "NetworkConfig",
     "NetworkGraph",
     "TrainConfig",

@@ -91,6 +91,8 @@ def kmeans_anchors(
         raise AnchorError("all box dims must be positive")
     if k < 1:
         raise AnchorError(f"k must be >= 1, got {k}")
+    if max_iter < 1:
+        raise AnchorError(f"max_iter must be >= 1, got {max_iter}")
     if len(data) < k:
         raise AnchorError(f"need at least k={k} boxes, got {len(data)}")
 
@@ -99,7 +101,6 @@ def kmeans_anchors(
     costs: list[float] = []
     prev_assign = None
     prev_cents = cents
-    iterations = 0
 
     for _ in range(max_iter):
         d = _dist_matrix(data, cents)
@@ -110,7 +111,6 @@ def kmeans_anchors(
             cents = prev_cents
             break
         costs.append(cost)
-        iterations += 1
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
@@ -133,7 +133,7 @@ def kmeans_anchors(
     return AnchorSet(
         dims=dims,
         seed=seed,
-        iterations=iterations,
+        iterations=len(costs),
         mean_iou=float(best_iou.mean()),
         cost_history=costs,
     )

@@ -14,7 +14,7 @@ import numpy as np
 from . import layers
 from .anchors import AnchorSet
 from .detection import decode_predictions
-from .loss import Labels, LossWeights, assign_targets, compute_loss
+from .loss import Labels, assign_targets, compute_loss
 from .network import NetworkConfig, build_network
 
 STEP = 1e-3
@@ -189,13 +189,12 @@ def check_loss(seed: int = 0) -> float:
     k, c, s = 2, 2, 2
     raw = rng.standard_normal((1, k * (5 + c), s, s))
     truths = [Labels(np.array([0, 1]), np.array([[0.3, 0.28, 0.31, 0.42], [0.74, 0.8, 0.2, 0.23]]))]
-    weights = LossWeights(n_prior=10)
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets(truths, preds, weights, images_seen=0)
-    _, grad = compute_loss(preds, asg, weights)
+    asg = assign_targets(truths, preds, n_prior=10, images_seen=0)
+    _, grad = compute_loss(preds, asg)
 
     def f(v):
-        parts, _ = compute_loss(decode_predictions(v, anchors), asg, weights)
+        parts, _ = compute_loss(decode_predictions(v, anchors), asg)
         return parts.total
 
     return max_rel_err(grad, numeric_grad(f, raw))

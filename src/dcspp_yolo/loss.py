@@ -1,14 +1,18 @@
 """Composite detection loss and target assignment.
 
-Five weighted terms: no-object confidence, object confidence, coordinate
-regression, classification cross-entropy, and an early-training pull of
-every box toward its anchor prior. Confidence and intra-cell x/y terms
-are squared errors on the post-sigmoid values (so their gradients carry
-the sigmoid slope, the delta convention of Darknet-style region losses);
-w/h residuals are squared differences in decoded grid units;
-classification is binary cross-entropy over independent per-class
-sigmoids against a one-hot target, which at the true class reduces to
-the negative log probability.
+Five terms, with YOLOv2's fixed weights, which no weight file records:
+no-object confidence (`NOOBJ_WEIGHT` 1.0), object confidence
+(`OBJ_WEIGHT` 5.0), coordinate regression (`COORD_WEIGHT` 1.0),
+classification cross-entropy (`CLASS_WEIGHT` 1.0), and an early-training
+pull of every box toward its anchor prior (`PRIOR_WEIGHT` 0.1). A slot
+whose box overlaps a truth above `NOOBJ_IOU_THRES` 0.5 is exempt from
+the no-object term. Confidence and intra-cell x/y terms are squared
+errors on the post-sigmoid values (so their gradients carry the sigmoid
+slope, the delta convention of Darknet-style region losses); w/h
+residuals are squared differences in decoded grid units; classification
+is binary cross-entropy over independent per-class sigmoids against a
+one-hot target, which at the true class reduces to the negative log
+probability.
 
 Scaling the squared residual itself by the sigmoid derivative is a
 tempting alternative reading, but it is degenerate as a training
@@ -44,22 +48,12 @@ class LossError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    noobj: float = 1.0
-    obj: float = 5.0
-    coord: float = 1.0
-    cls: float = 1.0
-    prior: float = 0.1
-    iou_thres: float = 0.5
-    n_prior: int = 12800
-
-    def __post_init__(self) -> None:
-        for name in ("noobj", "obj", "coord", "cls", "prior"):
-            if getattr(self, name) < 0:
-                raise LossError(f"loss weight {name} must be >= 0")
-        if not (0 < self.iou_thres < 1):
-            raise LossError(f"iou_thres must be in (0, 1), got {self.iou_thres}")
+NOOBJ_WEIGHT = 1.0
+OBJ_WEIGHT = 5.0
+COORD_WEIGHT = 1.0
+CLASS_WEIGHT = 1.0
+PRIOR_WEIGHT = 0.1
+NOOBJ_IOU_THRES = 0.5
 
 
 class Labels(NamedTuple):
@@ -125,7 +119,7 @@ def _batch_labels(truths: list[Labels], preds: PredGrid) -> Labels:
 def assign_targets(
     truths: list[Labels],
     preds: PredGrid,
-    weights: LossWeights,
+    n_prior: int,
     images_seen: int = 0,
 ) -> Assignment:
     """Choose the responsible slot per truth and the no-object mask.
@@ -136,8 +130,9 @@ def assign_targets(
     anchor shape, from `preds.anchor_dims`, has the highest co-centered IoU
     with it (the first such anchor on a tie); that slot's confidence target
     is the IoU of the current predicted box against the truth. Slots whose
-    predicted box overlaps any truth of the same image above iou_thres are
-    exempted from the no-object penalty; everything else is a no-object slot.
+    predicted box overlaps any truth of the same image above
+    `NOOBJ_IOU_THRES` are exempted from the no-object penalty; everything
+    else is a no-object slot.
     Both come from one (K*S*S, T_b) IoU matrix per image b, of its
     predicted boxes against its own T_b truths.
     Image b is in prior warm-up while images_seen + b < n_prior.
@@ -159,7 +154,7 @@ def assign_targets(
         corners = flat.corners()
         ious = [iou_matrix(pred_boxes[img].reshape(-1, 4), corners[first[img]:first[img + 1]])
                 .reshape(k, s, s, -1) for img in range(b)]
-        noobj = ~np.array([(iou > weights.iou_thres).any(axis=-1) for iou in ious])
+        noobj = ~np.array([(iou > NOOBJ_IOU_THRES).any(axis=-1) for iou in ious])
         cell = np.minimum((flat.boxes[:, :2] * s).astype(np.int64), s - 1)
         best_anchor = shape_iou_matrix(flat.boxes[:, 2:] * s, preds.anchor_dims).argmax(axis=1)
         # one truth at a time, so that the later of two colliding truths wins
@@ -171,7 +166,7 @@ def assign_targets(
 
     return Assignment(
         noobj=noobj,
-        prior_active=images_seen + np.arange(b) < weights.n_prior,
+        prior_active=images_seen + np.arange(b) < n_prior,
         truth_idx=truth_idx,
         conf_target=conf_target,
         labels=flat,
@@ -197,7 +192,6 @@ class LossParts:
 def compute_loss(
     preds: PredGrid,
     assignment: Assignment,
-    weights: LossWeights,
 ) -> tuple[LossParts, np.ndarray]:
     """Batch-mean weighted loss parts and the gradient of their total
     w.r.t. the raw output volume.
@@ -207,7 +201,6 @@ def compute_loss(
     central finite differences of the mean total for a fixed assignment.
     """
     b, s, k, c = preds.b, preds.s, preds.k, preds.c
-    lam = weights
     obj = assignment.obj
     noobj = assignment.noobj
 
@@ -222,9 +215,9 @@ def compute_loss(
     conf = preds.conf
     conf_res = np.where(obj, assignment.conf_target, 0.0) - conf
     conf_val = conf_res ** 2
-    slot_lam = np.where(obj, lam.obj, 0.0) + np.where(noobj, lam.noobj, 0.0)
-    noobj_part = lam.noobj * float(conf_val[noobj].sum())
-    obj_part = lam.obj * float(conf_val[obj].sum())
+    slot_lam = np.where(obj, OBJ_WEIGHT, 0.0) + np.where(noobj, NOOBJ_WEIGHT, 0.0)
+    noobj_part = NOOBJ_WEIGHT * float(conf_val[noobj].sum())
+    obj_part = OBJ_WEIGHT * float(conf_val[obj].sum())
     d_tc += slot_lam * (-2.0 * conf_res * (conf * (1.0 - conf)))
 
     def box_term(sel, scale, tx, ty, tw, th) -> float:
@@ -246,20 +239,17 @@ def compute_loss(
         _, _, i, j = own
         t_idx = assignment.truth_idx[own]
         t_cx, t_cy, t_w, t_h = assignment.labels.boxes[t_idx].T
-        coord_part = box_term(own, lam.coord, t_cx * s - j, t_cy * s - i, t_w * s, t_h * s)
+        coord_part = box_term(own, COORD_WEIGHT, t_cx * s - j, t_cy * s - i, t_w * s, t_h * s)
 
         p = preds.cls[own]
         onehot = np.eye(c)[assignment.labels.class_ids[t_idx]]
         log_p = np.log(np.maximum(np.where(onehot > 0, p, 1.0 - p), 1e-15))
-        cls_part = lam.cls * -float(log_p.sum(axis=1).sum())
-        d_cls[own] += lam.cls * (p - onehot)
+        cls_part = CLASS_WEIGHT * -float(log_p.sum(axis=1).sum())
+        d_cls[own] += CLASS_WEIGHT * (p - onehot)
 
-    # prior pull on every slot of the images in warm-up
-    prior_part = 0.0
-    warm = assignment.prior_active
-    if lam.prior > 0 and warm.any():
-        dims = preds.anchor_dims[:, :, None, None]
-        prior_part = box_term(warm, lam.prior, 0.5, 0.5, dims[:, 0], dims[:, 1])
+    # prior pull on every slot of the images in warm-up (none selected after it)
+    dims = preds.anchor_dims[:, :, None, None]
+    prior_part = box_term(assignment.prior_active, PRIOR_WEIGHT, 0.5, 0.5, dims[:, 0], dims[:, 1])
 
     parts = LossParts(noobj=noobj_part / b, obj=obj_part / b, coord=coord_part / b,
                       cls=cls_part / b, prior=prior_part / b)

@@ -479,8 +479,8 @@ class NetworkGraph:
     def load_weights(self, path: str | Path) -> None:
         """Map a weight file copy-on-write and rebind every conv and
         batch-norm array to a float32 view of it; the body is never copied.
-        The header, the config match, whole floats, a file that shrank and
-        trailing bytes are all checked before any parameter changes.
+        The header, the config match and the parameter count, all from the
+        one mapping's length, are checked before any parameter changes.
 
         Pages come from the page cache on first use, and a write to a
         parameter (training, `init_weights`) copies only the page it
@@ -488,39 +488,30 @@ class NetworkGraph:
         list taken before this call stale. The mapping lives as long as the
         arrays do; while it does, the file must not be truncated or rewritten
         in place (`save_weights` replaces it instead)."""
-        found = read_weight_header(path)
+        found, mapped = _map_weight_file(path)
         expected = self.weight_header()
-        with open(path, "rb") as f:
-            body = os.fstat(f.fileno()).st_size - found.size
-            if body % 4:
-                raise NetworkError(f"{path}: body of {body} bytes is not a whole number of floats")
-            n_found = body // 4
-            n_expected = sum(getattr(h, field).size for _, h, field in self._serialized_fields())
-            mismatches = [f"{field} {got} != {want}"
-                          for field, got, want in zip(WeightHeader._fields, found, expected)
-                          if got != want]
-            if mismatches or n_found != n_expected:
-                detail = "; ".join(mismatches) if mismatches else "same config header"
-                raise NetworkError(
-                    f"{path}: weight file does not match this network ({detail}); "
-                    f"expected {n_expected} parameters, file contains {n_found}"
-                )
-            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
-        views = []
+        body = len(mapped) - found.size
+        if body % 4:
+            raise NetworkError(f"{path}: body of {body} bytes is not a whole number of floats")
+        n_found = body // 4
+        n_expected = sum(getattr(h, field).size for _, h, field in self._serialized_fields())
+        mismatches = [f"{field} {got} != {want}"
+                      for field, got, want in zip(WeightHeader._fields, found, expected)
+                      if got != want]
+        if mismatches or n_found != n_expected:
+            detail = "; ".join(mismatches) if mismatches else "same config header"
+            raise NetworkError(
+                f"{path}: weight file does not match this network ({detail}); "
+                f"expected {n_expected} parameters, file contains {n_found}"
+            )
+        # the body holds exactly the arrays, so no view below can fail
         offset = found.size
-        for name, holder, field in self._serialized_fields():
+        for _, holder, field in self._serialized_fields():
             arr = getattr(holder, field)
-            got = min(arr.nbytes, max(len(mapped) - offset, 0))
-            if got != arr.nbytes:  # the file shrank after its size was checked
-                raise NetworkError(f"{path}: short read, {got} of {arr.nbytes} bytes for {name}")
             # the file is little-endian: a view on a little-endian host, a copy on a big one
             view = np.frombuffer(mapped, "<f4", arr.size, offset).astype(np.float32, copy=False)
-            views.append((holder, field, view.reshape(arr.shape)))
+            setattr(holder, field, view.reshape(arr.shape))
             offset += arr.nbytes
-        if trailing := len(mapped) - offset:
-            raise NetworkError(f"{path}: {trailing} trailing bytes after parameters")
-        for holder, field, view in views:
-            setattr(holder, field, view)
 
 
 class WeightHeader(NamedTuple):
@@ -548,28 +539,38 @@ class WeightHeader(NamedTuple):
 
 def read_weight_header(path: str | Path) -> WeightHeader:
     """Parse just the header, so that a matching network can be built from it."""
+    return _map_weight_file(path)[0]
+
+
+def _map_weight_file(path: str | Path) -> tuple[WeightHeader, mmap.mmap | bytes]:
+    """The header, checked against the file's one length, and the whole file
+    mapped copy-on-write; an empty file, which cannot be mapped, is b""."""
     with open(path, "rb") as f:
-        file_size = os.fstat(f.fileno()).st_size
-        blob = f.read(_FIELDS_SIZE)
-        if len(blob) < _FIELDS_SIZE:
-            raise NetworkError(f"{path}: truncated weight file ({len(blob)} bytes, "
-                               f"header needs {_FIELDS_SIZE})")
-        if blob[:4] != WEIGHT_MAGIC:
-            raise NetworkError(f"{path}: bad magic {blob[:4]!r}, expected {WEIGHT_MAGIC!r}")
-        version, in_size, c, k, num, den, n_layers = _FIELDS_STRUCT.unpack_from(blob, 4)
-        if version != WEIGHT_VERSION:
-            raise NetworkError(f"{path}: unsupported weight format version {version}")
-        if den == 0:
-            raise NetworkError(f"{path}: channel scale {num}/{den} has a zero denominator")
-        header = WeightHeader(version, in_size, c, k, Fraction(num, den), n_layers, None)
-        if file_size < header.size:
-            raise NetworkError(f"{path}: truncated weight file ({file_size} bytes, "
-                               f"header needs {header.size})")
-        if 8 * k * (5 + c) > file_size - header.size:  # a weight and a bias per head channel
-            raise NetworkError(f"{path}: header claims {k} anchors x {c} classes, more than "
-                               f"the {file_size - header.size}-byte body can hold")
-        dims = np.frombuffer(f.read(16 * k), dtype="<f8").reshape(k, 2)
-    return header._replace(anchors=tuple(map(tuple, dims.tolist()))) if dims.any() else header
+        try:
+            blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+        except ValueError:  # cannot mmap an empty file
+            blob = b""
+    size = len(blob)
+    if size < _FIELDS_SIZE:
+        raise NetworkError(f"{path}: truncated weight file ({size} bytes, "
+                           f"header needs {_FIELDS_SIZE})")
+    if blob[:4] != WEIGHT_MAGIC:
+        raise NetworkError(f"{path}: bad magic {blob[:4]!r}, expected {WEIGHT_MAGIC!r}")
+    version, in_size, c, k, num, den, n_layers = _FIELDS_STRUCT.unpack_from(blob, 4)
+    if version != WEIGHT_VERSION:
+        raise NetworkError(f"{path}: unsupported weight format version {version}")
+    if den == 0:
+        raise NetworkError(f"{path}: channel scale {num}/{den} has a zero denominator")
+    header = WeightHeader(version, in_size, c, k, Fraction(num, den), n_layers, None)
+    if size < header.size:
+        raise NetworkError(f"{path}: truncated weight file ({size} bytes, "
+                           f"header needs {header.size})")
+    if 8 * k * (5 + c) > size - header.size:  # a weight and a bias per head channel
+        raise NetworkError(f"{path}: header claims {k} anchors x {c} classes, more than "
+                           f"the {size - header.size}-byte body can hold")
+    dims = np.frombuffer(blob, "<f8", 2 * k, _FIELDS_SIZE).reshape(k, 2)
+    anchors = tuple(map(tuple, dims.tolist())) if dims.any() else None
+    return header._replace(anchors=anchors), blob
 
 
 # Expected per-layer output shapes for the reference 416-input build at

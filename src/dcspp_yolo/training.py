@@ -1,5 +1,7 @@
 """Adam training loop, learning-rate schedule, light augmentation, and a
-synthetic-shapes dataset generator for desk-scale experiments."""
+synthetic-shapes dataset generator for desk-scale experiments. Adam runs
+with fixed settings, which no weight file records: `ADAM_BETA1` 0.9,
+`ADAM_BETA2` 0.999, `ADAM_EPS` 1e-8 and `WEIGHT_DECAY` 5e-4."""
 
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .data import (
     write_label_file,
 )
 from .detection import decode_predictions
-from .loss import Labels, LossParts, LossWeights, assign_targets, compute_loss
+from .loss import Labels, LossParts, assign_targets, compute_loss
 from .network import NetworkGraph, Param
 
 
@@ -34,10 +36,6 @@ class TrainConfig:
     epochs: int = 100
     lr0: float = 1e-3
     lr_drops: tuple[tuple[int, float], ...] = ((400, 0.1), (500, 0.1))
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 5e-4
     seed: int = 0
     n_prior: int = 12800
     flip: bool = False
@@ -45,18 +43,16 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between checkpoint callbacks; 0 = never
 
     def __post_init__(self) -> None:
-        for name, low in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0)):
+        for name, low in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0),
+                          ("n_prior", 0)):
             if getattr(self, name) < low:
                 raise TrainingError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        # written so that NaN fails every check
-        for name, ok, want in (("lr0", 0 < self.lr0 < math.inf, "finite and > 0"),
-                               ("weight_decay", 0 <= self.weight_decay < math.inf,
-                                "finite and >= 0"),
-                               ("adam_eps", 0 < self.adam_eps < math.inf, "finite and > 0"),
-                               ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                               ("beta2", 0 <= self.beta2 < 1, "in [0, 1)")):
-            if not ok:
-                raise TrainingError(f"{name} must be {want}, got {getattr(self, name)}")
+        # written so that NaN fails both checks
+        if not 0 < self.lr0 < math.inf:
+            raise TrainingError(f"lr0 must be finite and > 0, got {self.lr0}")
+        for _, factor in self.lr_drops:
+            if not 0 <= factor < math.inf:
+                raise TrainingError(f"lr drop factor must be finite and >= 0, got {factor}")
 
 
 @dataclass
@@ -104,6 +100,11 @@ def load_manifest(path: str | Path, classes_path: str | Path) -> DatasetManifest
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 5e-4
+
 
 class AdamState:
     """Per-parameter first/second moments and the shared step counter."""
@@ -119,18 +120,16 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    cfg: TrainConfig,
 ) -> None:
     """One bias-corrected Adam update, in place.
 
-    Decoupled weight decay applies to conv weights only, the parameters
-    named '<node>.weights'; biases and batch norm affine parameters are
-    never decayed.
+    Decoupled weight decay, `WEIGHT_DECAY`, applies to conv weights only,
+    the parameters named '<node>.weights'; biases and batch norm affine
+    parameters are never decayed.
     """
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for p in params:
         g = grads.get(p.name)
         if g is None:
@@ -140,13 +139,13 @@ def adam_step(
             state.m[p.name] = np.zeros_like(p.array)
             state.v[p.name] = np.zeros_like(p.array)
         m, v = state.m[p.name], state.v[p.name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.array[...] -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
-        if cfg.weight_decay > 0 and p.name.endswith(".weights"):
-            p.array[...] -= lr * cfg.weight_decay * p.array
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.array[...] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        if p.name.endswith(".weights"):
+            p.array[...] -= lr * WEIGHT_DECAY * p.array
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -386,7 +385,6 @@ def train(
         raise TrainingError("network config carries no anchors; training needs them")
     if max_iterations < 0:
         raise TrainingError(f"max_iterations must be >= 0, got {max_iterations}")
-    weights = LossWeights(n_prior=cfg.n_prior)
     rng = np.random.default_rng(cfg.seed)
     params = net.parameters()
     state = AdamState()
@@ -418,14 +416,14 @@ def train(
             raw = net.forward(x, training=True)
 
             preds = decode_predictions(raw, anchors)
-            asg = assign_targets(batch_truths, preds, weights, images_seen=images_seen)
+            asg = assign_targets(batch_truths, preds, cfg.n_prior, images_seen=images_seen)
             images_seen += len(batch)
-            parts, grad = compute_loss(preds, asg, weights)
+            parts, grad = compute_loss(preds, asg)
             if not np.isfinite(parts.as_tuple()).all():
                 raise TrainingError(f"non-finite loss at iteration {iteration}")
 
             # no name holds the gradients, so they are freed before the next forward
-            adam_step(params, net.backward(grad.astype(raw.dtype)), state, lr, cfg)
+            adam_step(params, net.backward(grad.astype(raw.dtype)), state, lr)
             rows.append(LogRow(iteration=iteration, epoch=epoch, lr=lr, parts=parts))
             if max_iterations and iteration >= max_iterations:
                 done = True

@@ -19,7 +19,7 @@ from dcspp_yolo.cli import main as cli_main
 from dcspp_yolo.data import image_to_tensor
 from dcspp_yolo.detection import BBox, decode_predictions, detect_image, nms
 from dcspp_yolo.evaluation import average_precision, evaluate, match_detections
-from dcspp_yolo.loss import LossWeights, assign_targets, compute_loss
+from dcspp_yolo.loss import assign_targets, compute_loss
 from dcspp_yolo.network import MaxPoolNode, NetworkConfig, REFERENCE_SHAPES_416, build_network
 from dcspp_yolo.ppm import ppm_read, ppm_write
 from dcspp_yolo.training import TrainConfig, synth_dataset, train, write_loss_log
@@ -103,12 +103,11 @@ def test_acceptance_loss_oracle():
             ]
         )
         truths = make_labels((0, 0.3, 0.26, 0.33, 0.42), (1, 0.77, 0.74, 0.25, 0.2))
-        w = LossWeights(n_prior=1000)
         preds = decode_predictions(raw[None], anchors)
         for images_seen in (0, 1000):
-            asg = assign_targets([truths], preds, w, images_seen=images_seen)
-            parts, _ = compute_loss(preds, asg, w)
-            expected = straight_line_loss(raw, truths, asg, w, anchors)
+            asg = assign_targets([truths], preds, 1000, images_seen=images_seen)
+            parts, _ = compute_loss(preds, asg)
+            expected = straight_line_loss(raw, truths, asg, anchors)
             assert abs(parts.total - expected) <= 1e-10
 
         # perfect prediction: saturated logits give exact zeros
@@ -120,8 +119,8 @@ def test_acceptance_loss_oracle():
         raw[6, 0, 1] = 800.0
         truth = make_labels((1, 0.75, 0.25, 0.7 / 2, 0.9 / 2))
         preds = decode_predictions(raw[None], anchors)
-        asg = assign_targets([truth], preds, w, images_seen=1000)
-        parts, _ = compute_loss(preds, asg, w)
+        asg = assign_targets([truth], preds, 1000, images_seen=1000)
+        parts, _ = compute_loss(preds, asg)
         assert parts.total == 0.0
 
 

@@ -269,7 +269,9 @@ def test_undecodable_label_file_reports_one_line_error(pipeline, tmp_path, capsy
 
 @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--checkpoint-every", "-1"),
                                          ("--max-iterations", "-3"), ("--lr", "nan"),
-                                         ("--lr", "inf")])
+                                         ("--lr", "inf"), ("--lr-drop", "0:nan"),
+                                         ("--lr-drop", "0:inf"), ("--lr-drop", "0:-1"),
+                                         ("--n-prior", "-1")])
 def test_train_rejects_bad_numeric_flag_before_writing_weights(pipeline, tmp_path, capsys,
                                                                flag, value):
     _, data, anchors, _, _ = pipeline
@@ -283,6 +285,18 @@ def test_train_rejects_bad_numeric_flag_before_writing_weights(pipeline, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and err.count("error:") == 1
     assert list(out.iterdir()) == []  # no weight file, no checkpoint
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-1"])
+def test_anchors_rejects_fewer_than_one_iteration(pipeline, tmp_path, capsys, max_iter):
+    _, data, _, _, _ = pipeline
+    out = tmp_path / "anchors.txt"
+    capsys.readouterr()
+    assert main(["anchors", "--labels", str(data), "--out", str(out), "--k", "2",
+                 "--input-size", "96", "--max-iter", max_iter]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: max_iter must be >= 1, got {max_iter}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [["--image-size", "0"], ["--image-size", "-32"],

@@ -10,10 +10,15 @@ from dcspp_yolo.anchors import AnchorSet
 from dcspp_yolo.detection import BBox, DetectionError, decode_predictions
 from dcspp_yolo.gradcheck import check_loss
 from dcspp_yolo.loss import (
+    CLASS_WEIGHT,
+    COORD_WEIGHT,
+    NOOBJ_IOU_THRES,
+    NOOBJ_WEIGHT,
+    OBJ_WEIGHT,
+    PRIOR_WEIGHT,
     Assignment,
     Labels,
     LossError,
-    LossWeights,
     assign_targets,
     compute_loss,
 )
@@ -88,7 +93,7 @@ def test_decode_predictions_needs_a_batch_axis():
 
 def test_no_truths_all_noobj():
     preds = decode_predictions(_raw(3, 2, 2), ANCHORS2)
-    asg = assign_targets([NO_LABELS], preds, LossWeights())
+    asg = assign_targets([NO_LABELS], preds, n_prior=0)
     assert not asg.obj.any()
     assert asg.noobj.all()
 
@@ -98,7 +103,7 @@ def test_best_shape_anchor_wins():
     s = 13
     preds = decode_predictions(_raw(s, 2, 2), anchors)
     truth = make_labels((0, 6.5 / s, 6.5 / s, 3.0 / s, 3.0 / s))
-    asg = assign_targets([truth], preds, LossWeights())
+    asg = assign_targets([truth], preds, n_prior=0)
     assert asg.obj[0, 1, 6, 6]
     assert not asg.obj[0, 0, 6, 6]
     assert asg.obj.sum() == 1
@@ -108,7 +113,7 @@ def test_two_truths_two_obj_slots_match_bruteforce():
     rng = np.random.default_rng(0)
     preds = decode_predictions(_raw(4, 2, 3, rng), ANCHORS2)
     truths = make_labels((0, 0.2, 0.3, 0.2, 0.25), (2, 0.8, 0.75, 0.4, 0.3))
-    asg = assign_targets([truths], preds, LossWeights())
+    asg = assign_targets([truths], preds, n_prior=0)
     assert asg.obj.sum() == 2
     # brute-force expectation over all S*S*K slots
     s = 4
@@ -130,7 +135,7 @@ def test_obj_and_noobj_mutually_exclusive():
     rng = np.random.default_rng(1)
     preds = decode_predictions(_raw(4, 2, 3, rng), ANCHORS2)
     truths = make_labels((1, 0.4, 0.6, 0.3, 0.3))
-    asg = assign_targets([truths], preds, LossWeights())
+    asg = assign_targets([truths], preds, n_prior=0)
     assert not (asg.obj & asg.noobj).any()
 
 
@@ -138,7 +143,7 @@ def test_truth_out_of_range_rejected_with_index():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
     bad = make_labels((0, 0.5, 0.5, 0.2, 0.2), (0, 1.4, 0.5, 0.2, 0.2))
     with pytest.raises(LossError, match="truth 1"):
-        assign_targets([bad], preds, LossWeights())
+        assign_targets([bad], preds, n_prior=0)
 
 
 def test_class_id_out_of_range_rejected_with_image_and_truth():
@@ -147,13 +152,13 @@ def test_class_id_out_of_range_rejected_with_image_and_truth():
     bad = make_labels((0, 0.5, 0.5, 0.2, 0.2), (2, 0.3, 0.3, 0.2, 0.2))
     message = r"^image 1, truth 1: class id 2 out of range for 2 classes$"
     with pytest.raises(LossError, match=message):
-        assign_targets([good, bad], preds, LossWeights())
+        assign_targets([good, bad], preds, n_prior=0)
 
 
 def test_truth_list_per_image_required():
     preds = decode_predictions(np.zeros((2, 14, 2, 2)), ANCHORS2)
     with pytest.raises(LossError, match="1 truth lists for a batch of 2"):
-        assign_targets([NO_LABELS], preds, LossWeights())
+        assign_targets([NO_LABELS], preds, n_prior=0)
 
 
 def test_class_ids_not_one_dimensional_rejected_with_image():
@@ -162,7 +167,7 @@ def test_class_ids_not_one_dimensional_rejected_with_image():
     bad = Labels(good.class_ids[:, None], good.boxes)
     message = r"^image 1: class_ids must be \(T,\), got shape \(1, 1\)$"
     with pytest.raises(LossError, match=message):
-        assign_targets([good, bad], preds, LossWeights())
+        assign_targets([good, bad], preds, n_prior=0)
 
 
 def test_boxes_not_t_by_4_rejected_with_image():
@@ -170,7 +175,7 @@ def test_boxes_not_t_by_4_rejected_with_image():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
     bad = Labels(np.zeros(5, dtype=np.int64), np.full((4, 5), 0.25))
     with pytest.raises(LossError, match=r"^image 0: boxes must be \(5, 4\), got shape \(4, 5\)$"):
-        assign_targets([bad], preds, LossWeights())
+        assign_targets([bad], preds, n_prior=0)
 
 
 def test_slot_collision_later_truth_owns_slot():
@@ -178,7 +183,7 @@ def test_slot_collision_later_truth_owns_slot():
     anchors = AnchorSet(dims=[(1.0, 1.0), (2.0, 2.0)])
     preds = decode_predictions(_raw(3, 2, 2), anchors)
     truths = make_labels((0, 0.45, 0.45, 0.2, 0.2), (1, 0.55, 0.55, 0.2, 0.2))
-    asg = assign_targets([truths], preds, LossWeights())
+    asg = assign_targets([truths], preds, n_prior=0)
     assert asg.obj.sum() == 1
     assert asg.obj[0, 0, 1, 1]
     assert asg.truth_idx[0, 0, 1, 1] == 1
@@ -186,16 +191,15 @@ def test_slot_collision_later_truth_owns_slot():
     # the same two truths in two images of a batch do not collide
     batch = decode_predictions(np.zeros((2, 14, 3, 3)), anchors)
     split = [make_labels((0, 0.45, 0.45, 0.2, 0.2)), make_labels((1, 0.55, 0.55, 0.2, 0.2))]
-    assert assign_targets(split, batch, LossWeights()).collisions == 0
+    assert assign_targets(split, batch, n_prior=0).collisions == 0
 
 
 def test_prior_indicator_follows_images_seen():
     preds = decode_predictions(_raw(2, 2, 2), ANCHORS2)
-    w = LossWeights(n_prior=100)
-    assert assign_targets([NO_LABELS], preds, w, images_seen=99).prior_active.tolist() == [True]
-    assert assign_targets([NO_LABELS], preds, w, images_seen=100).prior_active.tolist() == [False]
+    assert assign_targets([NO_LABELS], preds, 100, images_seen=99).prior_active.tolist() == [True]
+    assert assign_targets([NO_LABELS], preds, 100, images_seen=100).prior_active.tolist() == [False]
     batch = decode_predictions(np.zeros((3, 14, 2, 2)), ANCHORS2)
-    asg = assign_targets([NO_LABELS] * 3, batch, w, images_seen=98)
+    asg = assign_targets([NO_LABELS] * 3, batch, 100, images_seen=98)
     assert asg.prior_active.tolist() == [True, True, False]
 
 
@@ -218,10 +222,9 @@ def _perfect_instance():
 
 def test_perfect_prediction_loss_exactly_zero():
     raw, truths, anchors = _perfect_instance()
-    w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets([truths], preds, w, images_seen=w.n_prior)
-    parts, grad = compute_loss(preds, asg, w)
+    asg = assign_targets([truths], preds, n_prior=0)
+    parts, grad = compute_loss(preds, asg)
     assert parts.total == 0.0
     assert parts.as_tuple() == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -230,36 +233,23 @@ def test_empty_image_all_conf_zero_loss_zero():
     anchors = AnchorSet(dims=[(1.0, 1.0)])
     raw = np.zeros((1, 6, 2, 2))
     raw[0, 4] = -800.0
-    w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets([NO_LABELS], preds, w, images_seen=w.n_prior)
-    parts, _ = compute_loss(preds, asg, w)
+    asg = assign_targets([NO_LABELS], preds, n_prior=0)
+    parts, _ = compute_loss(preds, asg)
     assert parts.total == 0.0
 
 
 def test_loss_nonnegative():
     rng = np.random.default_rng(2)
-    w = LossWeights(n_prior=10)
     for _ in range(20):
         preds = decode_predictions(_raw(3, 2, 2, rng), ANCHORS2)
         truths = make_labels((0, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
                               rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.5)))
-        asg = assign_targets([truths], preds, w, images_seen=0)
-        parts, _ = compute_loss(preds, asg, w)
+        asg = assign_targets([truths], preds, 10, images_seen=0)
+        parts, _ = compute_loss(preds, asg)
         assert parts.total >= 0.0
         for v in parts.as_tuple():
             assert v >= 0.0
-
-
-def test_class_weight_monotonicity():
-    rng = np.random.default_rng(3)
-    raw = _raw(2, 2, 2, rng)
-    truths = make_labels((1, 0.3, 0.3, 0.3, 0.3))
-    preds = decode_predictions(raw, ANCHORS2)
-    lo = LossWeights(cls=1.0)
-    hi = LossWeights(cls=2.0)
-    asg = assign_targets([truths], preds, lo, images_seen=lo.n_prior)
-    assert compute_loss(preds, asg, hi)[0].total > compute_loss(preds, asg, lo)[0].total
 
 
 def test_zero_class_probability_is_clamped():
@@ -267,10 +257,9 @@ def test_zero_class_probability_is_clamped():
     raw = np.zeros((1, 6, 2, 2))
     raw[0, 5] = -800.0  # true-class probability exactly 0
     truths = make_labels((0, 0.25, 0.25, 0.4, 0.4))
-    w = LossWeights()
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets([truths], preds, w, images_seen=w.n_prior)
-    parts, grad = compute_loss(preds, asg, w)
+    asg = assign_targets([truths], preds, n_prior=0)
+    parts, grad = compute_loss(preds, asg)
     assert math.isfinite(parts.total)
     assert np.isfinite(grad).all()
 
@@ -279,15 +268,17 @@ def test_owned_slot_gradient_stays_in_its_anchor_channels_at_its_cell():
     anchors = AnchorSet(dims=[(1.0, 1.0), (3.0, 3.0)])
     s, k, c = 5, 2, 2
     raw = np.random.default_rng(8).standard_normal((2, k * (5 + c), s, s))
+    # every other slot's confidence is exactly 0, so its no-object gradient is exactly 0
+    conf = raw[:, 4::5 + c]
+    owned = conf[1, 1, 3, 1]
+    conf[...] = -800.0
+    conf[1, 1, 3, 1] = owned
     preds = decode_predictions(raw, anchors)
     # image 1's one truth is centred in row 3, column 1 and best fits anchor 1
     truths = [NO_LABELS, make_labels((1, 1.5 / s, 3.5 / s, 3.0 / s, 3.0 / s))]
-    obj_only = LossWeights(noobj=0.0, coord=0.0, cls=0.0, prior=0.0)
-    asg = assign_targets(truths, preds, obj_only)
+    asg = assign_targets(truths, preds, n_prior=0)  # past warm-up: no prior pull
     assert asg.truth_idx[1, 1, 3, 1] == 0
-    _, grad = compute_loss(preds, asg, obj_only)
-    assert np.argwhere(grad).tolist() == [[1, 1 * (5 + c) + 4, 3, 1]]
-    _, grad = compute_loss(preds, asg, LossWeights(noobj=0.0, prior=0.0))
+    _, grad = compute_loss(preds, asg)
     assert np.argwhere(grad).tolist() == [[1, ch, 3, 1] for ch in range(5 + c, 2 * (5 + c))]
 
 
@@ -296,21 +287,19 @@ def test_owned_slot_gradient_stays_in_its_anchor_channels_at_its_cell():
 
 def test_prior_term_zero_at_priors():
     preds = decode_predictions(_raw(3, 2, 2, fill=0.0), ANCHORS2)
-    w = LossWeights()
-    asg = assign_targets([NO_LABELS], preds, w, images_seen=0)
+    asg = assign_targets([NO_LABELS], preds, n_prior=1)
     assert asg.prior_active.all()
-    assert compute_loss(preds, asg, w)[0].prior == 0.0
+    assert compute_loss(preds, asg)[0].prior == 0.0
 
 
 def test_prior_contributes_nothing_after_warmup():
     rng = np.random.default_rng(4)
     raw = _raw(2, 2, 2, rng)
     preds = decode_predictions(raw, ANCHORS2)
-    w = LossWeights(n_prior=5)
-    asg_on = assign_targets([NO_LABELS], preds, w, images_seen=0)
-    asg_off = assign_targets([NO_LABELS], preds, w, images_seen=5)
-    assert compute_loss(preds, asg_on, w)[0].prior > 0.0
-    assert compute_loss(preds, asg_off, w)[0].prior == 0.0
+    asg_on = assign_targets([NO_LABELS], preds, 5, images_seen=0)
+    asg_off = assign_targets([NO_LABELS], preds, 5, images_seen=5)
+    assert compute_loss(preds, asg_on)[0].prior > 0.0
+    assert compute_loss(preds, asg_off)[0].prior == 0.0
 
 
 def test_prior_single_cell_scalar_recomputation():
@@ -320,17 +309,16 @@ def test_prior_single_cell_scalar_recomputation():
     off = 0.6
     raw[0, 0, 0, 0] = math.log(off / (1 - off))  # sigmoid -> 0.6
     preds = decode_predictions(raw, anchors)
-    w = LossWeights()
-    asg = assign_targets([NO_LABELS], preds, w, images_seen=0)
-    got = compute_loss(preds, asg, w)[0].prior
-    expected = w.prior * (0.5 - off) ** 2
+    asg = assign_targets([NO_LABELS], preds, n_prior=1)
+    got = compute_loss(preds, asg)[0].prior
+    expected = PRIOR_WEIGHT * (0.5 - off) ** 2
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 # -- oracle equivalence --------------------------------------------------------------
 
 
-def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: AnchorSet):
+def straight_line_loss(raw, truths, asg: Assignment, anchors: AnchorSet):
     """Independent scalar recomputation: plain loops, plain floats.
 
     `raw` is one image's (K*(5+C), S, S) volume and `truths` its
@@ -350,15 +338,15 @@ def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: An
                 bh = anchors.dims[a][1] * math.exp(raw[base + 3, i, j])
                 bc = _sig(raw[base + 4, i, j])
                 if asg.noobj[0, a, i, j]:
-                    total += w.noobj * (0.0 - bc) ** 2
+                    total += NOOBJ_WEIGHT * (0.0 - bc) ** 2
                 if asg.obj[0, a, i, j]:
                     g_c = asg.conf_target[0, a, i, j]
-                    total += w.obj * (g_c - bc) ** 2
+                    total += OBJ_WEIGHT * (g_c - bc) ** 2
                     t_i = asg.truth_idx[0, a, i, j]
                     cx, cy, tw, th = truths.boxes[t_i].tolist()
                     gx, gy = cx * s - j, cy * s - i
                     gw, gh = tw * s, th * s
-                    total += w.coord * (
+                    total += COORD_WEIGHT * (
                         (gx - sx) ** 2
                         + (gy - sy) ** 2
                         + (gw - bw) ** 2
@@ -367,11 +355,11 @@ def straight_line_loss(raw, truths, asg: Assignment, w: LossWeights, anchors: An
                     for l in range(c):
                         p_l = _sig(raw[base + 5 + l, i, j])
                         if l == truths.class_ids[t_i]:
-                            total += w.cls * -math.log(max(p_l, 1e-15))
+                            total += CLASS_WEIGHT * -math.log(max(p_l, 1e-15))
                         else:
-                            total += w.cls * -math.log(max(1.0 - p_l, 1e-15))
+                            total += CLASS_WEIGHT * -math.log(max(1.0 - p_l, 1e-15))
                 if asg.prior_active[0]:
-                    total += w.prior * (
+                    total += PRIOR_WEIGHT * (
                         (0.5 - sx) ** 2
                         + (0.5 - sy) ** 2
                         + (anchors.dims[a][0] - bw) ** 2
@@ -396,13 +384,12 @@ def test_loss_matches_straight_line_oracle():
     )
     assert raw.shape == (k * (5 + c), s, s)
     truths = make_labels((0, 0.3, 0.26, 0.33, 0.42), (1, 0.77, 0.74, 0.25, 0.2))
-    w = LossWeights(n_prior=1000)
     preds = decode_predictions(raw[None], anchors)
 
     for images_seen in (0, 1000):  # prior on and off
-        asg = assign_targets([truths], preds, w, images_seen=images_seen)
-        parts, _ = compute_loss(preds, asg, w)
-        expected = straight_line_loss(raw, truths, asg, w, anchors)
+        asg = assign_targets([truths], preds, 1000, images_seen=images_seen)
+        parts, _ = compute_loss(preds, asg)
+        expected = straight_line_loss(raw, truths, asg, anchors)
         assert parts.total == pytest.approx(expected, abs=1e-10)
 
 
@@ -416,7 +403,7 @@ def _pred_box(preds, i, j, a) -> BBox:
     return BBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
-def triple_loop_assignment(truths, preds, anchors, weights):
+def triple_loop_assignment(truths, preds, anchors):
     """Scalar oracle: (obj, noobj, truth_idx, conf_target) of image 0
     from one IoU call per (slot, truth) pair, the later truth winning a
     shared slot."""
@@ -433,7 +420,7 @@ def triple_loop_assignment(truths, preds, anchors, weights):
                 for a in range(k):
                     pb = _pred_box(preds, i, j, a)
                     best = max(iou(pb, tb) for tb in truth_boxes)
-                    if best > weights.iou_thres:
+                    if best > NOOBJ_IOU_THRES:
                         noobj[a, i, j] = False
         for t_i, (cx, cy, tw, th) in enumerate(truths.boxes.tolist()):
             j = min(int(cx * s), s - 1)
@@ -461,11 +448,10 @@ _truth = st.tuples(st.integers(0, 2), _centre, _centre, st.floats(0.01, 1), st.f
     k=st.integers(1, 4),
     truths=st.lists(_truth, max_size=5),
     collide=st.booleans(),
-    iou_thres=st.sampled_from([0.05, 0.5, 0.9]),
     images_seen=st.sampled_from([0, 20000]),
 )
 @settings(max_examples=200, deadline=None)
-def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, iou_thres, images_seen):
+def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, images_seen):
     if collide and len(truths) >= 2:  # the last truth claims the first one's slot
         truths[-1] = (truths[-1][0], *truths[0][1:])
     truths = make_labels(*truths)
@@ -473,16 +459,15 @@ def test_assignment_equals_triple_loop_oracle(seed, s, k, truths, collide, iou_t
     c = 3
     anchors = AnchorSet(dims=[tuple(d) for d in rng.uniform(0.2, 4.0, (k, 2))])
     raw = rng.standard_normal((k * (5 + c), s, s))
-    w = LossWeights(iou_thres=iou_thres)
     preds = decode_predictions(raw[None], anchors)
-    asg = assign_targets([truths], preds, w, images_seen=images_seen)
-    obj, noobj, truth_idx, conf_target = triple_loop_assignment(truths, preds, anchors, w)
+    asg = assign_targets([truths], preds, 12800, images_seen=images_seen)
+    obj, noobj, truth_idx, conf_target = triple_loop_assignment(truths, preds, anchors)
     assert np.array_equal(asg.obj[0], obj)
     assert np.array_equal(asg.noobj[0], noobj)
     assert np.array_equal(asg.truth_idx[0], truth_idx)
     assert np.array_equal(asg.conf_target[0], conf_target)
-    parts, _ = compute_loss(preds, asg, w)
-    expected = straight_line_loss(raw, truths, asg, w, anchors)
+    parts, _ = compute_loss(preds, asg)
+    expected = straight_line_loss(raw, truths, asg, anchors)
     assert parts.total == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
@@ -506,18 +491,18 @@ def test_batch_equals_batch_of_one_calls(seed, b, s, k, truths, collide, images_
     c = 3
     anchors = AnchorSet(dims=[tuple(d) for d in rng.uniform(0.2, 4.0, (k, 2))])
     raw = rng.standard_normal((b, k * (5 + c), s, s))
-    w = LossWeights(n_prior=6)  # images_seen in [0, 12] puts warm-up before, in and after the batch
     preds = decode_predictions(raw, anchors)
-    asg = assign_targets(truths, preds, w, images_seen=images_seen)
-    parts, grad = compute_loss(preds, asg, w)
+    # a warm-up of 6 images and images_seen in [0, 12] put it before, in and after the batch
+    asg = assign_targets(truths, preds, 6, images_seen=images_seen)
+    parts, grad = compute_loss(preds, asg)
     assert grad.shape == raw.shape and grad.dtype == np.float64 and grad.flags.c_contiguous
 
     offset = 0
     single_parts = []
     for i in range(b):
         one = decode_predictions(raw[i:i + 1], anchors)
-        one_asg = assign_targets([truths[i]], one, w, images_seen=images_seen + i)
-        one_parts, one_grad = compute_loss(one, one_asg, w)
+        one_asg = assign_targets([truths[i]], one, 6, images_seen=images_seen + i)
+        one_parts, one_grad = compute_loss(one, one_asg)
         assert np.array_equal(asg.obj[i], one_asg.obj[0])
         assert np.array_equal(asg.noobj[i], one_asg.noobj[0])
         assert np.array_equal(asg.conf_target[i], one_asg.conf_target[0])

@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GONE = {"TruthBox", "box_array", "LeakyParams"}
+GONE = {"TruthBox", "box_array", "LeakyParams", "LossWeights"}
 BOX_OBJECTS = {"BBox", "Detection"}
 # (file, enclosing function) of the only calls that may build them
 ALLOWED_CALLS = {("detection.py", "__iter__"), ("data.py", "unletterbox_box")}
