@@ -93,6 +93,8 @@ def kmeans_anchors(
         raise AnchorError(f"k must be >= 1, got {k}")
     if max_iter < 1:
         raise AnchorError(f"max_iter must be >= 1, got {max_iter}")
+    if seed < 0:
+        raise AnchorError(f"seed must be >= 0, got {seed}")
     if len(data) < k:
         raise AnchorError(f"need at least k={k} boxes, got {len(data)}")
 

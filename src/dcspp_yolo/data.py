@@ -101,12 +101,13 @@ def letterbox_params(w: int, h: int, target: int) -> LetterboxParams:
     return LetterboxParams(scale, (target - new_w) // 2, (target - new_h) // 2, new_w, new_h)
 
 
-def image_to_tensor(img: np.ndarray, target: int) -> np.ndarray:
+def image_to_tensor(img: np.ndarray, target: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Aspect-preserving resize onto a target x target gray canvas.
 
     Output is a C-contiguous (1, 3, target, target) float32 array in
     [0, 1] with channel planes R, G, B; padding bands hold exactly 0.5.
-    The image is divided by 255 in float32 straight into the canvas planes.
+    The image is divided by 255 in float32 straight into the canvas planes,
+    which are `out` when given: a C-contiguous float32 array of that shape.
     """
     if target % 32 != 0:
         raise LabelError(f"target size must be a multiple of 32, got {target}")
@@ -118,7 +119,8 @@ def image_to_tensor(img: np.ndarray, target: int) -> np.ndarray:
         rows = np.minimum((np.arange(p.new_h) + 0.5) * h / p.new_h, h - 1).astype(np.intp)
         cols = np.minimum((np.arange(p.new_w) + 0.5) * w / p.new_w, w - 1).astype(np.intp)
         img = img[rows][:, cols]
-    canvas = np.full((1, 3, target, target), 0.5, dtype=np.float32)
+    canvas = np.empty((1, 3, target, target), dtype=np.float32) if out is None else out
+    canvas.fill(0.5)
     np.divide(img.transpose(2, 0, 1), 255, dtype=np.float32,
               out=canvas[0, :, p.pad_y:p.pad_y + p.new_h, p.pad_x:p.pad_x + p.new_w])
     return canvas

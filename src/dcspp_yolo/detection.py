@@ -254,15 +254,17 @@ def detect_image(
     image: np.ndarray,
     conf_thres: float = 0.25,
     nms_thres: float = 0.45,
+    workspace=None,
 ) -> Detections:
     """Forward, decode, and suppress for one network-sized input image.
 
     Pixel coordinates are in the network input space; callers that
-    letterboxed the original image undo that mapping themselves.
+    letterboxed the original image undo that mapping themselves. A
+    workspace, when given, is passed to the forward.
     """
     if net.cfg.anchors is None:
         raise DetectionError("network config has no anchor set; detection needs one")
-    out = net.forward(image, training=False)
+    out = net.forward(image, training=False, workspace=workspace)
     size = float(net.cfg.input_size)
     dets = decode(out, net.cfg.anchors, size, size, conf_thres)
     return nms(dets, nms_thres)

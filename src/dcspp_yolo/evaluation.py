@@ -14,6 +14,7 @@ import numpy as np
 from . import ppm
 from .data import image_to_tensor, read_label_file, truths_to_pixel_boxes, unletterbox_boxes
 from .detection import Detections, check_threshold, detect_image, iou_matrix
+from .layers import Workspace
 
 
 class EvalError(ValueError):
@@ -96,7 +97,7 @@ def evaluate(
     ties in detection order, NaN scores last. Classes without any ground
     truth are excluded from the mean. The conf and NMS thresholds must be
     in [0, 1] and the IoU threshold in (0, 1], each checked before any image
-    is read.
+    is read. One workspace serves every image's letterbox and forward.
     """
     check_threshold("conf_thres", conf_thres)
     check_threshold("nms_thres", nms_thres)
@@ -105,6 +106,7 @@ def evaluate(
     if not len(manifest.entries):
         raise EvalError("cannot evaluate an empty dataset")
     size = net.cfg.input_size
+    ws, canvas = Workspace(), (1, 3, size, size)
     truth_ids, class_ids, scores, flags = [], [], [], []
     for img_path, lab_path in manifest.entries:
         img = ppm.ppm_read(img_path)
@@ -113,7 +115,9 @@ def evaluate(
         if (cid := labels.class_ids.max(initial=0)) >= net.cfg.num_classes:
             raise EvalError(f"{lab_path}: class id {cid} out of range for {net.cfg.num_classes} classes")
         truth_boxes = truths_to_pixel_boxes(labels, w, h)
-        dets = detect_image(net, image_to_tensor(img, size), conf_thres, nms_thres)
+        # no name holds the canvas, so the next image's letterbox reuses its memory
+        dets = detect_image(net, image_to_tensor(img, size, out=ws.empty(canvas, np.float32)),
+                            conf_thres, nms_thres, workspace=ws)
         dets = replace(dets, boxes=unletterbox_boxes(dets.boxes, w, h, size))
         truth_ids.append(labels.class_ids)
         class_ids.append(dets.class_ids)

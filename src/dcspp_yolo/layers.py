@@ -69,12 +69,23 @@ no branch, and an infinite or NaN gradient reaches its own slot only.
 When the windows tile the padded input (stride equal to size, nothing
 left over), as in the 2x2 stride-2 pools, each input cell is written
 once, with no zero fill and no read-modify-write.
+
+Every kernel takes an optional `workspace=`, a `Workspace` that its caller
+owns and passes to every call, one per thread. The kernel then takes its
+arrays of _KEEP_BYTES or more (padded inputs, outputs, patch-matrix bands,
+temporaries, gradients) from the workspace instead of allocating them, so
+a second call of the same shapes writes into pages the process already
+has: the memory reuse of MXNet's planner (Chen et al. 2015, arXiv
+1512.01274), with liveness read from reference counts at run time. Each
+such array is laid out as the allocation it replaces, so the bytes do not
+change; with no workspace every kernel allocates as before.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -92,6 +103,91 @@ class LayerError(ValueError):
 LEAKY_A = 10.0       # leaky ReLU divides negative inputs by this
 BN_EPSILON = 1e-5    # added to the variance under batch norm's square root
 BN_MOMENTUM = 0.99   # running statistic <- momentum * running + (1 - momentum) * batch
+
+
+# ---------------------------------------------------------------------------
+# workspace
+
+
+def _refs(items: list, i: int) -> int:
+    return sys.getrefcount(items[i])
+
+
+_FREE_REFS = _refs([np.empty(0)], 0)  # the list's reference and the call's own
+_KEEP_BYTES = 1 << 17   # glibc's default mmap threshold: malloc packs smaller arrays well
+_ARENA_BYTES = 1 << 26  # address space: a page becomes resident when first written
+_ALIGN = 64
+
+
+class Workspace:
+    """Memory kept between calls, owned by the caller: one per thread, never
+    shared. `empty(shape, dtype)` returns a C-contiguous array of at least
+    _KEEP_BYTES carved from arenas the workspace keeps (smaller ones are
+    np.empty's), at the start of the smallest gap that holds it. A chunk is
+    free once nothing refers to it, no view and no cache: an array its caller
+    still holds is never handed out again, and arrays never live at once
+    share memory, as a static planner would place them (Chen et al. 2015),
+    with liveness read from reference counts at run time."""
+
+    def __init__(self) -> None:
+        # per arena: its bytes, and its live chunks in address order as
+        # [start, stop, owner], every view of a chunk referring to its owner
+        self._arenas: list[tuple[memoryview, list[list]]] = []
+
+    def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes < _KEEP_BYTES:
+            return np.empty(shape, dtype)
+        size = -(-nbytes // _ALIGN) * _ALIGN
+        best = None  # (gap length, gap start, index of the chunk after it, chunks, arena)
+        for arena, chunks in self._arenas:
+            chunks[:] = [c for c in chunks if _refs(c, 2) != _FREE_REFS]
+            lo = 0
+            for i, (start, stop, _) in enumerate([*chunks, (len(arena), None, None)]):
+                if size <= start - lo < (best[0] if best else math.inf):
+                    best = (start - lo, lo, i, chunks, arena)
+                lo = stop
+        if best is None:
+            self._arenas.append((memoryview(np.empty(max(size, _ARENA_BYTES), np.uint8)), []))
+            best = (0, 0, 0, self._arenas[-1][1], self._arenas[-1][0])
+        _, lo, i, chunks, arena = best
+        owner = np.frombuffer(arena[lo:lo + size], np.uint8)
+        chunks.insert(i, [lo, lo + size, owner])
+        return owner[:nbytes].view(dtype).reshape(shape)
+
+
+def _empty(workspace: Workspace | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    return np.empty(shape, dtype) if workspace is None else workspace.empty(shape, dtype)
+
+
+def _zeros(workspace: Workspace | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    if workspace is None:
+        return np.zeros(shape, dtype)
+    out = workspace.empty(shape, dtype)
+    out.fill(0)
+    return out
+
+
+def _result(workspace: Workspace | None, *operands: np.ndarray, dtype=None) -> np.ndarray | None:
+    """The `out` of a ufunc of same-shape operands: None without a workspace
+    or below _KEEP_BYTES, so that numpy allocates the result, else a
+    workspace array laid out as numpy lays the result out, in the operands'
+    one axis order or, when their orders differ, in C order."""
+    dtype = operands[0].dtype if dtype is None else np.dtype(dtype)
+    if workspace is None or operands[0].size * dtype.itemsize < _KEEP_BYTES:
+        return None
+    axes = range(operands[0].ndim)
+    orders = {tuple(sorted(axes, key=lambda i: -abs(a.strides[i]))) for a in operands}
+    order = orders.pop() if len(orders) == 1 else tuple(axes)  # outermost axis first
+    out = workspace.empty(tuple(operands[0].shape[i] for i in order), dtype)
+    return out.transpose(sorted(axes, key=order.__getitem__))
+
+
+def _empty_like(workspace: Workspace | None, x: np.ndarray, dtype=None) -> np.ndarray:
+    """np.empty_like(x, dtype), from the workspace when there is one."""
+    out = _result(workspace, x, dtype=dtype)
+    return np.empty_like(x, dtype=dtype) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +356,22 @@ def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int,
     return cols.reshape(c * k * k, -1)
 
 
-def _bands(xp: np.ndarray, k: int, stride: int, oh: int, ow: int
-           ) -> tuple[list[tuple[int, int]], np.ndarray | None]:
+def _bands(xp: np.ndarray, k: int, stride: int, oh: int, ow: int,
+           workspace: Workspace | None = None) -> tuple[list[tuple[int, int]], np.ndarray | None]:
     """The (first row, row count) bands of output rows whose patch matrices
     `_im2col` builds from the (c, hp, wp, n) buffer xp, and the one flat
-    buffer they share, None when there is one band. A band holds at most
-    _BAND_BYTES of patch matrix but no fewer than _BAND_COLUMNS columns, in
-    whole _BAND_ALIGN-column blocks; a 1x1 stride-1 conv is one band, its
-    patch matrix xp reshaped."""
+    buffer they share, None for a 1x1 stride-1 conv: its one band's patch
+    matrix is xp reshaped. A band holds at most _BAND_BYTES of patch matrix
+    but no fewer than _BAND_COLUMNS columns, in whole _BAND_ALIGN-column
+    blocks."""
+    if k == 1 and stride == 1:
+        return [(0, oh)], None
     c, n = xp.shape[0], xp.shape[3]
     row = c * k * k * ow * n  # patch-matrix elements per output row
     rows = max(_BAND_BYTES // (row * xp.itemsize), -(-_BAND_COLUMNS // (ow * n)))
     step = _BAND_ALIGN // math.gcd(ow * n, _BAND_ALIGN)
-    rows = oh if k == 1 and stride == 1 else min(oh, -(-rows // step) * step)
-    buf = None if rows == oh else np.empty(rows * row, dtype=xp.dtype)
+    rows = min(oh, -(-rows // step) * step)
+    buf = _empty(workspace, (rows * row,), xp.dtype)
     return [(r0, min(rows, oh - r0)) for r0 in range(0, oh, rows)], buf
 
 
@@ -281,7 +379,17 @@ def conv2d_out_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, i
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
 
-def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]:
+def _contiguous(workspace: Workspace | None, a: np.ndarray) -> np.ndarray:
+    """np.ascontiguousarray(a), its copy taken from the workspace."""
+    if workspace is None or a.flags.c_contiguous:
+        return np.ascontiguousarray(a)
+    out = workspace.empty(a.shape, a.dtype)
+    np.copyto(out, a)
+    return out
+
+
+def conv2d_forward(x: np.ndarray, p: ConvParams, *, workspace: Workspace | None = None
+                   ) -> tuple[np.ndarray, ConvCache]:
     """One GEMM per band of output rows, each into its rows of the
     batch-innermost (out_c, oh, ow, n) product, of which the output is an
     (n, out_c, oh, ow) view. The cache is the padded input."""
@@ -294,13 +402,13 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]
         raise LayerError(f"conv: input {h}x{w} too small for kernel {k} stride {s} pad {p.pad}")
     xt = x.transpose(1, 2, 3, 0)
     if p.pad == 0:
-        xp = np.ascontiguousarray(xt)  # free when x is batch-innermost
+        xp = _contiguous(workspace, xt)  # free when x is batch-innermost
     else:
-        xp = np.zeros((c, h + 2 * p.pad, w + 2 * p.pad, n), dtype=x.dtype)
+        xp = _zeros(workspace, (c, h + 2 * p.pad, w + 2 * p.pad, n), x.dtype)
         xp[:, p.pad:p.pad + h, p.pad:p.pad + w] = xt
-    bands, buf = _bands(xp, k, s, oh, ow)
+    bands, buf = _bands(xp, k, s, oh, ow, workspace)
     wm = p.weights.reshape(oc, -1)
-    y = np.empty((oc, oh, ow, n), dtype=np.result_type(wm, xp))
+    y = _empty(workspace, (oc, oh, ow, n), np.result_type(wm, xp))
     for r0, r in bands:
         _gemm(wm, _im2col(xp, k, s, r, ow, r0, buf), y[:, r0:r0 + r].reshape(oc, -1))
     y += p.bias[:, None, None, None]
@@ -308,7 +416,8 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, ConvCache]
 
 
 def conv2d_backward(
-    grad_out: np.ndarray, cache: ConvCache, p: ConvParams, *, input_grad: bool = True
+    grad_out: np.ndarray, cache: ConvCache, p: ConvParams, *, input_grad: bool = True,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients w.r.t. input, weights and bias, from the forward's padded input.
 
@@ -333,29 +442,30 @@ def conv2d_backward(
         )
     # (out_c, oh*ow*n), the patch matrix's column order, contiguous whatever
     # grad_out's layout, so that the float32 sums below do not depend on it
-    go = np.ascontiguousarray(grad_out.transpose(1, 2, 3, 0)).reshape(oc, -1)
+    go = _contiguous(workspace, grad_out.transpose(1, 2, 3, 0)).reshape(oc, -1)
     # the bias gradient sums an (out_c, n*oh*ow) copy, image by image as the
     # per-image form does: go's order is as accurate, but where the sum
     # cancels it can differ from the per-image sum by over 1e-5 of the result
-    grad_b = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(oc, -1).sum(axis=1)
-    bands, buf = _bands(cache.xp, k, s, oh, ow)
+    grad_b = _contiguous(workspace, grad_out.transpose(1, 0, 2, 3)).reshape(oc, -1).sum(axis=1)
+    bands, buf = _bands(cache.xp, k, s, oh, ow, workspace)
     wm = p.weights.reshape(oc, -1)
     hp, wp = h + 2 * pad, w + 2 * pad
     # a 1x1 stride-1 conv's column gradient is its input gradient reshaped
     scatter = input_grad and not (k == 1 and s == 1)
     if scatter:
-        grad_xp = np.zeros((c, hp, wp, n), dtype=np.result_type(wm, go))
+        grad_xp = _zeros(workspace, (c, hp, wp, n), np.result_type(wm, go))
         # with one row (c*k*k == 1) the column-gradient product runs as gemv,
         # whose bytes depend on where a band starts, so it is taken once whole
         whole_cols = wm.T @ go if c * k * k == 1 else None
-        grad_buf = np.empty(c * k * k * bands[0][1] * ow * n, dtype=grad_xp.dtype)
+        grad_buf = _empty(workspace, (c * k * k * bands[0][1] * ow * n,), grad_xp.dtype)
     grad_w = None
     for r0, r in reversed(bands):
         band_columns = slice(r0 * ow * n, (r0 + r) * ow * n)
         go_band = go[:, band_columns]
         # cols @ go.T: OpenBLAS runs this skinny GEMM about twice as fast
         # with the long (rows*ow*n) axis inside the left operand's rows
-        part = _im2col(cache.xp, k, s, r, ow, r0, buf) @ go_band.T
+        part = np.matmul(_im2col(cache.xp, k, s, r, ow, r0, buf), go_band.T,
+                         out=_empty(workspace, (c * k * k, oc), np.result_type(cache.xp, go)))
         grad_w = part if grad_w is None else np.add(grad_w, part, out=grad_w)
         if scatter:
             if whole_cols is not None:
@@ -367,11 +477,12 @@ def conv2d_backward(
             band = grad_xp[:, s * r0:s * (r0 + r - 1) + k]
             for o, (rows, columns) in enumerate(_windows(k, s, r, ow)):
                 band[:, rows, columns] += grad_cols[:, o]
-    grad_w = grad_w.T.reshape(p.weights.shape)
+    grad_w = _contiguous(workspace, grad_w.T).reshape(p.weights.shape)
     if not input_grad:
         return None, grad_w, grad_b
     if not scatter:
-        grad_xp = (wm.T @ go).reshape(c, hp, wp, n)
+        grad_xp = np.matmul(wm.T, go, out=_empty(workspace, (c, hp * wp * n), np.result_type(wm, go)))
+        grad_xp = grad_xp.reshape(c, hp, wp, n)
     return grad_xp.transpose(3, 0, 1, 2)[:, :, pad:pad + h, pad:pad + w], grad_w, grad_b
 
 
@@ -382,7 +493,8 @@ _BN_AXES = (0, 2, 3)  # every axis but the channel's
 
 
 def batchnorm_forward(
-    x: np.ndarray, p: BNParams, training: bool, *, out: np.ndarray | None = None
+    x: np.ndarray, p: BNParams, training: bool, *, out: np.ndarray | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, BNCache | None]:
     """Training normalizes by the batch statistics and updates the running
     ones, in two full-size temporaries: x centred once, then normalized in
@@ -395,8 +507,8 @@ def batchnorm_forward(
         raise LayerError(f"batchnorm: input has {x.shape[1]} channels, params have {p.channels}")
     if training:
         mu = x.mean(axis=_BN_AXES)
-        xhat = x - mu[None, :, None, None]
-        sq = np.multiply(xhat, xhat)
+        xhat = np.subtract(x, mu[None, :, None, None], out=_result(workspace, x))
+        sq = np.multiply(xhat, xhat, out=_result(workspace, x))
         var = sq.sum(axis=_BN_AXES) / (x.size // x.shape[1])
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std[None, :, None, None]
@@ -407,13 +519,14 @@ def batchnorm_forward(
         return y, BNCache(xhat=xhat, inv_std=inv_std)
     scale = p.gamma / np.sqrt(p.running_var + BN_EPSILON)
     shift = p.beta - p.running_mean * scale
-    y = np.multiply(x, scale[None, :, None, None], out=out)
+    y = np.multiply(x, scale[None, :, None, None], out=_result(workspace, x) if out is None else out)
     y += shift[None, :, None, None]
     return y, None
 
 
 def batchnorm_backward(
-    grad_out: np.ndarray, cache: BNCache | None, p: BNParams
+    grad_out: np.ndarray, cache: BNCache | None, p: BNParams, *,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The closed form gamma * inv_std * (g - sum(g) / m - xhat * sum(g * xhat) / m)
     over the m values of each channel (Ioffe & Szegedy 2015): the two sums
@@ -424,7 +537,7 @@ def batchnorm_backward(
     xhat, inv_std = cache.xhat, cache.inv_std
     m = grad_out.size // grad_out.shape[1]
     grad_beta = grad_out.sum(axis=_BN_AXES)
-    grad_x = np.multiply(grad_out, xhat)
+    grad_x = np.multiply(grad_out, xhat, out=_result(workspace, grad_out, xhat))
     grad_gamma = grad_x.sum(axis=_BN_AXES)
     np.multiply(xhat, (grad_gamma / m)[None, :, None, None], out=grad_x)
     np.subtract(grad_out, grad_x, out=grad_x)
@@ -437,29 +550,32 @@ def batchnorm_backward(
 # leaky ReLU
 
 
-def leaky_forward(x: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+def leaky_forward(x: np.ndarray, *, out: np.ndarray | None = None,
+                  workspace: Workspace | None = None) -> np.ndarray:
     """max(x, x / LEAKY_A): the larger of the two is x where x >= 0 and
     x / LEAKY_A below zero, with no data-dependent branch. `out` may be `x`.
     x / LEAKY_A is taken a slice of channels at a time into one reused buffer
     of at most _BAND_BYTES (or one channel), so no full-size temporary is made."""
     if out is None:
-        out = np.empty_like(x)
+        out = _empty_like(workspace, x)
     step = max(1, _BAND_BYTES // max(1, x[:, :1].nbytes))  # channels per slice
-    buf = np.empty_like(x[:, :step])
+    buf = _empty_like(workspace, x[:, :step])
     for c0 in range(0, x.shape[1], step):
         xs = x[:, c0:c0 + step]
         np.maximum(xs, np.divide(xs, LEAKY_A, out=buf[:, :xs.shape[1]]), out=out[:, c0:c0 + step])
     return out
 
 
-def leaky_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def leaky_backward(grad_out: np.ndarray, mask: np.ndarray, *,
+                   workspace: Workspace | None = None) -> np.ndarray:
     """grad_out divided by 1 where mask, the forward input's `x >= 0`, is set,
     and by LEAKY_A elsewhere (x < 0 or NaN). The divisor is LEAKY_A times the
     inverted mask, raised to at least 1: an array laid out like the mask, and
     so like the forward input, so the gradient keeps the layout it had before."""
-    d = np.multiply(~mask, LEAKY_A, dtype=grad_out.dtype)
+    d = np.multiply(np.invert(mask, out=_result(workspace, mask)), LEAKY_A, dtype=grad_out.dtype,
+                    out=_result(workspace, mask, dtype=grad_out.dtype))
     np.maximum(d, 1, out=d)
-    return grad_out / d
+    return np.divide(grad_out, d, out=_result(workspace, grad_out, d))
 
 
 # ---------------------------------------------------------------------------
@@ -481,20 +597,21 @@ def maxpool_out_hw(h: int, w: int, size: int, stride: int, pad: tuple[int, int])
     return (h + sum(pad) - size) // stride + 1, (w + sum(pad) - size) // stride + 1
 
 
-def _running_max(views: list[np.ndarray]) -> np.ndarray:
+def _running_max(views: list[np.ndarray], workspace: Workspace | None) -> np.ndarray:
     """Elementwise max of same-shape views into a new array laid out like
     them. On a tie the earlier view wins, signed zeros included: np.maximum
     returns its second operand on a tie."""
     if len(views) == 1:
         return views[0].copy(order="K")
-    out = np.maximum(views[1], views[0])
+    out = np.maximum(views[1], views[0], out=_result(workspace, views[0]))
     for v in views[2:]:
         np.maximum(v, out, out=out)
     return out
 
 
 def maxpool_forward(
-    x: np.ndarray, size: int, stride: int, pad: tuple[int, int] = (0, 0)
+    x: np.ndarray, size: int, stride: int, pad: tuple[int, int] = (0, 0), *,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, MaxPoolCache]:
     """Max pool with zero padding of (before, after) on each spatial axis.
     Separable: a running max over the kernel columns gives each row's
@@ -508,12 +625,13 @@ def maxpool_forward(
     xp = _pad_hw(x, pb, pa)
     oh, ow = maxpool_out_hw(x.shape[2], x.shape[3], size, stride, pad)
     span_h, span_w = stride * (oh - 1) + 1, stride * (ow - 1) + 1
-    row_max = _running_max([xp[..., dx:dx + span_w:stride] for dx in range(size)])
-    y = _running_max([row_max[..., dy:dy + span_h:stride, :] for dy in range(size)])
+    row_max = _running_max([xp[..., dx:dx + span_w:stride] for dx in range(size)], workspace)
+    y = _running_max([row_max[..., dy:dy + span_h:stride, :] for dy in range(size)], workspace)
     return y, MaxPoolCache(xp=xp, y=y, size=size, stride=stride, pad=pad)
 
 
-def maxpool_backward(grad_out: np.ndarray, cache: MaxPoolCache) -> np.ndarray:
+def maxpool_backward(grad_out: np.ndarray, cache: MaxPoolCache, *,
+                     workspace: Workspace | None = None) -> np.ndarray:
     """Route each output gradient to its window's first maximum. Offsets are
     scattered in reverse scan order, so an input cell sums its windows in
     window order. Each offset adds the gradient's bits ANDed with an
@@ -529,16 +647,21 @@ def maxpool_backward(grad_out: np.ndarray, cache: MaxPoolCache) -> np.ndarray:
     size, stride = cache.size, cache.stride
     oh, ow = y.shape[2], y.shape[3]
     wins = [(..., *sl) for sl in _windows(size, stride, oh, ow)]
-    hits, free = [], np.ones_like(y, dtype=bool)
-    for sl in wins:
-        hits.append((xp[sl] == y) & free)  # the first maximum in scan order
+    hits, free = [], _empty_like(workspace, y, bool)
+    free.fill(True)
+    for sl in wins:  # the first maximum in scan order
+        hits.append(np.bitwise_and(np.equal(xp[sl], y, out=_result(workspace, y, dtype=bool)), free,
+                                   out=_result(workspace, y, dtype=bool)))
         free ^= hits[-1]
     bits = np.dtype(f"u{grad_out.itemsize}")
     grad_bits = grad_out.view(bits)
     tiled = stride == size and xp.shape[2:] == (size * oh, size * ow)
-    grad_p = (np.empty_like if tiled else np.zeros_like)(xp, dtype=grad_out.dtype)
+    grad_p = _empty_like(workspace, xp, grad_out.dtype)
+    if not tiled:
+        grad_p.fill(0)
     for sl, hit in zip(reversed(wins), reversed(hits)):
-        routed = np.negative(hit, dtype=bits)  # all ones at a hit, zero elsewhere
+        # all ones at a hit, zero elsewhere
+        routed = np.negative(hit, dtype=bits, out=_result(workspace, hit, dtype=bits))
         routed &= grad_bits
         # tiling windows write each cell once: +0.0 plus its routed value
         np.add(0.0 if tiled else grad_p[sl], routed.view(grad_out.dtype), out=grad_p[sl])

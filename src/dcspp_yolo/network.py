@@ -3,12 +3,13 @@ four-unit dense-connection block, the stride-1 pyramid-pooling block, the
 reorg passthrough, and the linear detection convolution.
 
 The graph is a flat list of nodes in topological order. Each node class
-gives `forward(ins, training) -> (out, cache)`, `backward(grad, cache,
-param_grads) -> input grads` and `out_shape(in_shapes)`. Forward caches
-per-node activations (for a conv, its padded input) when training;
-backward walks the list in reverse, summing gradients over fan-out before
-calling each node's backward, and frees each node's cache once that
-backward has run.
+gives `forward(ins, training, ws) -> (out, cache)`, `backward(grad,
+cache, param_grads, ws) -> input grads` and `out_shape(in_shapes)`; `ws`
+is the caller's `layers.Workspace` or None, passed on to the kernels.
+Forward caches per-node activations (for a conv, its padded input) when
+training; backward walks the list in reverse, summing gradients over
+fan-out before calling each node's backward, and frees each node's cache
+once that backward has run.
 
 The backbone's conv -> bn -> leaky and the dense block's pre-activation
 bn -> leaky -> conv (He et al. 2016, DenseNet) are one `ConvNode` path, one
@@ -40,6 +41,7 @@ from .anchors import AnchorSet
 from .layers import (
     BNParams,
     ConvParams,
+    Workspace,
     batchnorm_backward,
     batchnorm_forward,
     conv2d_backward,
@@ -134,40 +136,44 @@ class ConvNode(LayerNode):
         c = self.conv
         return (c.out_channels, *conv2d_out_hw(h, w, c.kernel, c.stride, c.pad))
 
-    def _bn_leaky(self, y: np.ndarray, training: bool, cache: dict, owned: bool) -> np.ndarray:
+    def _bn_leaky(self, y: np.ndarray, training: bool, cache: dict, ws: Workspace | None,
+                  owned: bool) -> np.ndarray:
         if self.bn is None:
             return y
-        y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=y if owned else None)
+        y, cache["bn"] = batchnorm_forward(y, self.bn, training, out=y if owned else None,
+                                           workspace=ws)
         if training:
             cache["act_mask"] = y >= 0  # one byte an element
-        return leaky_forward(y, out=y)
+        return leaky_forward(y, out=y, workspace=ws)
 
-    def _bn_leaky_backward(self, g: np.ndarray, cache: dict, param_grads) -> np.ndarray:
+    def _bn_leaky_backward(self, g: np.ndarray, cache: dict, param_grads,
+                           ws: Workspace | None) -> np.ndarray:
         if self.bn is None:
             return g
-        g = leaky_backward(g, cache["act_mask"])
+        g = leaky_backward(g, cache["act_mask"], workspace=ws)
         g, param_grads[f"{self.name}.gamma"], param_grads[f"{self.name}.beta"] = (
-            batchnorm_backward(g, cache["bn"], self.bn))
+            batchnorm_backward(g, cache["bn"], self.bn, workspace=ws))
         return g
 
-    def forward(self, ins: list[np.ndarray], training: bool):
+    def forward(self, ins: list[np.ndarray], training: bool, ws: Workspace | None = None):
         y, cache = ins[0], {}
         if self.pre_activation:
-            y = self._bn_leaky(y, training, cache, owned=False)
-        y, conv_cache = conv2d_forward(y, self.conv)
+            y = self._bn_leaky(y, training, cache, ws, owned=False)
+        y, conv_cache = conv2d_forward(y, self.conv, workspace=ws)
         cache["conv"] = conv_cache if training else None  # inference keeps no padded input
         if not self.pre_activation:
-            y = self._bn_leaky(y, training, cache, owned=True)
+            y = self._bn_leaky(y, training, cache, ws, owned=True)
         return y, cache
 
-    def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray | None]:
-        g = gout if self.pre_activation else self._bn_leaky_backward(gout, cache, param_grads)
+    def backward(self, gout: np.ndarray, cache, param_grads, ws: Workspace | None = None
+                 ) -> list[np.ndarray | None]:
+        g = gout if self.pre_activation else self._bn_leaky_backward(gout, cache, param_grads, ws)
         # nothing reads the gradient of the input image, but a pre-activation
         # node's own batch norm and leaky need their input gradient
-        g, gw, gb = conv2d_backward(g, cache["conv"], self.conv,
+        g, gw, gb = conv2d_backward(g, cache["conv"], self.conv, workspace=ws,
                                     input_grad=self.pre_activation or self.inputs[0] != "data")
         if self.pre_activation:
-            g = self._bn_leaky_backward(g, cache, param_grads)
+            g = self._bn_leaky_backward(g, cache, param_grads, ws)
         param_grads[f"{self.name}.weights"] = gw
         param_grads[f"{self.name}.bias"] = gb
         return [g]
@@ -183,11 +189,13 @@ class MaxPoolNode(LayerNode):
         c, h, w = ins[0]
         return (c, *maxpool_out_hw(h, w, self.pool_size, self.pool_stride, self.pool_pad))
 
-    def forward(self, ins: list[np.ndarray], training: bool):
-        return maxpool_forward(ins[0], self.pool_size, self.pool_stride, self.pool_pad)
+    def forward(self, ins: list[np.ndarray], training: bool, ws: Workspace | None = None):
+        return maxpool_forward(ins[0], self.pool_size, self.pool_stride, self.pool_pad,
+                               workspace=ws)
 
-    def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray]:
-        return [maxpool_backward(gout, cache)]
+    def backward(self, gout: np.ndarray, cache, param_grads, ws: Workspace | None = None
+                 ) -> list[np.ndarray]:
+        return [maxpool_backward(gout, cache, workspace=ws)]
 
 
 @dataclass
@@ -197,10 +205,11 @@ class RouteNode(LayerNode):
     def out_shape(self, ins: list[Shape]) -> Shape:
         return (sum(s[0] for s in ins), ins[0][1], ins[0][2])
 
-    def forward(self, ins: list[np.ndarray], training: bool):
+    def forward(self, ins: list[np.ndarray], training: bool, ws: Workspace | None = None):
         return np.concatenate(ins, axis=1), [a.shape[1] for a in ins]
 
-    def backward(self, gout: np.ndarray, sizes, param_grads) -> list[np.ndarray]:
+    def backward(self, gout: np.ndarray, sizes, param_grads, ws: Workspace | None = None
+                 ) -> list[np.ndarray]:
         return np.split(gout, np.cumsum(sizes)[:-1], axis=1)
 
 
@@ -215,10 +224,11 @@ class ReorgNode(LayerNode):
             raise NetworkError(f"{self.name}: {h}x{w} not divisible by reorg stride {s}")
         return (c * s * s, h // s, w // s)
 
-    def forward(self, ins: list[np.ndarray], training: bool):
+    def forward(self, ins: list[np.ndarray], training: bool, ws: Workspace | None = None):
         return reorg_forward(ins[0], self.stride), None
 
-    def backward(self, gout: np.ndarray, cache, param_grads) -> list[np.ndarray]:
+    def backward(self, gout: np.ndarray, cache, param_grads, ws: Workspace | None = None
+                 ) -> list[np.ndarray]:
         return [reorg_backward(gout, self.stride)]
 
 
@@ -328,9 +338,10 @@ class NetworkGraph:
 
     A graph used only for inference is read-only and safe to share across
     threads; their large convs share the one conv worker thread of
-    `layers`, each caller waiting only for its own part. Training-mode
-    forward/backward mutates caches and running batch-norm statistics and
-    must stay single-threaded per instance.
+    `layers`, each caller waiting only for its own part. A workspace lives
+    with its caller, never on the graph: each thread passes its own, or
+    none. Training-mode forward/backward mutates caches and running
+    batch-norm statistics and must stay single-threaded per instance.
     """
 
     def __init__(self, cfg: NetworkConfig, nodes: list[LayerNode]):
@@ -352,12 +363,15 @@ class NetworkGraph:
 
     # -- execution ---------------------------------------------------------
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False,
+                workspace: Workspace | None = None) -> np.ndarray:
         """Run the graph on an (n, 3, s, s) batch and return the output
         ndarray, (n, K*(5+C), s/32, s/32). With training=True, batch norm
         uses batch statistics and each node's cache is kept for backward.
         An activation is dropped once its last reader has run; it lives on
-        only where a cache holds it."""
+        only where a cache holds it. With a workspace, the nodes take their
+        large arrays from it (see `layers.Workspace`); the returned array is
+        still the caller's own, never a workspace buffer."""
         x = np.asarray(x)
         s = self.cfg.input_size
         if x.ndim != 4 or x.shape[1:] != (3, s, s):
@@ -366,20 +380,24 @@ class NetworkGraph:
         acts: dict[str, np.ndarray] = {"data": x}
         caches: dict[str, object] = {}
         for node in self.nodes:
-            acts[node.name], cache = node.forward([acts[name] for name in node.inputs], training)
+            acts[node.name], cache = node.forward([acts[name] for name in node.inputs], training,
+                                                  workspace)
             if training:
                 caches[node.name] = cache
             for name in self._last_read_by[node.name]:
                 del acts[name]
         out = acts[self.output_name]
         self._cache = (out.shape, caches) if training else None
-        return np.ascontiguousarray(out)
+        return np.ascontiguousarray(out) if workspace is None else np.array(out, order="C")
 
-    def backward(self, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, grad_out: np.ndarray, workspace: Workspace | None = None
+                 ) -> dict[str, np.ndarray]:
         """Propagate an output gradient; returns parameter gradients keyed
         '<node>.weights', '<node>.bias', '<node>.gamma', '<node>.beta'.
         Each node's cache is freed once its backward has run, so one forward
-        serves one backward."""
+        serves one backward. With a workspace, the nodes take their large
+        arrays from it, the parameter gradients too: they stay the caller's
+        for as long as it refers to them."""
         if self._cache is None:
             raise NetworkError("backward requires a preceding forward(training=True)")
         g = np.asarray(grad_out)
@@ -395,7 +413,7 @@ class NetworkGraph:
             gout = node_grads.pop(node.name, None)
             if gout is None:
                 continue
-            gins = node.backward(gout, cache, param_grads)
+            gins = node.backward(gout, cache, param_grads, workspace)
             for src, gi in zip(node.inputs, gins):
                 if gi is None:
                     continue
@@ -419,6 +437,8 @@ class NetworkGraph:
 
     def init_weights(self, seed: int = 0) -> None:
         """He-style uniform conv weights, zero biases, identity batch norm."""
+        if seed < 0:
+            raise NetworkError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         for node in self.conv_nodes():
             c = node.conv

@@ -22,6 +22,7 @@ from .data import (
     write_label_file,
 )
 from .detection import decode_predictions
+from .layers import Workspace
 from .loss import Labels, LossParts, assign_targets, compute_loss
 from .network import NetworkGraph, Param
 
@@ -44,7 +45,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("batch_size", 1), ("epochs", 1), ("checkpoint_every", 0),
-                          ("n_prior", 0)):
+                          ("n_prior", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise TrainingError(f"{name} must be >= {low}, got {getattr(self, name)}")
         # written so that NaN fails both checks
@@ -273,6 +274,8 @@ def synth_dataset(
         raise TrainingError(f"image_size must be a positive multiple of 32, got {image_size}")
     if not classes or not set(classes) <= set(SHAPE_CLASSES):
         raise TrainingError(f"classes must be a non-empty subset of {SHAPE_CLASSES}, got {classes}")
+    if seed < 0:
+        raise TrainingError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -379,7 +382,8 @@ def train(
     The prior warm-up follows an images-seen counter against
     `cfg.n_prior`; the per-iteration loss log holds batch means of the
     weighted loss parts. A non-finite loss aborts with the offending
-    iteration. Bit-reproducible for a fixed (seed, config, dataset).
+    iteration. Bit-reproducible for a fixed (seed, config, dataset). One
+    workspace serves every batch, forward and backward.
     """
     if net.cfg.anchors is None:
         raise TrainingError("network config carries no anchors; training needs them")
@@ -388,6 +392,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     params = net.parameters()
     state = AdamState()
+    ws = Workspace()
     anchors = net.cfg.anchors
     size = net.cfg.input_size
 
@@ -407,13 +412,13 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             iteration += 1
-            xs, batch_truths = [], []
-            for i in batch:
+            x = ws.empty((len(batch), 3, size, size), np.float32)
+            batch_truths = []
+            for j, i in enumerate(batch):
                 im, ts = augment(raw_images[i], truth_lists[i], rng, flip=cfg.flip, crop=cfg.crop)
-                xs.append(image_to_tensor(im, size)[0])
+                image_to_tensor(im, size, out=x[j:j + 1])
                 batch_truths.append(ts)
-            x = np.stack(xs)
-            raw = net.forward(x, training=True)
+            raw = net.forward(x, training=True, workspace=ws)
 
             preds = decode_predictions(raw, anchors)
             asg = assign_targets(batch_truths, preds, cfg.n_prior, images_seen=images_seen)
@@ -423,7 +428,7 @@ def train(
                 raise TrainingError(f"non-finite loss at iteration {iteration}")
 
             # no name holds the gradients, so they are freed before the next forward
-            adam_step(params, net.backward(grad.astype(raw.dtype)), state, lr)
+            adam_step(params, net.backward(grad.astype(raw.dtype), workspace=ws), state, lr)
             rows.append(LogRow(iteration=iteration, epoch=epoch, lr=lr, parts=parts))
             if max_iterations and iteration >= max_iterations:
                 done = True

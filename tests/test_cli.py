@@ -299,6 +299,23 @@ def test_anchors_rejects_fewer_than_one_iteration(pipeline, tmp_path, capsys, ma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "anchors", "train"])
+def test_negative_seed_reports_one_line_error_before_writing(pipeline, tmp_path, capsys, command):
+    _, data, anchors, _, _ = pipeline
+    out = tmp_path / "out"
+    args = {
+        "synth": ["--out", str(out), "--num", "2"],
+        "anchors": ["--labels", str(data), "--out", str(out), "--k", "2", "--input-size", "96"],
+        "train": ["--manifest", str(data / "manifest.tsv"), "--classes", str(data / "classes.names"),
+                  "--anchors", str(anchors), "--out", str(out), "--input-size", "96",
+                  "--channel-scale", "1/8", "--batch-size", "4", "--epochs", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["--image-size", "0"], ["--image-size", "-32"],
                                   ["--classes", ","], ["--num", "0"], ["--num", "-1"]])
 def test_synth_rejects_what_it_cannot_draw(tmp_path, capsys, args):

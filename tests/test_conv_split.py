@@ -76,8 +76,8 @@ def _conv_digests(net, x, monkeypatch, gate=None):
     """The sha256 of every conv output of one inference forward, and the pool."""
     digests, conv = [], network.conv2d_forward
 
-    def recording(x, p):
-        y, cache = conv(x, p)
+    def recording(x, p, workspace=None):
+        y, cache = conv(x, p, workspace=workspace)
         digests.append(hashlib.sha256(np.ascontiguousarray(y).tobytes()).digest())
         return y, cache
 
@@ -296,3 +296,21 @@ def test_shared_inference_graph_runs_in_two_threads(net416):
         t.join(TIMEOUT_S)
     assert not any(t.is_alive() for t in threads), "deadlock"
     assert got == want
+
+
+def test_shared_inference_graph_runs_in_two_threads_with_a_workspace_each(net416):
+    x = [_image(BUILD_416, seed=s) for s in (3, 4)]
+    want = [net416.forward(xi).tobytes() for xi in x]
+    got = [None, None]
+
+    def run(i):
+        ws = layers.Workspace()
+        got[i] = [net416.forward(x[i], workspace=ws).tobytes() for _ in range(2)]
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(TIMEOUT_S)
+    assert not any(t.is_alive() for t in threads), "deadlock"
+    assert got == [[w, w] for w in want]

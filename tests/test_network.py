@@ -198,8 +198,8 @@ def test_inference_forward_leaves_no_cache(monkeypatch):
     for node in net.conv_nodes():
         forward = node.forward
 
-        def recording(ins, training, forward=forward):
-            out, cache = forward(ins, training)
+        def recording(ins, training, ws=None, forward=forward):
+            out, cache = forward(ins, training, ws)
             conv_caches.append(cache["conv"])
             return out, cache
         monkeypatch.setattr(node, "forward", recording)
@@ -223,9 +223,9 @@ def test_inference_writes_in_place_into_no_shared_array(monkeypatch):
     before = x.copy()
     changed = []
     for node in net.nodes:
-        def checking(ins, training, forward=node.forward, name=node.name):
+        def checking(ins, training, ws=None, forward=node.forward, name=node.name):
             seen = [a.tobytes() for a in ins]
-            out, cache = forward(ins, training)
+            out, cache = forward(ins, training, ws)
             changed.extend(name for a, b in zip(ins, seen) if a.tobytes() != b)
             return out, cache
         monkeypatch.setattr(node, "forward", checking)
@@ -247,10 +247,10 @@ def test_forward_drops_each_activation_after_its_last_reader(monkeypatch):
     refs, alive_at_head = {}, []
     head = net.nodes[-1]
     for node in net.nodes:
-        def recording(ins, training, forward=node.forward, name=node.name):
+        def recording(ins, training, ws=None, forward=node.forward, name=node.name):
             if name == head.name:
                 alive_at_head.extend(n for n, ref in refs.items() if ref() is not None)
-            out, cache = forward(ins, training)
+            out, cache = forward(ins, training, ws)
             refs[name] = weakref.ref(out)
             return out, cache
         monkeypatch.setattr(node, "forward", recording)
@@ -266,8 +266,8 @@ def test_training_forward_keeps_conv_and_pool_outputs_batch_innermost(monkeypatc
     recorded = (network.ConvNode, network.MaxPoolNode)
     for node in net.nodes:
         if isinstance(node, recorded):
-            def recording(ins, training, forward=node.forward, name=node.name):
-                out, cache = forward(ins, training)
+            def recording(ins, training, ws=None, forward=node.forward, name=node.name):
+                out, cache = forward(ins, training, ws)
                 layouts[name] = out.transpose(1, 2, 3, 0).flags.c_contiguous
                 return out, cache
             monkeypatch.setattr(node, "forward", recording)
@@ -329,8 +329,8 @@ def test_fanout_gradient_is_sum_of_branch_gradients():
         node = by_name[name]
         backward = node.backward
 
-        def wrapper(gout, cache, param_grads):
-            gins = backward(gout, cache, param_grads)
+        def wrapper(gout, cache, param_grads, ws=None):
+            gins = backward(gout, cache, param_grads, ws)
             seen[name] = (gout.copy(), [gi.copy() for gi in gins])
             return gins
         node.backward = wrapper
@@ -393,7 +393,7 @@ def test_layer_kernels_called_through_network_module(monkeypatch):
     conv1_node = next(node for node in net.nodes if node.name == "conv1")
     conv1 = [c for c in calls["conv2d_backward"] if c[0][2] is conv1_node.conv]
     assert len(conv1) == 1 and len(conv1[0][0]) == 3
-    assert conv1[0][1] == {"input_grad": False}
+    assert conv1[0][1] == {"input_grad": False, "workspace": None}
 
 
 def test_skipping_image_gradient_keeps_conv1_grads_bit_identical(monkeypatch):
@@ -405,7 +405,8 @@ def test_skipping_image_gradient_keeps_conv1_grads_bit_identical(monkeypatch):
     skipped = net.backward(g)
     full_backward = network.conv2d_backward
     monkeypatch.setattr(network, "conv2d_backward",
-                        lambda go, cache, p, input_grad=True: full_backward(go, cache, p))
+                        lambda go, cache, p, input_grad=True, workspace=None:
+                        full_backward(go, cache, p))
     # backward frees the cache; the same input and weights give the same
     # batch statistics, so a second training forward rebuilds it bit for bit
     assert net.forward(x, training=True).tobytes() == out.tobytes()

@@ -439,14 +439,14 @@ def test_backward_gets_a_float32_gradient_laid_out_like_the_output(tmp_path):
     outputs, grads = [], []
     forward, backward = net.forward, net.backward
 
-    def spy_forward(x, training=False):
-        out = forward(x, training=training)
+    def spy_forward(x, training=False, workspace=None):
+        out = forward(x, training=training, workspace=workspace)
         outputs.append((out.shape, out.dtype, out.flags.c_contiguous))
         return out
 
-    def spy_backward(grad):
+    def spy_backward(grad, workspace=None):
         grads.append((grad.shape, grad.dtype, grad.flags.c_contiguous))
-        return backward(grad)
+        return backward(grad, workspace=workspace)
 
     net.forward, net.backward = spy_forward, spy_backward
     train(net, manifest, TrainConfig(batch_size=3, epochs=1, seed=0))
