@@ -65,4 +65,6 @@ def ppm_write(path: str | Path, pixels: np.ndarray) -> None:
         raise PPMError(f"pixels must be uint8, got {arr.dtype}")
     h, w = arr.shape[:2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + np.ascontiguousarray(arr).tobytes())
+    with open(path, "wb") as f:  # header, then the pixel buffer itself: no joined copy
+        f.write(header)
+        f.write(np.ascontiguousarray(arr).data)

@@ -239,10 +239,14 @@ _BASE_COLORS = {
 
 
 def _draw_shape(img: np.ndarray, kind: str, cx: int, cy: int, size: int,
-                color: np.ndarray) -> np.ndarray:
-    sz = img.shape[0]
+                color: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Paint one shape of size >= 2 into img through a view of the only
+    window it can cover, the square of side 2 * half + 1 centred on (cx, cy),
+    which must lie inside img. Returns the mask over that window and the
+    window's top row and left column."""
     half = size // 2
-    yy, xx = np.mgrid[0:sz, 0:sz]
+    window = np.s_[cy - half:cy + half + 1, cx - half:cx + half + 1]
+    yy, xx = np.ogrid[window]
     if kind == "circle":
         mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= half ** 2
     elif kind == "square":
@@ -254,8 +258,8 @@ def _draw_shape(img: np.ndarray, kind: str, cx: int, cy: int, size: int,
         mask = (rel >= 0) & (rel <= 1) & (np.abs(xx - cx) <= hw)
     else:
         raise TrainingError(f"unknown shape class {kind!r}")
-    img[mask] = color
-    return mask
+    img[window][mask] = color
+    return mask, cy - half, cx - half
 
 
 def synth_dataset(
@@ -274,6 +278,8 @@ def synth_dataset(
         raise TrainingError(f"image_size must be a positive multiple of 32, got {image_size}")
     if not classes or not set(classes) <= set(SHAPE_CLASSES):
         raise TrainingError(f"classes must be a non-empty subset of {SHAPE_CLASSES}, got {classes}")
+    if len(set(classes)) < len(classes):
+        raise TrainingError(f"classes must be distinct, got {classes}")
     if seed < 0:
         raise TrainingError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
@@ -312,10 +318,10 @@ def synth_dataset(
                 0,
                 255,
             ).astype(np.uint8)
-            mask = _draw_shape(img, classes[cls_idx], cx, cy, size, color)
+            mask, top, left = _draw_shape(img, classes[cls_idx], cx, cy, size, color)
             ys, xs = np.nonzero(mask)
-            x0, x1 = int(xs.min()), int(xs.max())
-            y0, y1 = int(ys.min()), int(ys.max())
+            x0, x1 = left + int(xs.min()), left + int(xs.max())
+            y0, y1 = top + int(ys.min()), top + int(ys.max())
             class_ids.append(cls_idx)
             boxes.append(((x0 + x1 + 1) / 2 / sz, (y0 + y1 + 1) / 2 / sz,
                           (x1 - x0 + 1) / sz, (y1 - y0 + 1) / sz))

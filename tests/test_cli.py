@@ -317,7 +317,8 @@ def test_negative_seed_reports_one_line_error_before_writing(pipeline, tmp_path,
 
 
 @pytest.mark.parametrize("args", [["--image-size", "0"], ["--image-size", "-32"],
-                                  ["--classes", ","], ["--num", "0"], ["--num", "-1"]])
+                                  ["--classes", ","], ["--num", "0"], ["--num", "-1"],
+                                  ["--classes", "circle,circle"]])
 def test_synth_rejects_what_it_cannot_draw(tmp_path, capsys, args):
     out = tmp_path / "data"
     assert main(["synth", "--out", str(out), "--num", "2", *args]) == 1

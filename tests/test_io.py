@@ -1,5 +1,7 @@
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,16 +93,63 @@ def test_ppm_huge_header_is_rejected_before_any_read(tmp_path):
 def test_ppm_round_trip_property(seed, h, w):
     rng = np.random.default_rng(seed)
     img = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
-    import tempfile
-    from pathlib import Path
-
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "x.ppm"
         ppm_write(path, img)
         assert np.array_equal(ppm_read(path), img)
 
 
+def corruptions(valid: bytes) -> st.SearchStrategy[bytes]:
+    """Arbitrary bytes, or `valid` truncated, with one byte replaced, or with
+    one byte inserted. Half the positions fall in the first 64 bytes, where
+    a header is."""
+    n = len(valid)
+    at = st.integers(0, min(n, 64)) | st.integers(0, n)
+    byte = st.binary(min_size=1, max_size=1)
+    return st.one_of(
+        st.binary(max_size=64),
+        at.map(lambda i: valid[:i]),
+        st.tuples(at.filter(lambda i: i < n), byte).map(lambda t: valid[:t[0]] + t[1] + valid[t[0] + 1:]),
+        st.tuples(at, byte).map(lambda t: valid[:t[0]] + t[1] + valid[t[0]:]),
+    )
+
+
+def read_corrupted(read, blob: bytes):
+    """`read` of a file that holds `blob`."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "file"
+        path.write_bytes(blob)
+        return read(path)
+
+
+_VALID_PPM = b"P6\n2 3\n255\n" + bytes(range(18))
+
+
+@given(corruptions(_VALID_PPM))
+@settings(max_examples=60, deadline=None)
+def test_ppm_read_raises_only_ppm_error_on_corrupt_bytes(blob):
+    try:
+        img = read_corrupted(ppm_read, blob)
+    except PPMError:
+        return
+    assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3
+
+
 # -- labels -------------------------------------------------------------------------
+
+
+_VALID_LABELS = b"2 0.500000 0.250000 0.250000 0.125000\n0 0.750000 0.500000 0.500000 1.000000\n"
+
+
+@given(corruptions(_VALID_LABELS))
+@settings(max_examples=60, deadline=None)
+def test_read_label_file_raises_only_label_error_on_corrupt_bytes(blob):
+    try:
+        labels = read_corrupted(read_label_file, blob)
+    except LabelError:
+        return
+    assert labels.class_ids.dtype == np.int64 and labels.boxes.shape == (len(labels.class_ids), 4)
+    assert np.isfinite(labels.boxes).all()
 
 
 def test_label_round_trip(tmp_path):

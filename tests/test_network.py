@@ -2,12 +2,16 @@ import dataclasses
 import errno
 import os
 import struct
+import tempfile
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_io import corruptions, read_corrupted
 
 from dcspp_yolo import network
 from dcspp_yolo.anchors import AnchorSet
@@ -498,6 +502,50 @@ def test_an_empty_weight_file_is_truncated(tmp_path):
         read_weight_header(path)
     with pytest.raises(NetworkError, match=r"truncated weight file \(0 bytes, header needs 32\)$"):
         build_network(NetworkConfig(**TINY)).load_weights(path)
+
+
+def _smallest_net() -> network.NetworkGraph:
+    cfg = NetworkConfig(input_size=32, num_classes=1, num_anchors=1,
+                        anchors=AnchorSet(dims=[(0.9, 1.1)]), channel_scale=Fraction(1, 32))
+    return build_network(cfg)
+
+
+def _valid_weights() -> bytes:
+    net = _smallest_net()
+    net.init_weights(0)
+    with tempfile.TemporaryDirectory() as d:
+        net.save_weights(Path(d) / "w.weights")
+        return (Path(d) / "w.weights").read_bytes()
+
+
+def _load_checked(path):
+    header = read_weight_header(path)
+    net = _smallest_net()
+    net.load_weights(path)
+    return header, net
+
+
+def _check_corrupt_weights(blob):
+    try:
+        header, net = read_corrupted(_load_checked, blob)
+    except NetworkError:
+        return
+    assert header == net.weight_header()
+
+
+@given(corruptions(_valid_weights()))
+@settings(max_examples=60, deadline=None)
+def test_weight_readers_raise_only_network_error_on_corrupt_bytes(blob):
+    _check_corrupt_weights(blob)
+
+
+def test_weight_readers_raise_only_network_error_on_any_header_word_changed():
+    valid = _valid_weights()
+    size = _smallest_net().weight_header().size
+    assert size == 48  # the magic, the seven u32 fields, then one (w, h) anchor
+    for at in range(0, size, 4):
+        for value in (0, 1, 2 ** 31, 2 ** 32 - 1):
+            _check_corrupt_weights(valid[:at] + struct.pack("<I", value) + valid[at + 4:])
 
 
 def test_saving_onto_the_file_a_live_model_maps_leaves_that_model_as_it_was(tmp_path):

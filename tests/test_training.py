@@ -17,10 +17,13 @@ from dcspp_yolo.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    SHAPE_CLASSES,
     WEIGHT_DECAY,
+    _BASE_COLORS,
     AdamState,
     TrainConfig,
     TrainingError,
+    _draw_shape,
     adam_step,
     augment,
     crop_to_window,
@@ -332,6 +335,68 @@ def test_synth_class_histogram_roughly_uniform(tmp_path):
     total = sum(counts)
     for c in counts:
         assert abs(c - total / 3) / (total / 3) < 0.2
+
+
+# sha256 over every file synth_dataset writes, in name order as name, NUL, bytes:
+# the seeded datasets may not move by one byte.
+_SYNTH_SHA256 = {
+    (8, 416, 1): "0a13987fae77ad68ec4ddbb19c524c171dca71fc7e02b490d2d38224f03d1d27",
+    (16, 96, 1): "cb4255bf1aeb3476ca0fbf1ec22ed9315a109083f6f1ce5760f7142a928097e6",
+    (4, 608, 3): "ab9ff0b9b3106f3249465528858b625e35e915c1267addcc614e48b745754f1d",
+}
+
+
+@pytest.mark.parametrize("n, size, seed", list(_SYNTH_SHA256))
+def test_synth_bytes_are_pinned(tmp_path, n, size, seed):
+    synth_dataset(n, image_size=size, seed=seed, out_dir=tmp_path / "data")
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "data").iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == _SYNTH_SHA256[n, size, seed]
+
+
+def _draw_shape_full_image(img, kind, cx, cy, size, color):
+    """`_draw_shape` over the whole image: the oracle for the windowed draw."""
+    sz = img.shape[0]
+    half = size // 2
+    yy, xx = np.mgrid[0:sz, 0:sz]
+    if kind == "circle":
+        mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= half ** 2
+    elif kind == "square":
+        mask = (np.abs(yy - cy) <= half) & (np.abs(xx - cx) <= half)
+    else:
+        rel = (yy - (cy - half)) / max(size - 1, 1)
+        hw = rel * half
+        mask = (rel >= 0) & (rel <= 1) & (np.abs(xx - cx) <= hw)
+    img[mask] = color
+    return mask
+
+
+@st.composite
+def _shapes(draw):
+    """A shape as synth_dataset places one: size in [sz // 6, sz // 3], centre
+    at least half + 2 pixels inside every edge."""
+    sz = draw(st.sampled_from([32, 96, 416, 608]))
+    size = draw(st.integers(sz // 6, sz // 3))
+    half = size // 2
+    cx, cy = (draw(st.integers(half + 2, sz - half - 3)) for _ in range(2))
+    return sz, draw(st.sampled_from(SHAPE_CLASSES)), cx, cy, size, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(_shapes())
+@settings(max_examples=80, deadline=None)
+def test_windowed_draw_equals_the_full_image_draw(shape):
+    sz, kind, cx, cy, size, seed = shape
+    rng = np.random.default_rng(seed)
+    img = rng.integers(0, 50, (sz, sz, 3)).astype(np.uint8)
+    color = np.asarray(_BASE_COLORS[kind], dtype=np.uint8)
+    want_img = img.copy()
+    want = _draw_shape_full_image(want_img, kind, cx, cy, size, color)
+    window, top, left = _draw_shape(img, kind, cx, cy, size, color)
+    got = np.zeros((sz, sz), dtype=bool)
+    got[top:top + window.shape[0], left:left + window.shape[1]] = window
+    assert np.array_equal(got, want)  # so the oracle sets nothing outside the window
+    assert img.tobytes() == want_img.tobytes()
 
 
 def test_synth_rejects_bad_size(tmp_path):
